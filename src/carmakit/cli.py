@@ -21,6 +21,7 @@ Exit codes are a stable interface:
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -410,6 +411,27 @@ def cmd_spectrum(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+def _checked(convert, accept, requirement: str):
+    """An argparse ``type=`` that converts a flag and rejects values outside
+    its domain, so a bad flag exits 2 before any model is loaded."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(
+                f"expected {requirement}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0,
+                           "a finite number > 0")
+
+
 def _omega_list(text: str):
     try:
         return [float(v) for v in text.split(",") if v != ""]
@@ -444,11 +466,14 @@ def build_parser() -> argparse.ArgumentParser:
     equiv.add_argument("model2", help="second model file")
     equiv.add_argument("--simulate", choices=["cp"],
                        help="also run a shared-jump pathwise comparison")
-    equiv.add_argument("--rate", type=float, default=1.0,
+    equiv.add_argument("--rate", type=_positive_float, default=1.0,
                        help="jump rate for --simulate cp (default 1.0)")
-    equiv.add_argument("--seed", type=int, help="seed for --simulate cp")
-    equiv.add_argument("--steps", type=int, help="grid points for --simulate cp")
-    equiv.add_argument("--h", type=float, help="step size for --simulate cp")
+    equiv.add_argument("--seed", type=_nonnegative_int,
+                       help="seed for --simulate cp")
+    equiv.add_argument("--steps", type=_positive_int,
+                       help="grid points for --simulate cp")
+    equiv.add_argument("--h", type=_positive_float,
+                       help="step size for --simulate cp")
     equiv.add_argument("-o", "--out", help="write the verdict report to this path")
     equiv.set_defaults(func=cmd_check_equiv)
 
@@ -457,13 +482,14 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--driver", choices=["brownian", "cp"], required=True)
     sim.add_argument("--sigma", default="identity",
                      help="Brownian covariance: \"identity\" or a JSON matrix file")
-    sim.add_argument("--rate", type=float,
+    sim.add_argument("--rate", type=_positive_float,
                      help="jump rate (required with --driver cp)")
     sim.add_argument("--jump", default="gaussian",
                      help="jump distribution: \"gaussian\" or \"atoms:<file>\"")
-    sim.add_argument("--seed", type=int, required=True)
-    sim.add_argument("--steps", type=int, required=True)
-    sim.add_argument("--h", type=float, required=True, help="grid step size")
+    sim.add_argument("--seed", type=_nonnegative_int, required=True)
+    sim.add_argument("--steps", type=_positive_int, required=True)
+    sim.add_argument("--h", type=_positive_float, required=True,
+                     help="grid step size")
     sim.add_argument("--init", choices=["zero", "stationary"], default="zero")
     sim.add_argument("-o", "--out", required=True, help="output CSV path")
     sim.set_defaults(func=cmd_simulate)
@@ -495,30 +521,29 @@ def _validate_flag_combinations(parser, args) -> None:
                          "--driver brownian")
 
 
+# Checked in order, so a subclass must precede any base class listed after it.
+_EXIT_CODES = (
+    (ModelFileError, EXIT_PARSE),
+    (OSError, EXIT_PARSE),
+    (DimensionMismatch, EXIT_DIMENSION),
+    (DegenerateTransferFunction, EXIT_DEGENERATE),
+    (NotStrictlyProper, EXIT_DEGENERATE),
+    (UnstableModel, EXIT_UNSTABLE),
+    (PoleOnEvaluationAxis, EXIT_POLE),
+)
+_HANDLED = tuple(exc_type for exc_type, _ in _EXIT_CODES)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate_flag_combinations(parser, args)
     try:
         return args.func(args)
-    except ModelFileError as exc:
+    except _HANDLED as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DimensionMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except (DegenerateTransferFunction, NotStrictlyProper) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except UnstableModel as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSTABLE
-    except PoleOnEvaluationAxis as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_POLE
+        return next(code for exc_type, code in _EXIT_CODES
+                    if isinstance(exc, exc_type))
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ functions, so they are safe to share across threads.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -104,15 +105,6 @@ def mat_sub(a: RationalMatrixData, b: RationalMatrixData) -> RationalMatrixData:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_neg(a: RationalMatrixData) -> RationalMatrixData:
-    return tuple(tuple(-x for x in row) for row in a)
-
-
-def mat_scale(c: RationalLike, a: RationalMatrixData) -> RationalMatrixData:
-    c = as_rational(c)
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
 def mat_mul(a: RationalMatrixData, b: RationalMatrixData) -> RationalMatrixData:
     if len(a[0]) != len(b):
         raise DimensionMismatch(
@@ -165,10 +157,6 @@ class Poly:
     def variable(cls) -> "Poly":
         """The polynomial ``z``."""
         return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, k: int, c: RationalLike = 1) -> "Poly":
-        return cls((0,) * k + (c,))
 
     # -- structure ---------------------------------------------------------
 
@@ -356,17 +344,20 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return Poly(x).monic()
 
 
+def poly_gcd_lcm(a: Poly, b: Poly) -> tuple:
+    """Both ``(gcd, lcm)``, each monic, with ``gcd*lcm`` proportional to ``a*b``.
+    The lcm is zero if either input is zero."""
+    g = poly_gcd(a, b)
+    if a.is_zero or b.is_zero:
+        return g, Poly.zero()
+    return g, (a * b).exact_div(g).monic()
+
+
 def poly_lcm(a: Poly, b: Poly) -> Poly:
     """Monic least common multiple; zero if either input is zero."""
-    if a.is_zero or b.is_zero:
-        return Poly.zero()
-    return (a * b).exact_div(poly_gcd(a, b)).monic()
-
-
-def poly_gcd_lcm(a: Poly, b: Poly) -> tuple:
-    """Both ``(gcd, lcm)``, each monic, with ``gcd*lcm`` proportional to ``a*b``."""
-    g = poly_gcd(a, b)
-    return g, (a * b).exact_div(g).monic() if not (a.is_zero or b.is_zero) else Poly.zero()
+    if a.is_zero and b.is_zero:
+        return Poly.zero()      # their gcd is undefined, their lcm is not
+    return poly_gcd_lcm(a, b)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -465,21 +456,84 @@ class PolyMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Resolvent numerator: adjugate of (z*I - A) plus characteristic polynomial
+# Resolvent numerator: the integer Faddeev-LeVerrier iteration
 # ---------------------------------------------------------------------------
+
+def integer_matrix(matrix: Sequence[Sequence[Fraction]]) -> tuple:
+    """``(s, ints)`` with ``s`` the least common multiple of the entry
+    denominators and ``ints = s * matrix`` as lists of plain integers."""
+    s = 1
+    for row in matrix:
+        for x in row:
+            s = s * x.denominator // math.gcd(s, x.denominator)
+    return s, [[x.numerator * (s // x.denominator) for x in row] for row in matrix]
+
+
+def nonzero_entries(rows) -> list:
+    """Each row as its ``(column, value)`` pairs with nonzero value."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+
+
+def _row_combination(pairs: list, mk: list, n: int) -> list:
+    """Row ``sum(v * mk[t] for t, v in pairs)``, always a fresh list."""
+    if not pairs:
+        return [0] * n
+    if len(pairs) == 1:
+        t, v = pairs[0]
+        return [v * x for x in mk[t]]
+    coeffs = [v for _, v in pairs]
+    return [sum(map(operator.mul, coeffs, col))
+            for col in zip(*[mk[t] for t, _ in pairs])]
+
+
+def faddeev_leverrier(matrix: Sequence[Sequence[Fraction]], visit) -> Poly:
+    """Characteristic polynomial of ``A`` by the Faddeev-LeVerrier iteration.
+
+    ``A`` is scaled to the integer matrix ``s*A`` (``s`` the lcm of its
+    denominators), whose iterates are plain integers: ``M_1 = I``,
+    ``c_k = -tr(s*A M_k) / k`` (an exact division) and
+    ``M_(k+1) = s*A M_k + c_k I``.  Then ``det(z*I - A) = z^N +
+    sum_k c_k s^-k z^(N-k)`` and ``adj(z*I - A) = sum_k M_k s^-(k-1) z^(N-k)``
+    (Gantmacher, *Theory of Matrices* I, 4.5).
+
+    ``visit(mk, den)`` is called for k = 1..N with the integer matrix ``M_k``
+    (a list of row lists, not to be mutated) and ``den = s^(k-1)``, so the
+    adjugate's ``z^(N-k)`` coefficient is ``mk / den``.  Each row of ``s*A``
+    is kept as its nonzero entries only, since block-companion drifts are
+    mostly zero, and the last step forms only the trace of ``s*A M_N``.
+    """
+    n = len(matrix)
+    s, scaled = integer_matrix(matrix)
+    rows = nonzero_entries(scaled)
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
+    char_coeffs = [Fraction(1)]         # descending: z^N, z^(N-1), ...
+    for k in range(1, n + 1):
+        visit(mk, s ** (k - 1))
+        if k < n:
+            am = [_row_combination(pairs, mk, n) for pairs in rows]
+            tr = sum(am[i][i] for i in range(n))
+        else:
+            tr = sum(v * mk[t][i] for i, pairs in enumerate(rows) for t, v in pairs)
+        ck, rem = divmod(-tr, k)
+        if rem:
+            raise ArithmeticError("Faddeev trace division was not exact")
+        char_coeffs.append(Fraction(ck, s ** k))
+        if k < n:
+            for i in range(n):
+                am[i][i] += ck
+            mk = am
+    return Poly(char_coeffs[::-1])
+
 
 def resolvent_numerator(matrix: Sequence[Sequence[RationalLike]]):
     """Characteristic polynomial and adjugate of ``z*I - A``, exactly.
 
-    Runs the Leverrier-Faddeev iteration, which produces the characteristic
-    polynomial ``det(z*I - A)`` (monic, degree N) and the polynomial matrix
-    ``adj(z*I - A)`` satisfying ``(z*I - A) @ adj == charpoly * I`` in one
-    pass of matrix products and traces.  The divisions by the step index are
-    exact over the rationals.
-
-    To keep the iteration fast, the input is scaled to an integer matrix
-    (every Faddeev intermediate is then a plain integer) and the resulting
-    coefficients are rescaled by powers of the common denominator.
+    Both come from :func:`faddeev_leverrier`, the integer kernel that
+    :func:`carmakit.realization.transfer_function` also runs: the
+    characteristic polynomial ``det(z*I - A)`` (monic, degree N) is its
+    return value, and the polynomial matrix ``adj(z*I - A)``, which satisfies
+    ``(z*I - A) @ adj == charpoly * I``, is assembled from the integer
+    iterates ``M_k`` it visits.
 
     Returns
     -------
@@ -489,44 +543,13 @@ def resolvent_numerator(matrix: Sequence[Sequence[RationalLike]]):
     n = len(a)
     if any(len(row) != n for row in a):
         raise DimensionMismatch("resolvent requires a square matrix")
-
-    s = 1
-    for row in a:
-        for x in row:
-            s = s * x.denominator // math.gcd(s, x.denominator)
-    m = [[x.numerator * (s // x.denominator) for x in row] for row in a]
-
-    ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    mk = ident
-    step_mats = []          # M_1 .. M_n, integer matrices
-    charpoly_ints = []      # c_1 .. c_n, integers
-    for k in range(1, n + 1):
-        step_mats.append(mk)
-        am = [[sum(m[i][t] * mk[t][j] for t in range(n)) for j in range(n)]
-              for i in range(n)]
-        tr = sum(am[i][i] for i in range(n))
-        ck, rem = divmod(-tr, k)
-        if rem:
-            raise ArithmeticError("Faddeev trace division was not exact")
-        charpoly_ints.append(ck)
-        mk = [[am[i][j] + (ck if i == j else 0) for j in range(n)]
-              for i in range(n)]
-
-    # charpoly(z) = z^n + sum_k c_k s^-k z^(n-k)
-    char_coeffs = [Fraction(0)] * n + [Fraction(1)]
-    for k in range(1, n + 1):
-        char_coeffs[n - k] = Fraction(charpoly_ints[k - 1], s ** k)
-    charpoly = Poly(char_coeffs)
-
-    # adjugate coefficient of z^(n-k) is M_k / s^(k-1)
-    adj_entries = []
-    for i in range(n):
-        for j in range(n):
-            cs = [Fraction(0)] * n
-            for k in range(1, n + 1):
-                cs[n - k] = Fraction(step_mats[k - 1][i][j], s ** (k - 1))
-            adj_entries.append(Poly(cs))
-    return PolyMatrix(n, n, tuple(adj_entries)), charpoly
+    steps = []
+    charpoly = faddeev_leverrier(a, lambda mk, den: steps.append((mk, den)))
+    # steps[k-1] holds the z^(n-k) coefficient, so reverse for ascending order
+    adj_entries = tuple(
+        Poly(tuple(Fraction(mk[i][j], den) for mk, den in reversed(steps)))
+        for i in range(n) for j in range(n))
+    return PolyMatrix(n, n, adj_entries), charpoly
 
 
 # ---------------------------------------------------------------------------

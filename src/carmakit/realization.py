@@ -36,16 +36,18 @@ from .exactalg import (
     PolyMatrix,
     RationalMatrixData,
     TransferFunction,
+    faddeev_leverrier,
+    integer_matrix,
     mat_add,
     mat_identity,
     mat_is_zero,
     mat_mul,
     mat_sub,
     mat_zeros,
+    nonzero_entries,
     rational_matrix,
     ratmat_equal,
     ratmat_reduce,
-    resolvent_numerator,
 )
 
 
@@ -253,15 +255,36 @@ class MfdPair:
 def transfer_function(ss: StateSpaceModel) -> TransferFunction:
     """H(z) = C (zI - A)^{-1} B, entrywise reduced.
 
-    The resolvent inverse is realized as adj(zI - A) / det(zI - A), so the
-    result is exact and always strictly proper: the adjugate has degree
-    N - 1 against the degree-N characteristic polynomial, and reduction can
-    only lower numerator degrees.
+    The numerator ``C adj(zI - A) B`` is projected inside the integer
+    Faddeev-LeVerrier iteration (:func:`faddeev_leverrier`), so the N x N
+    adjugate is never built: with ``B`` and ``C`` scaled to integers by their
+    own denominators ``s_B`` and ``s_C``, each iterate ``M_k`` is multiplied
+    by the nonzero entries of ``B`` and then of ``C``, and the d x m product
+    divided by ``s_C s_B s^(k-1)`` is the coefficient of ``z^(N-k)``.  The
+    numerator over ``det(zI - A)`` is then reduced entrywise.  The result is
+    exact and always strictly proper: the numerator has degree at most N - 1
+    against the degree-N characteristic polynomial, and reduction can only
+    lower numerator degrees.
     """
-    adjugate, charpoly = resolvent_numerator(ss.a)
-    num = (PolyMatrix.from_scalar_matrix(ss.c)
-           @ adjugate
-           @ PolyMatrix.from_scalar_matrix(ss.b))
+    s_b, b = integer_matrix(ss.b)
+    s_c, c = integer_matrix(ss.c)
+    b_cols = nonzero_entries(zip(*b))
+    c_rows = nonzero_entries(c)
+    # only the rows of M_k B that some row of C reads
+    used = {t for pairs in c_rows for t, _ in pairs}
+    coeffs = [[] for _ in range(ss.d * ss.m)]   # descending powers of z
+
+    def project(mk, den):
+        mb = {t: [sum(mk[t][r] * v for r, v in col) for col in b_cols]
+              for t in used}
+        den *= s_c * s_b
+        for i, pairs in enumerate(c_rows):
+            for j in range(ss.m):
+                coeffs[i * ss.m + j].append(
+                    Fraction(sum(v * mb[t][j] for t, v in pairs), den))
+
+    charpoly = faddeev_leverrier(ss.a, project)
+    num = PolyMatrix(ss.d, ss.m, tuple(Poly(cs[::-1]) for cs in coeffs))
     return ratmat_reduce(num, charpoly)
 
 

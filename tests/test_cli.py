@@ -421,6 +421,31 @@ class TestSimulateCommand:
         assert exc.value.code == 2
 
 
+class TestFlagValidation:
+
+    @pytest.mark.parametrize("flags", [
+        ["check-equiv", "{m}", "{m}", "--simulate", "cp", "--seed", "1",
+         "--steps", "0", "--h", "0.1"],
+        ["simulate", "{m}", "--driver", "brownian", "--seed", "-1",
+         "--steps", "10", "--h", "0.1", "-o", "{out}"],
+        ["simulate", "{m}", "--driver", "brownian", "--seed", "1",
+         "--steps", "10", "--h", "nan", "-o", "{out}"],
+        ["simulate", "{m}", "--driver", "brownian", "--seed", "1",
+         "--steps", "10", "--h", "-1", "-o", "{out}"],
+        ["simulate", "{m}", "--driver", "cp", "--rate", "0", "--seed", "1",
+         "--steps", "10", "--h", "0.1", "-o", "{out}"],
+    ], ids=["steps-0", "seed-negative", "h-nan", "h-negative", "rate-0"])
+    def test_invalid_flag_exit_2(self, tmp_path, capsys, flags):
+        path = write_model(tmp_path / "ou.json", OU)
+        argv = [f.format(m=path, out=tmp_path / "x.csv") for f in flags]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "error:" in err and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+
 class TestSpectrumCommand:
 
     def test_scalar_closed_form(self, tmp_path, capsys):

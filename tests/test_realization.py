@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from carmakit.errors import (
     DegenerateTransferFunction,
@@ -92,23 +93,55 @@ def laplace_det(pm: PolyMatrix) -> Poly:
     return det(rows)
 
 
-def laplace_inverse_times(pm: PolyMatrix, rhs: PolyMatrix):
-    """pm^{-1} rhs as a rational matrix, via cofactor adjugate / determinant."""
+def laplace_adjugate(pm: PolyMatrix) -> PolyMatrix:
+    """Adjugate by cofactors: adj[i][j] = (-1)^(i+j) det(pm without row j, col i)."""
     n = pm.rows
     if n == 1:
-        adj = PolyMatrix.from_rows([[Poly.one()]])
-    else:
-        rows = [list(pm.row(i)) for i in range(n)]
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                minor = [r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j]
-                c = laplace_det(PolyMatrix.from_rows(minor))
-                row.append(c if (i + j) % 2 == 0 else -c)
-            out.append(row)
-        adj = PolyMatrix.from_rows(out)
-    return ratmat_reduce(adj @ rhs, laplace_det(pm))
+        return PolyMatrix.from_rows([[Poly.one()]])
+    rows = [list(pm.row(i)) for i in range(n)]
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            minor = [r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j]
+            c = laplace_det(PolyMatrix.from_rows(minor))
+            row.append(c if (i + j) % 2 == 0 else -c)
+        out.append(row)
+    return PolyMatrix.from_rows(out)
+
+
+def laplace_inverse_times(pm: PolyMatrix, rhs: PolyMatrix):
+    """pm^{-1} rhs as a rational matrix, via cofactor adjugate / determinant."""
+    return ratmat_reduce(laplace_adjugate(pm) @ rhs, laplace_det(pm))
+
+
+def bareiss_poly_det(rows) -> Poly:
+    """Fraction-free Bareiss determinant of zI - A given as rows of Poly.
+
+    No pivoting is needed: the k-th pivot is the leading principal minor
+    det(zI_k - A_k), a monic polynomial of degree k, so it is never zero.
+    """
+    m = [list(r) for r in rows]
+    n = len(m)
+    prev = Poly.one()
+    for k in range(n - 1):
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).exact_div(prev)
+        prev = m[k][k]
+    return m[-1][-1]
+
+
+def cofactor_transfer_function(ss: StateSpaceModel):
+    """ratmat_reduce(C adj(zI - A) B, det(zI - A)) from the cofactor adjugate
+    and the Bareiss determinant, independent of the Faddeev iteration."""
+    n = ss.n
+    rows = [[Poly((-ss.a[i][j],)) + (Poly.variable() if i == j else Poly.zero())
+             for j in range(n)] for i in range(n)]
+    num = (PolyMatrix.from_scalar_matrix(ss.c)
+           @ laplace_adjugate(PolyMatrix.from_rows(rows))
+           @ PolyMatrix.from_scalar_matrix(ss.b))
+    return ratmat_reduce(num, bareiss_poly_det(rows))
 
 
 def rand_frac(rng):
@@ -175,6 +208,77 @@ class TestTransferFunction:
         assert strictly_proper(proper)
         constant = ratmat_reduce(PolyMatrix.from_rows([[Poly((1, 1))]]), Poly((1, 1)))
         assert not strictly_proper(constant)
+
+
+# Entry denominators are drawn from pairwise coprime sets, so B and C carry
+# denominators that differ from the drift's and from each other's.
+A_DENS, B_DENS, C_DENS = (1, 2, 4), (1, 3, 9), (1, 5, 7)
+
+
+def fractions_over(dens):
+    return st.builds(Fraction, st.integers(-9, 9), st.sampled_from(dens))
+
+
+def matrices(rows, cols, dens):
+    return st.lists(st.lists(fractions_over(dens), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def block_companion(blocks, k):
+    """Identity blocks on the superdiagonal, last block row (-C_p, ..., -C_1)."""
+    n = len(blocks) * k
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n - k):
+        rows[i][i + k] = Fraction(1)
+    for j, blk in enumerate(reversed(blocks)):
+        for r in range(k):
+            for c in range(k):
+                rows[n - k + r][j * k + c] = -blk[r][c]
+    return rows
+
+
+@st.composite
+def statespace_models(draw):
+    """Dense, zero and companion drifts.  Observer-shaped models have
+    C = (I, 0, ..., 0), controller-shaped ones B = (0, ..., 0, I)^T; some rows
+    of C and columns of B are then zeroed."""
+    kind = draw(st.sampled_from(("dense", "zero", "observer", "controller")))
+    if kind in ("observer", "controller"):
+        k = draw(st.integers(1, 2))
+        p = draw(st.integers(1, 6 // k))
+        a = block_companion([draw(matrices(k, k, A_DENS)) for _ in range(p)], k)
+    else:
+        n = draw(st.integers(1, 4))
+        a = ([[Fraction(0)] * n for _ in range(n)] if kind == "zero"
+             else draw(matrices(n, n, A_DENS)))
+    n = len(a)
+    if kind == "controller":
+        b = [[Fraction(int(i - (n - k) == j)) for j in range(k)] for i in range(n)]
+    else:
+        b = draw(matrices(n, draw(st.integers(1, 3)), B_DENS))
+    if kind == "observer":
+        c = [[Fraction(int(i == j)) for j in range(n)] for i in range(k)]
+    else:
+        c = draw(matrices(draw(st.integers(1, 3)), n, C_DENS))
+    for j in draw(st.sets(st.integers(0, len(b[0]) - 1))):
+        for row in b:
+            row[j] = Fraction(0)
+    for i in draw(st.sets(st.integers(0, len(c) - 1))):
+        c[i] = [Fraction(0)] * n
+    return StateSpaceModel(a=a, b=b, c=c)
+
+
+class TestTransferFunctionOracle:
+    @example(StateSpaceModel(a=[["-2/3"]], b=[["1/3", 0]], c=[["2/5"], [0]]))
+    @example(StateSpaceModel(a=[[0, 0], [0, 0]], b=[["1/9"], ["-4/3"]],
+                             c=[["3/7", "1/5"]]))
+    @given(statespace_models())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_cofactor_oracle(self, ss):
+        h = transfer_function(ss)
+        oracle = cofactor_transfer_function(ss)
+        assert (h.rows, h.cols) == (oracle.rows, oracle.cols)
+        assert h.entries == oracle.entries
 
 
 # ---------------------------------------------------------------------------
