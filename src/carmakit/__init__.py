@@ -15,6 +15,8 @@ The package splits into four layers:
   file formats.
 """
 
+import importlib
+
 from .errors import (
     CarmakitError,
     DegenerateTransferFunction,
@@ -57,23 +59,26 @@ from .realization import (
     tf_equivalent,
     transfer_function,
 )
-from .simulate import (
-    FixedAtomJumps,
-    GaussianJumps,
-    LevyDriverSpec,
-    SamplePath,
-    SimulationConfig,
-    draw_compound_poisson_jumps,
-    empirical_autocov,
-    gaussian_step_params,
-    simulate_brownian,
-    simulate_compound_poisson,
-    simulate_compound_poisson_pair,
-    simulate_shared_brownian_pair,
-    spectral_density,
-    stability_check,
-    stationary_covariance,
-    theoretical_autocov,
+
+# Names of carmakit.simulate, which imports numpy and scipy.  They load on
+# first access, so the exact layers and CLI commands start without either.
+_SIMULATE_NAMES = (
+    "FixedAtomJumps",
+    "GaussianJumps",
+    "LevyDriverSpec",
+    "SamplePath",
+    "SimulationConfig",
+    "draw_compound_poisson_jumps",
+    "empirical_autocov",
+    "gaussian_step_params",
+    "simulate_brownian",
+    "simulate_compound_poisson",
+    "simulate_compound_poisson_pair",
+    "simulate_shared_brownian_pair",
+    "spectral_density",
+    "stability_check",
+    "stationary_covariance",
+    "theoretical_autocov",
 )
 
 __all__ = [
@@ -113,22 +118,16 @@ __all__ = [
     "strictly_proper",
     "tf_equivalent",
     "transfer_function",
-    "FixedAtomJumps",
-    "GaussianJumps",
-    "LevyDriverSpec",
-    "SamplePath",
-    "SimulationConfig",
-    "draw_compound_poisson_jumps",
-    "empirical_autocov",
-    "gaussian_step_params",
-    "simulate_brownian",
-    "simulate_compound_poisson",
-    "simulate_compound_poisson_pair",
-    "simulate_shared_brownian_pair",
-    "spectral_density",
-    "stability_check",
-    "stationary_covariance",
-    "theoretical_autocov",
+    *_SIMULATE_NAMES,
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Import ``carmakit.simulate`` when one of its names is first used."""
+    if name != "simulate" and name not in _SIMULATE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    simulate = importlib.import_module(".simulate", __name__)
+    globals().update((n, getattr(simulate, n)) for n in _SIMULATE_NAMES)
+    return globals()[name]

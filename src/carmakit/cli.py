@@ -15,7 +15,7 @@ Exit codes are a stable interface:
   2  parse or usage error (bad JSON, bad rational, unknown field, bad flags)
   3  dimension error
   4  degenerate transfer function (identically zero, or not strictly proper)
-  5  unstable drift with stationary initialization
+  5  unstable drift: --init stationary, or a simulated path that overflows
   6  spectral density pole on the sampled axis
 """
 
@@ -24,8 +24,6 @@ import json
 import math
 import sys
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import (
     DegenerateTransferFunction,
@@ -51,17 +49,6 @@ from .realization import (
     observer_realization,
     tf_equivalent,
     transfer_function,
-)
-from .simulate import (
-    FixedAtomJumps,
-    GaussianJumps,
-    LevyDriverSpec,
-    SimulationConfig,
-    draw_compound_poisson_jumps,
-    simulate_brownian,
-    simulate_compound_poisson,
-    simulate_compound_poisson_pair,
-    spectral_density,
 )
 
 EXIT_OK = 0
@@ -262,9 +249,16 @@ def _emit_report(report: dict, out_path) -> None:
 
 # ---------------------------------------------------------------------------
 # Driver flags
+#
+# Only the simulating commands reach these, so they import numpy and
+# carmakit.simulate (which imports scipy) where they run: the exact commands
+# start without either.
 # ---------------------------------------------------------------------------
 
-def _load_sigma(spec: str, m: int) -> np.ndarray:
+def _load_sigma(spec: str, m: int) -> "numpy.ndarray":
+    import numpy as np
+    from .simulate import _require_psd
+
     if spec == "identity":
         return np.eye(m)
     obj = _load_json(spec)
@@ -275,10 +269,18 @@ def _load_sigma(spec: str, m: int) -> np.ndarray:
     if sigma.shape != (m, m):
         raise DimensionMismatch(
             f"covariance must be {m}x{m} to match the model input")
+    # The shape is checked above, so no DimensionMismatch can arise here.
+    try:
+        _require_psd(sigma, f"{spec}: covariance")
+    except ValueError as exc:
+        raise ModelFileError(str(exc)) from exc
     return sigma
 
 
 def _load_jumps(spec: str, m: int):
+    import numpy as np
+    from .simulate import FixedAtomJumps, GaussianJumps
+
     if spec == "gaussian":
         return GaussianJumps(mean=np.zeros(m), cov=np.eye(m))
     if spec.startswith("atoms:"):
@@ -288,17 +290,23 @@ def _load_jumps(spec: str, m: int):
             raise ModelFileError(
                 "atom file must hold exactly the fields atoms, probabilities")
         try:
-            return FixedAtomJumps(atoms=obj["atoms"],
-                                  probabilities=obj["probabilities"])
+            jumps = FixedAtomJumps(atoms=obj["atoms"],
+                                   probabilities=obj["probabilities"])
         except DimensionMismatch:
             raise
         except (TypeError, ValueError) as exc:
             raise ModelFileError(f"bad atom file: {exc}") from exc
+        if jumps.dim != m:
+            raise DimensionMismatch(
+                f"atoms must have {m} entries to match the model input")
+        return jumps
     raise ModelFileError(
         f"jump distribution must be \"gaussian\" or \"atoms:<file>\", got {spec!r}")
 
 
 def _jump_json(jumps) -> dict:
+    from .simulate import GaussianJumps
+
     if isinstance(jumps, GaussianJumps):
         return {"kind": "gaussian", "mean": jumps.mean.tolist(),
                 "cov": jumps.cov.tolist()}
@@ -330,6 +338,10 @@ def cmd_check_equiv(args) -> int:
               "verdict": "EQUIVALENT" if equivalent else "DISTINCT"}
     lines = [report["verdict"]]
     if args.simulate == "cp":
+        import numpy as np
+        from .simulate import (GaussianJumps, LevyDriverSpec, SimulationConfig,
+                               simulate_compound_poisson_pair)
+
         driver = LevyDriverSpec.compound_poisson(
             rate=args.rate,
             jumps=GaussianJumps(mean=np.zeros(ss1.m), cov=np.eye(ss1.m)))
@@ -354,12 +366,15 @@ def cmd_check_equiv(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import (LevyDriverSpec, SimulationConfig,
+                           draw_compound_poisson_jumps, simulate_brownian,
+                           simulate_compound_poisson)
+
     ss = model_to_ss(load_model(args.model))
     cfg = SimulationConfig(step_size=args.h, steps=args.steps, seed=args.seed,
                            init=args.init)
     if args.driver == "brownian":
         sigma = _load_sigma(args.sigma, ss.m)
-        LevyDriverSpec.brownian(sigma)  # validates symmetry and PSD
         path = simulate_brownian(ss, sigma, cfg)
         driver_meta = {"kind": "brownian", "sigma": sigma.tolist()}
     else:
@@ -383,6 +398,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from .simulate import spectral_density
+
     ss = model_to_ss(load_model(args.model))
     h = transfer_function(ss)
     sigma = _load_sigma(args.sigma, ss.m)

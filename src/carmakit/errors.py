@@ -30,8 +30,9 @@ class NotStrictlyProper(CarmakitError):
 
 
 class UnstableModel(CarmakitError):
-    """The drift matrix has an eigenvalue with nonnegative real part, but the
-    operation requires asymptotic stability."""
+    """Unstable drift: the drift matrix has an eigenvalue with nonnegative
+    real part where the operation requires asymptotic stability (stationary
+    initialization), or a simulated path overflows."""
 
 
 class PoleOnEvaluationAxis(CarmakitError):

@@ -194,8 +194,11 @@ class SamplePath:
             self.outputs = self.outputs[:, None]
         if self.outputs.shape[0] != self.times.size:
             raise DimensionMismatch("one output row per grid time required")
-        if not np.all(np.isfinite(self.outputs)):
-            raise ValueError("sample path contains non-finite outputs")
+        finite = np.isfinite(self.outputs).all(axis=1)
+        if not finite.all():
+            raise UnstableModel(
+                "sample path overflows: first non-finite output at "
+                f"t={self.times[np.argmin(finite)]:.17g}")
 
     @property
     def d(self) -> int:
@@ -217,6 +220,8 @@ def _require_psd(mat: np.ndarray, label: str) -> None:
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"{label} must be square")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{label} must be finite")
     scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 0.0)
     if np.max(np.abs(mat - mat.T)) > 1e-12 * scale:
         raise ValueError(f"{label} must be symmetric")

@@ -9,7 +9,11 @@ captured stdout.
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +56,8 @@ def run(capsys, *args):
 
 
 OU = ss_obj([[-3]], [[1]], [[5]])  # H(z) = 5/(z+3)
+UNSTABLE = ss_obj([[3]], [[1]], [[1]])  # e^{3t} overflows a double by t=237
+TWO_INPUTS = ss_obj([[-1, 0], [0, -2]], [[1, 0], [0, 1]], [[1, 1]])
 
 
 def rand_frac(rng, num=6, den=4):
@@ -310,6 +316,16 @@ class TestCheckEquiv:
         code, _ = run(capsys, "check-equiv", path1, path2)
         assert code == 3
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_path_exit_5(self, tmp_path, capsys):
+        path = write_model(tmp_path / "unstable.json", UNSTABLE)
+        code = cli.main(["check-equiv", path, path, "--simulate", "cp",
+                         "--seed", "1", "--steps", "2000", "--h", "1"])
+        err = capsys.readouterr().err
+        assert code == 5
+        assert "first non-finite output at t=" in err
+        assert "Traceback" not in err
+
     def test_simulate_needs_grid_flags(self, tmp_path, capsys):
         path = write_model(tmp_path / "ou.json", OU)
         with pytest.raises(SystemExit) as exc:
@@ -403,6 +419,55 @@ class TestSimulateCommand:
                       "--steps", "10", "--h", "0.1",
                       "-o", str(tmp_path / "x.csv"))
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["simulate", "spectrum"])
+    @pytest.mark.parametrize("sigma", ["[[1.0, 0.0], [0.0, -1.0]]",
+                                       "[[1.0, 0.5], [0.0, 1.0]]",
+                                       "[[NaN, 0.0], [0.0, 1.0]]"],
+                             ids=["not-psd", "asymmetric", "nan"])
+    def test_bad_sigma_values_exit_2(self, tmp_path, capsys, command, sigma):
+        path = write_model(tmp_path / "m.json", TWO_INPUTS)
+        sigma_path = tmp_path / "sigma.json"
+        sigma_path.write_text(sigma)
+        out_path = tmp_path / "x.csv"
+        flags = (["--driver", "brownian", "--seed", "1", "--steps", "10",
+                  "--h", "0.1"] if command == "simulate"
+                 else ["--omegas", "0,1"])
+        code = cli.main([command, path, "--sigma", str(sigma_path), *flags,
+                         "-o", str(out_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
+        assert not out_path.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_path_exit_5(self, tmp_path, capsys):
+        path = write_model(tmp_path / "unstable.json", UNSTABLE)
+        out_path = tmp_path / "x.csv"
+        code = cli.main(["simulate", path, "--driver", "brownian",
+                         "--seed", "1", "--steps", "2000", "--h", "1",
+                         "-o", str(out_path)])
+        err = capsys.readouterr().err
+        assert code == 5
+        assert "first non-finite output at t=" in err
+        assert "Traceback" not in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("rate", ["0.01", "100"])
+    def test_atom_dimension_checked_before_draws(self, tmp_path, capsys, rate):
+        # At rate 0.01 this seed draws no jump at all, so only a check made
+        # before the draws can see that the atoms do not fit the model.
+        path = write_model(tmp_path / "m.json", TWO_INPUTS)
+        atoms_path = tmp_path / "atoms.json"
+        atoms_path.write_text(json.dumps(
+            {"atoms": [[1.0, 2.0, 3.0]], "probabilities": [1.0]}))
+        out_path = tmp_path / "x.csv"
+        code, _ = run(capsys, "simulate", path, "--driver", "cp",
+                      "--rate", rate, "--jump", f"atoms:{atoms_path}",
+                      "--seed", "1", "--steps", "10", "--h", "0.1",
+                      "-o", str(out_path))
+        assert code == 3
+        assert not out_path.exists()
 
     def test_cp_requires_rate(self, tmp_path):
         path = write_model(tmp_path / "ou.json", OU)
@@ -524,6 +589,43 @@ class TestReportRoundTrip:
                                json.loads(out)["statespace"])
         code, _ = run(capsys, "check-equiv", path, obs_path)
         assert code == 0
+
+
+class TestStartup:
+
+    def test_exact_commands_load_neither_numpy_nor_scipy(self, tmp_path):
+        path = write_model(tmp_path / "ou.json", OU)
+        other = write_model(tmp_path / "m.json", ss_obj([[-3]], [[1]], [[10]]))
+        script = """if True:
+            import sys
+            from carmakit import cli
+            model, other = sys.argv[1:]
+            for argv in (["tf", model],
+                         ["canonical", model, "--form", "observer"],
+                         ["canonical", model, "--form", "controller"],
+                         ["check-equiv", model, model],
+                         ["check-equiv", model, other]):
+                assert cli.main(argv) in (0, 1), argv
+            loaded = sorted({"numpy", "scipy"} & set(sys.modules))
+            assert not loaded, f"exact commands imported {loaded}"
+
+            import carmakit
+            from carmakit import simulate
+            assert carmakit.simulate is simulate
+            assert carmakit.simulate_brownian is simulate.simulate_brownian
+            namespace = {}
+            exec("from carmakit import *", namespace)
+            missing = set(carmakit.__all__) - set(namespace)
+            assert not missing, f"star import lacks {sorted(missing)}"
+            print("ok", file=sys.stderr)
+        """
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", script, path, other],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip() == "ok"
 
 
 class TestHelp:
