@@ -15,7 +15,8 @@ Exit codes are a stable interface:
   2  parse or usage error (bad JSON, bad rational, unknown field, bad flags)
   3  dimension error
   4  degenerate transfer function (identically zero, or not strictly proper)
-  5  unstable drift: --init stationary, or a simulated path that overflows
+  5  unstable drift: --init stationary on an unstable or ill-conditioned
+     drift, or a simulated path that overflows
   6  spectral density pole on the sampled axis
 """
 

@@ -32,7 +32,9 @@ class NotStrictlyProper(CarmakitError):
 class UnstableModel(CarmakitError):
     """Unstable drift: the drift matrix has an eigenvalue with nonnegative
     real part where the operation requires asymptotic stability (stationary
-    initialization), or a simulated path overflows."""
+    initialization), the drift is so ill-conditioned that the stationary
+    covariance's Lyapunov solve misses its residual tolerance, or a simulated
+    path overflows."""
 
 
 class PoleOnEvaluationAxis(CarmakitError):

@@ -218,19 +218,12 @@ class Poly:
         """
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db = len(other.coeffs) - 1
-        lead = other.coeffs[-1]
-        quot = [Fraction(0)] * max(len(rem) - db, 0)
-        while len(rem) - 1 >= db and rem:
-            factor = rem[-1] / lead
-            shift = len(rem) - 1 - db
-            quot[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= factor * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly(quot), Poly(rem)
+        ca, a = _int_primitive(self)
+        cb, b = _int_primitive(other)
+        q, r, scale = _int_divrem(a, b)
+        cr = ca / scale
+        cq = cr / cb
+        return Poly(tuple(cq * c for c in q)), Poly(tuple(cr * c for c in r))
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -286,40 +279,46 @@ class Poly:
         return out
 
 
-# -- gcd / lcm over the rationals, via a primitive pseudo-remainder sequence
-#    on integer coefficient lists (keeps intermediate growth polynomial) -----
+# -- division, gcd and lcm over the rationals.  Every polynomial division in
+#    this module -- divmod, exact_div, the gcd's remainder sequence, and so
+#    the reduction of rational functions -- runs the one integer routine
+#    _int_divrem on primitive coefficient lists, which keeps coefficient
+#    growth polynomial and builds no Fraction until the result. -------------
 
-def _int_primitive(p: Poly) -> list:
-    """Integer coefficient list of a nonzero poly, divided by its content."""
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-    return [c // g for c in ints]
-
-
-def _int_strip(a: list) -> list:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _int_primitive(p: Poly) -> tuple:
+    """``(content, ints)``: ``p == content * ints`` with ``ints`` the
+    primitive integer coefficient list of ``p`` (empty for zero)."""
+    s, (ints,) = integer_matrix((p.coeffs,))
+    g = math.gcd(*ints)
+    return Fraction(g, s), [c // g for c in ints]
 
 
-def _int_pseudo_rem(a: list, b: list) -> list:
-    """Pseudo-remainder of integer coefficient lists (ascending)."""
-    a = list(a)
+def _int_divrem(a: list, b: list) -> tuple:
+    """``(q, r, scale)`` with ``scale*a == q*b + r``, ``deg r < deg b`` and
+    ``scale >= 1``, for integer coefficient lists (ascending, no trailing
+    zeros, ``b`` nonzero).  The running remainder is scaled only when
+    ``lead(b)`` does not divide its leading coefficient, so dividing by a
+    primitive ``b`` that divides ``a`` keeps ``scale == 1``."""
+    r = list(a)
     db = len(b) - 1
     lb = b[-1]
-    while len(a) - 1 >= db and a:
-        la = a[-1]
-        shift = len(a) - 1 - db
-        a = [lb * c for c in a]
+    q = [0] * max(len(r) - db, 0)
+    scale = 1
+    while len(r) > db:
+        f, rem = divmod(r[-1], lb)
+        if rem:
+            m = abs(lb) // math.gcd(r[-1], lb)
+            r = [m * c for c in r]
+            q = [m * c for c in q]
+            scale *= m
+            f = r[-1] // lb
+        shift = len(r) - 1 - db
+        q[shift] = f
         for i, c in enumerate(b):
-            a[shift + i] -= la * c
-        _int_strip(a)
-    return a
+            r[shift + i] -= f * c
+        while r and r[-1] == 0:
+            r.pop()
+    return q, r, scale
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -330,17 +329,13 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    x, y = _int_primitive(a), _int_primitive(b)
+    x, y = _int_primitive(a)[1], _int_primitive(b)[1]
     if len(x) < len(y):
         x, y = y, x
     while y:
-        r = _int_pseudo_rem(x, y)
-        if r:
-            g = 0
-            for c in r:
-                g = math.gcd(g, c)
-            r = [c // g for c in r]
-        x, y = y, r
+        r = _int_divrem(x, y)[1]
+        g = math.gcd(*r)
+        x, y = y, [c // g for c in r]
     return Poly(x).monic()
 
 
@@ -350,7 +345,7 @@ def poly_gcd_lcm(a: Poly, b: Poly) -> tuple:
     g = poly_gcd(a, b)
     if a.is_zero or b.is_zero:
         return g, Poly.zero()
-    return g, (a * b).exact_div(g).monic()
+    return g, (a * b.exact_div(g)).monic()
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:

@@ -268,7 +268,7 @@ def stationary_covariance(ss: StateSpaceModel, sigma_l) -> np.ndarray:
     s = (s + s.T) / 2
     residual = np.linalg.norm(a @ s + s @ a.T + q, "fro")
     if residual > LYAPUNOV_RTOL * (1 + np.linalg.norm(q, "fro")):
-        raise ArithmeticError(
+        raise UnstableModel(
             f"Lyapunov solve residual {residual:.3e} exceeds tolerance")
     return s
 
@@ -359,6 +359,13 @@ def spectral_density(h_tf: TransferFunction, sigma_l, omega: float) -> np.ndarra
 # Path simulation
 # ---------------------------------------------------------------------------
 
+def _overflow_quiet():
+    """Silence numpy's overflow and invalid-value warnings in a step loop:
+    an unstable path may run into ``inf`` or ``nan``, and :class:`SamplePath`
+    is the one place that reports a non-finite path (as ``UnstableModel``)."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _initial_state(ss: StateSpaceModel, sigma_l, cfg: SimulationConfig,
                    rng: np.random.Generator) -> np.ndarray:
     if cfg.x0 is not None:
@@ -390,11 +397,13 @@ def simulate_brownian(ss: StateSpaceModel, sigma_l,
     _, _, c = ss_to_float(ss)
     states = np.empty((n, ss.n))
     states[0] = x
-    for k in range(n - 1):
-        x = phi @ x + increments[k]
-        states[k + 1] = x
+    with _overflow_quiet():
+        for k in range(n - 1):
+            x = phi @ x + increments[k]
+            states[k + 1] = x
+        outputs = states @ c.T
     times = np.arange(n) * cfg.step_size
-    return SamplePath(times=times, outputs=states @ c.T, states=states)
+    return SamplePath(times=times, outputs=outputs, states=states)
 
 
 def _require_pair_input_dims(ss1: StateSpaceModel, ss2: StateSpaceModel) -> None:
@@ -432,11 +441,13 @@ def simulate_shared_brownian_pair(ss1: StateSpaceModel, ss2: StateSpaceModel,
         x = np.zeros(ss.n)
         states = np.empty((cfg.steps, ss.n))
         states[0] = x
-        for k in range(fine_steps):
-            x = x + dt * (a @ x) + b @ dl[k]
-            if (k + 1) % sub == 0:
-                states[(k + 1) // sub] = x
-        paths.append(SamplePath(times=times, outputs=states @ c.T, states=states))
+        with _overflow_quiet():
+            for k in range(fine_steps):
+                x = x + dt * (a @ x) + b @ dl[k]
+                if (k + 1) % sub == 0:
+                    states[(k + 1) // sub] = x
+            outputs = states @ c.T
+        paths.append(SamplePath(times=times, outputs=outputs, states=states))
     return tuple(paths)
 
 
@@ -499,19 +510,21 @@ def simulate_compound_poisson(ss: StateSpaceModel, jump_times, jump_sizes,
     states[0] = x
     t = 0.0
     next_jump = 0
-    for k in range(1, n):
-        t_target = k * h
-        while next_jump < jump_times.size and jump_times[next_jump] <= t_target:
-            tau = jump_times[next_jump]
-            x = propagate(x, tau - t)
-            x = x + b @ jump_sizes[next_jump]
-            t = tau
-            next_jump += 1
-        x = propagate(x, t_target - t)
-        t = t_target
-        states[k] = x
+    with _overflow_quiet():
+        for k in range(1, n):
+            t_target = k * h
+            while next_jump < jump_times.size and jump_times[next_jump] <= t_target:
+                tau = jump_times[next_jump]
+                x = propagate(x, tau - t)
+                x = x + b @ jump_sizes[next_jump]
+                t = tau
+                next_jump += 1
+            x = propagate(x, t_target - t)
+            t = t_target
+            states[k] = x
+        outputs = states @ c.T
     times = np.arange(n) * h
-    return SamplePath(times=times, outputs=states @ c.T, states=states)
+    return SamplePath(times=times, outputs=outputs, states=states)
 
 
 def simulate_compound_poisson_pair(ss1: StateSpaceModel, ss2: StateSpaceModel,

@@ -57,6 +57,10 @@ def run(capsys, *args):
 
 OU = ss_obj([[-3]], [[1]], [[5]])  # H(z) = 5/(z+3)
 UNSTABLE = ss_obj([[3]], [[1]], [[1]])  # e^{3t} overflows a double by t=237
+# Stable (eigenvalue -1e-5, twice), but so non-normal that the Lyapunov solve
+# of its stationary covariance misses the residual tolerance.
+ILL_CONDITIONED = ss_obj([["-1/100000", 100000000], [0, "-1/100000"]],
+                         [[0], [1]], [[1, 0]])
 TWO_INPUTS = ss_obj([[-1, 0], [0, -2]], [[1, 0], [0, 1]], [[1, 1]])
 
 
@@ -316,7 +320,7 @@ class TestCheckEquiv:
         code, _ = run(capsys, "check-equiv", path1, path2)
         assert code == 3
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_path_exit_5(self, tmp_path, capsys):
         path = write_model(tmp_path / "unstable.json", UNSTABLE)
         code = cli.main(["check-equiv", path, path, "--simulate", "cp",
@@ -324,7 +328,7 @@ class TestCheckEquiv:
         err = capsys.readouterr().err
         assert code == 5
         assert "first non-finite output at t=" in err
-        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
 
     def test_simulate_needs_grid_flags(self, tmp_path, capsys):
         path = write_model(tmp_path / "ou.json", OU)
@@ -380,6 +384,18 @@ class TestSimulateCommand:
                       "--seed", "1", "--steps", "10", "--h", "0.1",
                       "--init", "stationary", "-o", str(tmp_path / "x.csv"))
         assert code == 5
+
+    def test_ill_conditioned_stationary_exit_5(self, tmp_path, capsys):
+        path = write_model(tmp_path / "ill.json", ILL_CONDITIONED)
+        out_path = tmp_path / "x.csv"
+        code = cli.main(["simulate", path, "--driver", "brownian",
+                         "--seed", "1", "--steps", "5", "--h", "0.1",
+                         "--init", "stationary", "-o", str(out_path)])
+        err = capsys.readouterr().err
+        assert code == 5
+        assert err.startswith("error: Lyapunov solve residual")
+        assert len(err.splitlines()) == 1
+        assert not out_path.exists()
 
     def test_atoms_driver_and_sidecar(self, tmp_path, capsys):
         path = write_model(tmp_path / "ou.json", OU)
@@ -440,7 +456,7 @@ class TestSimulateCommand:
         assert "error:" in err and "Traceback" not in err
         assert not out_path.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_path_exit_5(self, tmp_path, capsys):
         path = write_model(tmp_path / "unstable.json", UNSTABLE)
         out_path = tmp_path / "x.csv"
@@ -450,7 +466,7 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert code == 5
         assert "first non-finite output at t=" in err
-        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
         assert not out_path.exists()
 
     @pytest.mark.parametrize("rate", ["0.01", "100"])

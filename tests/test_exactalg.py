@@ -18,6 +18,7 @@ from carmakit.exactalg import (
     PolyMatrix,
     RationalFunction,
     RationalMatrix,
+    _int_divrem,
     format_rational,
     parse_rational,
     poly_gcd,
@@ -108,6 +109,20 @@ def resolvent_rows(a):
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 polys = st.lists(rationals, min_size=0, max_size=7).map(Poly)
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
+non_monic_polys = nonzero_polys.filter(lambda p: p.leading_coefficient != 1)
+
+
+def int_coeffs(p: Poly) -> list:
+    """Coefficient list of a polynomial with integer coefficients."""
+    return [int(c) for c in p.coeffs]
+
+
+int_polys = st.lists(st.integers(-30, 30), max_size=7).map(
+    lambda cs: int_coeffs(Poly(cs)))
+# divisors whose leading coefficient is not a unit, so the kernel must scale
+int_divisors = st.builds(lambda low, lead: low + [lead],
+                         st.lists(st.integers(-30, 30), max_size=4),
+                         st.integers(2, 30) | st.integers(-30, -2))
 
 
 def random_rational_matrix(rng, n, m):
@@ -156,12 +171,25 @@ class TestPolyArithmetic:
         q, r = divmod(Poly((2, 3, 1)), Poly((1, 1)))
         assert q == Poly((2, 1))
         assert r.is_zero
+        # zero dividend
+        assert divmod(Poly.zero(), Poly((3, 2))) == (Poly.zero(), Poly.zero())
+        # constant divisor
+        q, r = divmod(Poly((Fraction(1, 2), 0, 3)), Poly.constant(Fraction(3, 4)))
+        assert q == Poly((Fraction(2, 3), 0, 4))
+        assert r.is_zero
 
     def test_divrem_with_remainder(self):
         # z^3 = z*(z^2+1) + (-z)
         q, r = divmod(Poly((0, 0, 0, 1)), Poly((1, 0, 1)))
         assert q == Poly((0, 1))
         assert r == Poly((0, -1))
+        # z^2 = (z/2 - 1/4)*(2z+1) + 1/4: a non-unit leading coefficient
+        q, r = divmod(Poly((0, 0, 1)), Poly((1, 2)))
+        assert q == Poly((Fraction(-1, 4), Fraction(1, 2)))
+        assert r == Poly.constant(Fraction(1, 4))
+        # dividend of lower degree than the divisor
+        a = Poly((1, 2))
+        assert divmod(a, Poly((1, 0, 0, Fraction(1, 2)))) == (Poly.zero(), a)
 
     def test_division_by_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):
@@ -187,6 +215,21 @@ class TestPolyArithmetic:
         q, r = divmod(a, b)
         assert q * b + r == a
         assert r.degree < b.degree
+
+    @given(int_polys, int_divisors)
+    @settings(max_examples=100)
+    def test_int_divrem_scaled_reconstruction(self, a, b):
+        q, r, scale = _int_divrem(a, b)
+        assert scale >= 1
+        assert Poly(q) * Poly(b) + Poly(r) == Poly(a) * scale
+        assert len(r) < len(b)
+
+    @given(int_polys, int_divisors)
+    @settings(max_examples=100)
+    def test_int_divrem_exact_by_primitive_never_scales(self, a, b):
+        g = math.gcd(*b)
+        b = [c // g for c in b]
+        assert _int_divrem(int_coeffs(Poly(a) * Poly(b)), b) == (a, [], 1)
 
     @given(polys)
     def test_evaluate_matches_coefficients(self, p):
@@ -307,6 +350,11 @@ class TestRationalFunction:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
             RationalFunction(Poly.one(), Poly.zero())
+
+    @given(polys, non_monic_polys, non_monic_polys)
+    @settings(max_examples=60, deadline=None)
+    def test_common_factor_cancels(self, a, b, c):
+        assert RationalFunction(a * c, b * c) == RationalFunction(a, b)
 
     def test_strict_properness(self):
         assert RationalFunction(Poly.one(), Poly((1, 1))).strictly_proper

@@ -127,6 +127,13 @@ class TestStationaryCovariance:
         with pytest.raises(UnstableModel):
             stationary_covariance(ss, [[1.0]])
 
+    def test_ill_conditioned_drift_rejected(self):
+        # Stable, but the Lyapunov solve misses its residual tolerance.
+        ss = StateSpaceModel(a=[["-1/100000", 100000000], [0, "-1/100000"]],
+                             b=[[0], [1]], c=[[1, 0]])
+        with pytest.raises(UnstableModel, match="Lyapunov solve residual"):
+            stationary_covariance(ss, [[1.0]])
+
 
 # ---------------------------------------------------------------------------
 # Exact one-step discretization
