@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatch,
     ModelFileError,
     NotStrictlyProper,
+    OutOfRange,
     PoleOnEvaluationAxis,
     UnstableModel,
     ZeroTransferFunction,
@@ -87,6 +88,7 @@ __all__ = [
     "DimensionMismatch",
     "ModelFileError",
     "NotStrictlyProper",
+    "OutOfRange",
     "PoleOnEvaluationAxis",
     "UnstableModel",
     "ZeroTransferFunction",

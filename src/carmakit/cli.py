@@ -12,7 +12,8 @@ Exit codes are a stable interface:
 
   0  success (check-equiv: models equivalent)
   1  check-equiv: models distinct
-  2  parse or usage error (bad JSON, bad rational, unknown field, bad flags)
+  2  parse or usage error (bad JSON, bad rational, unknown field, bad flags),
+     or an input out of range (see errors.OutOfRange)
   3  dimension error
   4  degenerate transfer function (identically zero, or not strictly proper)
   5  unstable drift: --init stationary on an unstable or ill-conditioned
@@ -31,6 +32,7 @@ from .errors import (
     DimensionMismatch,
     ModelFileError,
     NotStrictlyProper,
+    OutOfRange,
     PoleOnEvaluationAxis,
     UnstableModel,
 )
@@ -265,7 +267,7 @@ def _load_sigma(spec: str, m: int) -> "numpy.ndarray":
     obj = _load_json(spec)
     try:
         sigma = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"{spec}: covariance must be a numeric array") from exc
     if sigma.shape != (m, m):
         raise DimensionMismatch(
@@ -295,7 +297,7 @@ def _load_jumps(spec: str, m: int):
                                    probabilities=obj["probabilities"])
         except DimensionMismatch:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ModelFileError(f"bad atom file: {exc}") from exc
         if jumps.dim != m:
             raise DimensionMismatch(
@@ -542,6 +544,7 @@ def _validate_flag_combinations(parser, args) -> None:
 # Checked in order, so a subclass must precede any base class listed after it.
 _EXIT_CODES = (
     (ModelFileError, EXIT_PARSE),
+    (OutOfRange, EXIT_PARSE),
     (OSError, EXIT_PARSE),
     (DimensionMismatch, EXIT_DIMENSION),
     (DegenerateTransferFunction, EXIT_DEGENERATE),

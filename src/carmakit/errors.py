@@ -14,6 +14,11 @@ class ModelFileError(CarmakitError, ValueError):
     unknown or missing fields)."""
 
 
+class OutOfRange(CarmakitError, ValueError):
+    """A well-formed input beyond the double range, or a compound Poisson
+    path expecting more than ``simulate.MAX_EXPECTED_JUMPS`` jumps."""
+
+
 class DegenerateTransferFunction(CarmakitError):
     """The requested construction is undefined for this transfer function
     (e.g. recovering numerator coefficients from an all-zero input stack)."""
@@ -39,4 +44,4 @@ class UnstableModel(CarmakitError):
 
 class PoleOnEvaluationAxis(CarmakitError):
     """Spectral density requested at a frequency where the transfer function
-    has a pole on the imaginary axis."""
+    has a pole on the imaginary axis, or so near one that it overflows."""

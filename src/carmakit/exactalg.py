@@ -225,9 +225,6 @@ class Poly:
         cq = cr / cb
         return Poly(tuple(cq * c for c in q)), Poly(tuple(cr * c for c in r))
 
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 
@@ -403,10 +400,6 @@ class PolyMatrix:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     @property
-    def is_zero(self) -> bool:
-        return all(e.is_zero for e in self.entries)
-
-    @property
     def degree(self) -> Union[int, float]:
         return max((e.degree for e in self.entries), default=NEG_INFINITY)
 
@@ -415,18 +408,6 @@ class PolyMatrix:
         return tuple(
             tuple(self[i, j].coefficient(k) for j in range(self.cols))
             for i in range(self.rows))
-
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix addition shape mismatch")
-        return PolyMatrix(self.rows, self.cols,
-                          tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix subtraction shape mismatch")
-        return PolyMatrix(self.rows, self.cols,
-                          tuple(a - b for a, b in zip(self.entries, other.entries)))
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
@@ -481,8 +462,12 @@ def _row_combination(pairs: list, mk: list, n: int) -> list:
             for col in zip(*[mk[t] for t, _ in pairs])]
 
 
-def faddeev_leverrier(matrix: Sequence[Sequence[Fraction]], visit) -> Poly:
-    """Characteristic polynomial of ``A`` by the Faddeev-LeVerrier iteration.
+def faddeev_leverrier(a: RationalMatrixData, b: RationalMatrixData,
+                      c: RationalMatrixData) -> tuple:
+    """``(num, charpoly)``: the d x m polynomial matrix ``num = C adj(z*I - A)
+    B``, not reduced, and the monic degree-N ``charpoly = det(z*I - A)``, for
+    ``A`` N x N, ``B`` N x m and ``C`` d x N, by the Faddeev-LeVerrier
+    iteration.
 
     ``A`` is scaled to the integer matrix ``s*A`` (``s`` the lcm of its
     denominators), whose iterates are plain integers: ``M_1 = I``,
@@ -491,19 +476,36 @@ def faddeev_leverrier(matrix: Sequence[Sequence[Fraction]], visit) -> Poly:
     sum_k c_k s^-k z^(N-k)`` and ``adj(z*I - A) = sum_k M_k s^-(k-1) z^(N-k)``
     (Gantmacher, *Theory of Matrices* I, 4.5).
 
-    ``visit(mk, den)`` is called for k = 1..N with the integer matrix ``M_k``
-    (a list of row lists, not to be mutated) and ``den = s^(k-1)``, so the
-    adjugate's ``z^(N-k)`` coefficient is ``mk / den``.  Each row of ``s*A``
-    is kept as its nonzero entries only, since block-companion drifts are
-    mostly zero, and the last step forms only the trace of ``s*A M_N``.
+    The N x N adjugate is never built.  With ``B`` and ``C`` scaled to
+    integers by their own denominators ``s_B`` and ``s_C``, each ``M_k`` is
+    multiplied by the nonzero entries of ``B``, in the rows that ``C`` reads
+    only, and then by the nonzero entries of ``C``; that d x m product over
+    ``s_C s_B s^(k-1)`` is the numerator's ``z^(N-k)`` coefficient.  Each row
+    of ``s*A`` is kept as its nonzero entries too, since block-companion
+    drifts are mostly zero, and the last step forms only the trace of
+    ``s*A M_N``.
     """
-    n = len(matrix)
-    s, scaled = integer_matrix(matrix)
+    n = len(a)
+    s, scaled = integer_matrix(a)
     rows = nonzero_entries(scaled)
+    s_b, b_ints = integer_matrix(b)
+    s_c, c_ints = integer_matrix(c)
+    b_cols = nonzero_entries(zip(*b_ints))
+    c_rows = nonzero_entries(c_ints)
+    d, m = len(c_rows), len(b_cols)
+    # only the rows of M_k B that some row of C reads
+    used = {t for pairs in c_rows for t, _ in pairs}
+    num_coeffs = [[] for _ in range(d * m)]     # descending powers of z
+    char_coeffs = [Fraction(1)]                 # likewise: z^N, z^(N-1), ...
     mk = [[int(i == j) for j in range(n)] for i in range(n)]
-    char_coeffs = [Fraction(1)]         # descending: z^N, z^(N-1), ...
     for k in range(1, n + 1):
-        visit(mk, s ** (k - 1))
+        mb = {t: [sum(mk[t][r] * v for r, v in col) for col in b_cols]
+              for t in used}
+        den = s_c * s_b * s ** (k - 1)
+        for i, pairs in enumerate(c_rows):
+            for j in range(m):
+                num_coeffs[i * m + j].append(
+                    Fraction(sum(v * mb[t][j] for t, v in pairs), den))
         if k < n:
             am = [_row_combination(pairs, mk, n) for pairs in rows]
             tr = sum(am[i][i] for i in range(n))
@@ -517,18 +519,16 @@ def faddeev_leverrier(matrix: Sequence[Sequence[Fraction]], visit) -> Poly:
             for i in range(n):
                 am[i][i] += ck
             mk = am
-    return Poly(char_coeffs[::-1])
+    num = PolyMatrix(d, m, tuple(Poly(cs[::-1]) for cs in num_coeffs))
+    return num, Poly(char_coeffs[::-1])
 
 
 def resolvent_numerator(matrix: Sequence[Sequence[RationalLike]]):
-    """Characteristic polynomial and adjugate of ``z*I - A``, exactly.
+    """Adjugate and characteristic polynomial of ``z*I - A``, exactly.
 
-    Both come from :func:`faddeev_leverrier`, the integer kernel that
-    :func:`carmakit.realization.transfer_function` also runs: the
-    characteristic polynomial ``det(z*I - A)`` (monic, degree N) is its
-    return value, and the polynomial matrix ``adj(z*I - A)``, which satisfies
-    ``(z*I - A) @ adj == charpoly * I``, is assembled from the integer
-    iterates ``M_k`` it visits.
+    This is the ``B = C = I`` case of :func:`faddeev_leverrier`: the
+    polynomial matrix ``adj(z*I - A)`` satisfies ``(z*I - A) @ adj ==
+    charpoly * I`` with ``charpoly = det(z*I - A)`` monic of degree N.
 
     Returns
     -------
@@ -538,13 +538,8 @@ def resolvent_numerator(matrix: Sequence[Sequence[RationalLike]]):
     n = len(a)
     if any(len(row) != n for row in a):
         raise DimensionMismatch("resolvent requires a square matrix")
-    steps = []
-    charpoly = faddeev_leverrier(a, lambda mk, den: steps.append((mk, den)))
-    # steps[k-1] holds the z^(n-k) coefficient, so reverse for ascending order
-    adj_entries = tuple(
-        Poly(tuple(Fraction(mk[i][j], den) for mk, den in reversed(steps)))
-        for i in range(n) for j in range(n))
-    return PolyMatrix(n, n, adj_entries), charpoly
+    eye = mat_identity(n)
+    return faddeev_leverrier(a, eye, eye)
 
 
 # ---------------------------------------------------------------------------
@@ -579,10 +574,6 @@ class RationalFunction:
                 den = den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    @classmethod
-    def from_scalar(cls, c: RationalLike) -> "RationalFunction":
-        return cls(Poly.constant(c), Poly.one())
 
     @property
     def is_zero(self) -> bool:

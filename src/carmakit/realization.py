@@ -37,14 +37,12 @@ from .exactalg import (
     RationalMatrixData,
     TransferFunction,
     faddeev_leverrier,
-    integer_matrix,
     mat_add,
     mat_identity,
     mat_is_zero,
     mat_mul,
     mat_sub,
     mat_zeros,
-    nonzero_entries,
     rational_matrix,
     ratmat_equal,
     ratmat_reduce,
@@ -255,37 +253,14 @@ class MfdPair:
 def transfer_function(ss: StateSpaceModel) -> TransferFunction:
     """H(z) = C (zI - A)^{-1} B, entrywise reduced.
 
-    The numerator ``C adj(zI - A) B`` is projected inside the integer
-    Faddeev-LeVerrier iteration (:func:`faddeev_leverrier`), so the N x N
-    adjugate is never built: with ``B`` and ``C`` scaled to integers by their
-    own denominators ``s_B`` and ``s_C``, each iterate ``M_k`` is multiplied
-    by the nonzero entries of ``B`` and then of ``C``, and the d x m product
-    divided by ``s_C s_B s^(k-1)`` is the coefficient of ``z^(N-k)``.  The
-    numerator over ``det(zI - A)`` is then reduced entrywise.  The result is
-    exact and always strictly proper: the numerator has degree at most N - 1
-    against the degree-N characteristic polynomial, and reduction can only
-    lower numerator degrees.
+    :func:`faddeev_leverrier` gives the numerator ``C adj(zI - A) B``, which
+    it projects inside its integer iteration without building the N x N
+    adjugate, and ``det(zI - A)``; the quotient is then reduced entrywise.
+    The result is exact and always strictly proper: the numerator has degree
+    at most N - 1 against the degree-N characteristic polynomial, and
+    reduction can only lower numerator degrees.
     """
-    s_b, b = integer_matrix(ss.b)
-    s_c, c = integer_matrix(ss.c)
-    b_cols = nonzero_entries(zip(*b))
-    c_rows = nonzero_entries(c)
-    # only the rows of M_k B that some row of C reads
-    used = {t for pairs in c_rows for t, _ in pairs}
-    coeffs = [[] for _ in range(ss.d * ss.m)]   # descending powers of z
-
-    def project(mk, den):
-        mb = {t: [sum(mk[t][r] * v for r, v in col) for col in b_cols]
-              for t in used}
-        den *= s_c * s_b
-        for i, pairs in enumerate(c_rows):
-            for j in range(ss.m):
-                coeffs[i * ss.m + j].append(
-                    Fraction(sum(v * mb[t][j] for t, v in pairs), den))
-
-    charpoly = faddeev_leverrier(ss.a, project)
-    num = PolyMatrix(ss.d, ss.m, tuple(Poly(cs[::-1]) for cs in coeffs))
-    return ratmat_reduce(num, charpoly)
+    return ratmat_reduce(*faddeev_leverrier(ss.a, ss.b, ss.c))
 
 
 def strictly_proper(h: TransferFunction) -> bool:
@@ -392,9 +367,7 @@ def assemble_observer_ss(spec: McarmaSpec) -> StateSpaceModel:
     p, d, m = spec.p, spec.d, spec.m
     a = _block_companion(spec.a_coeffs, d)
     b = tuple(row for blk in spec.beta for row in blk)
-    c = tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(p * d))
-        for i in range(d))
+    c = tuple(row + (Fraction(0),) * ((p - 1) * d) for row in mat_identity(d))
     return StateSpaceModel(a=a, b=b, c=c)
 
 
@@ -414,6 +387,15 @@ def _denominator_data(h: TransferFunction):
     return den, len(den.coeffs) - 1, h.common_num
 
 
+def _scalar_blocks(den: Poly, p: int, k: int) -> tuple:
+    """The k x k blocks a_1 I_k, ..., a_p I_k of the monic
+    d(z) = z^p + a_1 z^(p-1) + ... + a_p."""
+    return tuple(
+        tuple(tuple(den.coefficient(p - i) if r == c else Fraction(0)
+                    for c in range(k)) for r in range(k))
+        for i in range(1, p + 1))
+
+
 def observer_realization(h: TransferFunction):
     """Observer canonical form plus the left matrix fraction it encodes.
 
@@ -424,10 +406,7 @@ def observer_realization(h: TransferFunction):
     """
     den, p, num = _denominator_data(h)
     d, m = h.rows, h.cols
-    a_coeffs = tuple(
-        tuple(tuple(den.coefficient(p - i) if r == c else Fraction(0)
-                    for c in range(d)) for r in range(d))
-        for i in range(1, p + 1))
+    a_coeffs = _scalar_blocks(den, p, d)
     q = num.degree
     b_coeffs = tuple(num.coefficient_matrix(q - j) for j in range(q + 1))
     spec = McarmaSpec(p=p, q=q, d=d, m=m, a_coeffs=a_coeffs, b_coeffs=b_coeffs)
@@ -447,19 +426,11 @@ def controller_realization(h: TransferFunction):
     """
     den, p, num = _denominator_data(h)
     d, m = h.rows, h.cols
-    atilde = tuple(
-        tuple(tuple(den.coefficient(p - i) if r == c else Fraction(0)
-                    for c in range(m)) for r in range(m))
-        for i in range(1, p + 1))
+    atilde = _scalar_blocks(den, p, m)
     a = _block_companion(atilde, m)
-    b = tuple(
-        tuple(Fraction(1) if (i - (p - 1) * m) == j else Fraction(0)
-              for j in range(m))
-        for i in range(p * m))
+    b = mat_zeros((p - 1) * m, m) + mat_identity(m)
     n_coeffs = tuple(num.coefficient_matrix(k) for k in range(p))
-    c = tuple(
-        tuple(n_coeffs[j][r][cc] for j in range(p) for cc in range(m))
-        for r in range(d))
+    c = tuple(sum((blk[r] for blk in n_coeffs), ()) for r in range(d))
     q_tilde = num.degree
     ss = StateSpaceModel(a=a, b=b, c=c)
     mfd = MfdPair(side="right", den=PolyMatrix.identity(m).scale(den), num=num,

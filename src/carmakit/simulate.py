@@ -36,17 +36,22 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
 
-from .errors import DimensionMismatch, PoleOnEvaluationAxis, UnstableModel
+from .errors import (DimensionMismatch, OutOfRange, PoleOnEvaluationAxis,
+                     UnstableModel)
 from .exactalg import TransferFunction
 from .realization import StateSpaceModel
 
 STABILITY_MARGIN = -1e-10
 PSD_FLOOR = -1e-12
 LYAPUNOV_RTOL = 1e-10
+MAX_EXPECTED_JUMPS = 10**7     # jumps are drawn all at once, before the path
 
 
 def _as_float(matrix) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in matrix], dtype=float)
+    try:
+        return np.array([[float(x) for x in row] for row in matrix], dtype=float)
+    except OverflowError as exc:
+        raise OutOfRange(f"model entry: {exc}") from exc
 
 
 def ss_to_float(ss: StateSpaceModel):
@@ -251,6 +256,15 @@ def _clamp_psd(mat: np.ndarray) -> np.ndarray:
 # Stability and second-order structure
 # ---------------------------------------------------------------------------
 
+def _noise_covariance(b: np.ndarray, sigma_l) -> np.ndarray:
+    """B Sigma B^T; raises ``OutOfRange`` if it overflows."""
+    with _overflow_quiet():
+        q = b @ np.asarray(sigma_l, dtype=float) @ b.T
+    if not np.all(np.isfinite(q)):
+        raise OutOfRange("noise covariance B Sigma B^T beyond the double range")
+    return q
+
+
 def stability_check(ss: StateSpaceModel) -> bool:
     """True iff every eigenvalue of A has real part below -1e-10."""
     a = _as_float(ss.a)
@@ -262,8 +276,7 @@ def stationary_covariance(ss: StateSpaceModel, sigma_l) -> np.ndarray:
     if not stability_check(ss):
         raise UnstableModel("stationary covariance requires a stable drift")
     a, b, _ = ss_to_float(ss)
-    sigma_l = np.asarray(sigma_l, dtype=float)
-    q = b @ sigma_l @ b.T
+    q = _noise_covariance(b, sigma_l)
     s = solve_continuous_lyapunov(a, -q)
     s = (s + s.T) / 2
     residual = np.linalg.norm(a @ s + s @ a.T + q, "fro")
@@ -288,14 +301,16 @@ def gaussian_step_params(ss: StateSpaceModel, sigma_l, h: float):
         Phi_{2t} = Phi_t Phi_t,    Sigma_{2t} = Phi_t Sigma_t Phi_t^T + Sigma_t,
 
     which keeps every intermediate bounded.  Sigma_h is symmetrized and its
-    spectrum clamped at zero before use as a covariance.
+    spectrum clamped at zero before use as a covariance; if it overflows all
+    the same, ``UnstableModel`` is raised.
     """
     a, b, _ = ss_to_float(ss)
-    sigma_l = np.asarray(sigma_l, dtype=float)
     n = a.shape[0]
-    q = b @ sigma_l @ b.T
+    q = _noise_covariance(b, sigma_l)
 
     scaled = float(np.linalg.norm(a, 2)) * h
+    if not math.isfinite(scaled):
+        raise OutOfRange(f"drift norm times step size {h:.6g} overflows")
     squarings = max(0, math.ceil(math.log2(scaled / 4.0))) if scaled > 4.0 else 0
     dt = h / (1 << squarings)
 
@@ -305,11 +320,14 @@ def gaussian_step_params(ss: StateSpaceModel, sigma_l, h: float):
     block[n:, n:] = -a.T
     e = expm(block * dt)
     phi = e[:n, :n]
-    sigma = e[:n, n:] @ phi.T
-    for _ in range(squarings):
-        sigma = phi @ sigma @ phi.T + sigma
-        sigma = (sigma + sigma.T) / 2
-        phi = phi @ phi
+    with _overflow_quiet():
+        sigma = e[:n, n:] @ phi.T
+        for _ in range(squarings):
+            sigma = phi @ sigma @ phi.T + sigma
+            sigma = (sigma + sigma.T) / 2
+            phi = phi @ phi
+    if not np.all(np.isfinite(sigma)):
+        raise UnstableModel(f"one-step covariance overflows at step size {h:.6g}")
     return phi, _clamp_psd(sigma)
 
 
@@ -344,15 +362,18 @@ def spectral_density(h_tf: TransferFunction, sigma_l, omega: float) -> np.ndarra
     """f(omega) = H(i omega) Sigma H(i omega)^* / (2 pi), from exact coefficients."""
     sigma_l = np.asarray(sigma_l, dtype=float)
     z = 1j * float(omega)
-    den = h_tf.common_den.evaluate(z)
-    if den == 0:
-        raise PoleOnEvaluationAxis(
-            f"transfer function has a pole at i*{omega}")
-    h = np.array(h_tf.evaluate(z), dtype=complex)
-    if not np.all(np.isfinite(h.view(float))):
-        raise PoleOnEvaluationAxis(
-            f"transfer function overflows at i*{omega}")
-    return h @ sigma_l @ h.conj().T / (2 * math.pi)
+    try:
+        if h_tf.common_den.evaluate(z) == 0:
+            raise PoleOnEvaluationAxis(
+                f"transfer function has a pole at i*{omega}")
+        h = np.array(h_tf.evaluate(z), dtype=complex)
+    except OverflowError as exc:
+        raise OutOfRange(f"transfer function: {exc}") from exc
+    with _overflow_quiet():
+        f = h @ sigma_l @ h.conj().T / (2 * math.pi)
+    if not np.all(np.isfinite(f.view(float))):
+        raise PoleOnEvaluationAxis(f"spectral density overflows at i*{omega}")
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +381,10 @@ def spectral_density(h_tf: TransferFunction, sigma_l, omega: float) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 def _overflow_quiet():
-    """Silence numpy's overflow and invalid-value warnings in a step loop:
-    an unstable path may run into ``inf`` or ``nan``, and :class:`SamplePath`
-    is the one place that reports a non-finite path (as ``UnstableModel``)."""
+    """Silence numpy's overflow and invalid-value warnings around a result
+    that may run into ``inf`` or ``nan`` and is checked afterwards; a
+    non-finite path, for one, is reported by :class:`SamplePath` (as
+    ``UnstableModel``)."""
     return np.errstate(over="ignore", invalid="ignore")
 
 
@@ -393,11 +415,11 @@ def simulate_brownian(ss: StateSpaceModel, sigma_l,
     x = _initial_state(ss, sigma_l, cfg, rng_init)
     factor = _psd_factor(sigma_h)
     n = cfg.steps
-    increments = rng_gauss.standard_normal((n - 1, ss.n)) @ factor.T
     _, _, c = ss_to_float(ss)
     states = np.empty((n, ss.n))
     states[0] = x
     with _overflow_quiet():
+        increments = rng_gauss.standard_normal((n - 1, ss.n)) @ factor.T
         for k in range(n - 1):
             x = phi @ x + increments[k]
             states[k + 1] = x
@@ -457,12 +479,16 @@ def draw_compound_poisson_jumps(driver: LevyDriverSpec, horizon: float,
 
     The jump count is Poisson(rate * horizon); given the count, times are
     order statistics of uniforms.  Returns (times, sizes) with sizes shaped
-    (count, m).
+    (count, m).  Raises ``OutOfRange`` first if rate * horizon is too large.
     """
     if driver.kind != "compound_poisson":
         raise ValueError("jump drawing requires a compound Poisson driver")
+    expected = driver.rate * horizon
+    if not expected <= MAX_EXPECTED_JUMPS:
+        raise OutOfRange(f"expected jump count {expected:.6g} exceeds "
+                         f"{MAX_EXPECTED_JUMPS}")
     _, _, rng_times, rng_sizes = cfg.streams()
-    count = int(rng_times.poisson(driver.rate * horizon))
+    count = int(rng_times.poisson(expected))
     times = np.sort(rng_times.uniform(0.0, horizon, size=count))
     sizes = driver.jumps.sample(rng_sizes, count)
     if count == 0:

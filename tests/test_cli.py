@@ -6,17 +6,21 @@ Model files are written to pytest temp dirs and reports are parsed back from
 captured stdout.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carmakit import cli
 from carmakit.exactalg import (
@@ -61,6 +65,7 @@ UNSTABLE = ss_obj([[3]], [[1]], [[1]])  # e^{3t} overflows a double by t=237
 # of its stationary covariance misses the residual tolerance.
 ILL_CONDITIONED = ss_obj([["-1/100000", 100000000], [0, "-1/100000"]],
                          [[0], [1]], [[1, 0]])
+HUGE = ss_obj([[-1]], [[1]], [[10**400]])  # 10^400 exceeds every double
 TWO_INPUTS = ss_obj([[-1, 0], [0, -2]], [[1, 0], [0, 1]], [[1, 1]])
 
 
@@ -418,13 +423,14 @@ class TestSimulateCommand:
     def test_bad_atom_probabilities_exit_2(self, tmp_path, capsys):
         path = write_model(tmp_path / "ou.json", OU)
         atoms_path = tmp_path / "atoms.json"
-        atoms_path.write_text(json.dumps(
-            {"atoms": [[2.0], [1.0]], "probabilities": [0.5, 0.6]}))
-        code, _ = run(capsys, "simulate", path, "--driver", "cp",
-                      "--rate", "1", "--jump", f"atoms:{atoms_path}",
-                      "--seed", "9", "--steps", "10", "--h", "0.25",
-                      "-o", str(tmp_path / "x.csv"))
-        assert code == 2
+        for atoms in ({"atoms": [[2.0], [1.0]], "probabilities": [0.5, 0.6]},
+                      {"atoms": [[10**400]], "probabilities": [1.0]}):
+            atoms_path.write_text(json.dumps(atoms))
+            code, _ = run(capsys, "simulate", path, "--driver", "cp",
+                          "--rate", "1", "--jump", f"atoms:{atoms_path}",
+                          "--seed", "9", "--steps", "10", "--h", "0.25",
+                          "-o", str(tmp_path / "x.csv"))
+            assert code == 2
 
     def test_bad_sigma_shape_exit_3(self, tmp_path, capsys):
         path = write_model(tmp_path / "ou.json", OU)
@@ -439,8 +445,9 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("command", ["simulate", "spectrum"])
     @pytest.mark.parametrize("sigma", ["[[1.0, 0.0], [0.0, -1.0]]",
                                        "[[1.0, 0.5], [0.0, 1.0]]",
-                                       "[[NaN, 0.0], [0.0, 1.0]]"],
-                             ids=["not-psd", "asymmetric", "nan"])
+                                       "[[NaN, 0.0], [0.0, 1.0]]",
+                                       f"[[{10**400}, 0], [0, 1]]"],
+                             ids=["not-psd", "asymmetric", "nan", "huge"])
     def test_bad_sigma_values_exit_2(self, tmp_path, capsys, command, sigma):
         path = write_model(tmp_path / "m.json", TWO_INPUTS)
         sigma_path = tmp_path / "sigma.json"
@@ -525,6 +532,41 @@ class TestFlagValidation:
         assert exc.value.code == 2
         assert "error:" in err and "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
+
+
+class TestOutOfRange:
+
+    @pytest.mark.parametrize("model, flags, message", [
+        (OU, ["simulate", "--driver", "cp", "--rate", "1e300", "--h", "1"],
+         "expected jump count"),
+        (OU, ["check-equiv", "{m}", "--simulate", "cp", "--rate", "1e300",
+              "--h", "1"], "expected jump count"),
+        (HUGE, ["simulate", "--driver", "brownian", "--h", "1"],
+         "model entry: integer division result too large"),
+        (HUGE, ["spectrum", "--omegas", "1"],
+         "transfer function: integer division result too large"),
+        (ss_obj([[-10**300]], [[1]], [[1]]),
+         ["simulate", "--driver", "brownian", "--h", "1e10"],
+         "drift norm times step size"),
+        (ss_obj([[-1]], [[10**300]], [[1]]),
+         ["simulate", "--driver", "brownian", "--init", "stationary",
+          "--h", "1"], "noise covariance"),
+    ], ids=["simulate-rate", "check-equiv-rate", "simulate-entry",
+            "spectrum-coefficient", "simulate-norm", "simulate-noise"])
+    def test_exit_2_before_any_draw(self, tmp_path, capsys, model, flags,
+                                    message):
+        path = write_model(tmp_path / "m.json", model)
+        out_path = tmp_path / "x.csv"
+        command, *flags = [f.format(m=path) for f in flags]
+        grid = {"simulate": ["--seed", "0", "--steps", "10", "-o", str(out_path)],
+                "check-equiv": ["--seed", "0", "--steps", "10"],
+                "spectrum": ["-o", str(out_path)]}[command]
+        code = cli.main([command, path, *flags, *grid])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {message}")
+        assert len(err.splitlines()) == 1
+        assert not out_path.exists()
 
 
 class TestSpectrumCommand:
@@ -662,3 +704,168 @@ class TestHelp:
         for flag in ("--driver", "--sigma", "--rate", "--jump", "--seed",
                      "--steps", "--h", "--init"):
             assert flag in out
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: every run ends in a documented exit code
+# ---------------------------------------------------------------------------
+
+SMALL_RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+HUGE_INTS = st.integers(-10**400, 10**400)
+# Every magnitude up to and past the double range, as exact integers.
+POWERS_OF_TEN = st.builds(lambda sign, k: sign * 10**k,
+                          st.sampled_from((1, -1)), st.integers(0, 400))
+JUNK_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=6), HUGE_INTS,
+    POWERS_OF_TEN, POWERS_OF_TEN.map(str),
+    st.builds(lambda p, q: f"{p}/{q}", HUGE_INTS, st.integers(0, 10**400)))
+JSON_VALUES = st.recursive(
+    JUNK_SCALARS,
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.text(max_size=3), kids, max_size=3)),
+    max_leaves=6)
+
+
+def _mostly(valid, invalid):
+    """Nine draws in ten from ``valid``, else one from ``invalid``."""
+    return st.integers(0, 9).flatmap(lambda i: valid if i else invalid)
+
+
+def _flag(valid, *invalid):
+    return _mostly(valid.map(str), st.sampled_from(invalid))
+
+
+def _entry_paths(obj, path=()):
+    """Paths to the scalar entries of every nested array in a document."""
+    if isinstance(obj, dict):
+        return [p for k, v in obj.items() for p in _entry_paths(v, path + (k,))]
+    if isinstance(obj, list):
+        return [p for i, v in enumerate(obj) for p in _entry_paths(v, path + (i,))]
+    return [path] if path and isinstance(path[-1], int) else []
+
+
+@st.composite
+def model_texts(draw):
+    """A valid statespace or mcarma file, or one corruption of one."""
+    k, d, m = (draw(st.integers(1, 3)), draw(st.integers(1, 2)),
+               draw(st.integers(1, 2)))
+
+    def mat(rows, cols):
+        return draw(st.lists(st.lists(SMALL_RATIONALS, min_size=cols,
+                                      max_size=cols),
+                             min_size=rows, max_size=rows))
+
+    if draw(st.booleans()):
+        doc = ss_obj(mat(k, k), mat(k, m), mat(d, k))
+    else:
+        q = draw(st.integers(0, k - 1))
+        doc = mcarma_obj(k, q, d, m, [mat(d, d) for _ in range(k)],
+                         [mat(d, m) for _ in range(q + 1)])
+    corruption = draw(st.sampled_from(
+        ("none",) * 6
+        + ("entry", "field", "extra", "missing", "document", "text")))
+    if corruption == "entry":
+        *head, last = draw(st.sampled_from(_entry_paths(doc)))
+        target = doc
+        for key in head:
+            target = target[key]
+        target[last] = draw(JUNK_SCALARS)
+    elif corruption == "field":
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(JSON_VALUES)
+    elif corruption == "extra":
+        doc["extra"] = draw(JSON_VALUES)
+    elif corruption == "missing":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif corruption == "document":
+        doc = draw(JSON_VALUES)
+    elif corruption == "text":
+        return draw(st.text(max_size=20))
+    return json.dumps(doc)
+
+
+STEPS = _flag(st.integers(1, 50), "0", "-3", "2.5", "x")
+SEEDS = _flag(st.integers(0, 2**40), "-1", "x")
+# With at most 50 steps of at most 10, every path is short and few jumps are
+# drawn, yet a mildly unstable drift overflows.  "1e300" makes the expected
+# jump count of any compound Poisson run exceed its cap, so nothing is drawn.
+STEP_SIZES = _flag(st.sampled_from((0.01, 0.25, 1.0, 10.0)),
+                   "0", "-1", "nan", "inf", "x", "1e300", "1e-300")
+RATES = _flag(st.sampled_from((0.01, 0.5, 3.0)),
+              "0", "-1", "nan", "inf", "x", "1e300")
+OMEGAS = _mostly(st.lists(st.floats(-10, 10), min_size=1, max_size=4)
+                 .map(lambda ws: ",".join(map(repr, ws))),
+                 st.sampled_from(("", ",", "x,1", "nan", "inf", "0,-inf")))
+
+
+def _path(name):
+    return _mostly(st.just("{dir}/" + name), st.just("{dir}/absent/" + name))
+
+
+@st.composite
+def cli_runs(draw):
+    """``(files, argv)``: file contents by name and an argument list whose
+    ``{dir}`` placeholders name the directory they are written to."""
+    files = {"m1.json": draw(model_texts()), "m2.json": draw(model_texts())}
+    model = draw(_path("m1.json"))
+    out = ["-o", draw(_path("out"))]
+    grid = ["--seed", draw(SEEDS), "--steps", draw(STEPS), "--h",
+            draw(STEP_SIZES)]
+    files["sigma.json"] = draw(_mostly(
+        st.integers(1, 2).map(lambda k: json.dumps(np.eye(k).tolist())),
+        JSON_VALUES.map(json.dumps)))
+    files["atoms.json"] = draw(_mostly(
+        st.integers(1, 2).map(lambda k: json.dumps(
+            {"atoms": [[1.0] * k, [-2.0] * k], "probabilities": [0.5, 0.5]})),
+        JSON_VALUES.map(json.dumps)))
+    sigma = ["--sigma", draw(st.sampled_from(("identity", "{dir}/sigma.json")))]
+    command = draw(st.sampled_from(
+        ("tf", "canonical", "check-equiv", "simulate", "spectrum")))
+    if command == "tf":
+        argv = ["tf", model] + draw(st.sampled_from(([], out)))
+    elif command == "canonical":
+        argv = ["canonical", model, "--form",
+                draw(_mostly(st.sampled_from(("observer", "controller")),
+                             st.just("minimal")))]
+    elif command == "check-equiv":
+        argv = ["check-equiv", model,
+                draw(st.sampled_from(("{dir}/m1.json", "{dir}/m2.json")))]
+        if draw(st.booleans()):
+            argv += ["--simulate", "cp", "--rate", draw(RATES)]
+            argv += draw(_mostly(st.just(grid), st.just(grid[2:])))
+    elif command == "simulate":
+        driver = draw(st.sampled_from(("brownian", "cp")))
+        argv = ["simulate", model, "--driver", driver] + grid + out
+        if driver == "cp":
+            argv += ["--rate", draw(RATES), "--jump", draw(_mostly(
+                st.sampled_from(("gaussian", "atoms:{dir}/atoms.json")),
+                st.just("levy")))]
+        else:
+            argv += sigma
+        argv += ["--init", draw(_mostly(st.just("zero"),
+                                        st.just("stationary")))]
+    else:
+        argv = ["spectrum", model, "--omegas", draw(OMEGAS)] + sigma + out
+    return files, argv
+
+
+class TestFuzz:
+
+    @given(cli_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_every_run_ends_in_a_documented_exit_code(self, run_spec):
+        files, argv = run_spec
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in files.items():
+                Path(tmp, name).write_text(text, encoding="utf-8")
+            argv = [a.format(dir=tmp) for a in argv]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:  # argparse usage errors
+                    code = exc.code
+        assert code in range(7), (argv, code, err.getvalue())
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        if code == 1:
+            assert argv[0] == "check-equiv"
+            assert out.getvalue().startswith("DISTINCT\n")

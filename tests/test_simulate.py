@@ -176,6 +176,13 @@ class TestGaussianStepParams:
         s_inf = stationary_covariance(ss, sigma)
         assert_allclose(sigma_h, s_inf, rtol=1e-6, atol=1e-12)
 
+    def test_overflowing_covariance_rejected(self):
+        # e^{10^4} overflows while the covariance is doubled up to h
+        a = [[10**6, 0, 0], [0, 0, 0], [0, 0, 0]]
+        ss = StateSpaceModel(a=a, b=[[0], [0], [0]], c=[[0, 0, 0]])
+        with pytest.raises(UnstableModel, match="one-step covariance"):
+            gaussian_step_params(ss, [[1.0]], 0.01)
+
 
 # ---------------------------------------------------------------------------
 # Brownian paths
@@ -408,8 +415,10 @@ class TestSpectralDensity:
 
     def test_pole_on_axis_rejected(self):
         h = transfer_function(StateSpaceModel(a=[[0]], b=[[1]], c=[[1]]))
-        with pytest.raises(PoleOnEvaluationAxis):
-            spectral_density(h, [[1.0]], 0.0)
+        # |H|^2 = 1/omega^2 overflows a double at omega = 1e-166
+        for omega in (0.0, 1e-166):
+            with pytest.raises(PoleOnEvaluationAxis):
+                spectral_density(h, [[1.0]], omega)
 
     def test_invariant_under_realization_change(self):
         ss = random_stable_model(random.Random(44))
