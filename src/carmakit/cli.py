@@ -454,10 +454,13 @@ _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0,
 
 def _omega_list(text: str):
     try:
-        return [float(v) for v in text.split(",") if v != ""]
+        omegas = [float(v) for v in text.split(",") if v != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"omegas must be comma-separated numbers: {exc}")
+    if not all(map(math.isfinite, omegas)):
+        raise argparse.ArgumentTypeError(f"omegas must be finite, got {text!r}")
+    return omegas
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,8 +15,10 @@ class ModelFileError(CarmakitError, ValueError):
 
 
 class OutOfRange(CarmakitError, ValueError):
-    """A well-formed input beyond the double range, or a compound Poisson
-    path expecting more than ``simulate.MAX_EXPECTED_JUMPS`` jumps."""
+    """A well-formed input beyond the double range, a compound Poisson path
+    expecting more than ``simulate.MAX_EXPECTED_JUMPS`` jumps, or a path
+    whose largest array would hold more than ``simulate.MAX_PATH_VALUES``
+    floats."""
 
 
 class DegenerateTransferFunction(CarmakitError):

@@ -5,7 +5,9 @@ converted to double precision once, on entry to this module; everything
 downstream is floating point.
 
 Grid convention: a path with n steps of size h is reported at t_k = k*h for
-k = 0..n-1, so the first row is the initial state's output.
+k = 0..n-1, so the first row is the initial state's output.  A path stops at
+the first chunk of ``PATH_CHUNK`` rows with a non-finite output, and a run
+needing over ``MAX_PATH_VALUES`` floats in one array is refused.
 
 Randomness is drawn from numpy's PCG64 generator through a fixed
 stream-splitting rule: the run seed spawns four independent child streams,
@@ -30,7 +32,8 @@ same output pathwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -45,6 +48,8 @@ STABILITY_MARGIN = -1e-10
 PSD_FLOOR = -1e-12
 LYAPUNOV_RTOL = 1e-10
 MAX_EXPECTED_JUMPS = 10**7     # jumps are drawn all at once, before the path
+MAX_PATH_VALUES = 10**8        # floats in any one path array, about 0.8 GB
+PATH_CHUNK = 1024              # rows stepped between two finiteness checks
 
 
 def _as_float(matrix) -> np.ndarray:
@@ -72,8 +77,7 @@ class GaussianJumps:
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        self.cov = np.asarray(self.cov, dtype=float)
-        _require_psd(self.cov, "jump covariance")
+        self.cov = _require_psd(self.cov, "jump covariance")
         if self.cov.shape != (self.mean.size, self.mean.size):
             raise DimensionMismatch("jump mean and covariance sizes disagree")
 
@@ -117,37 +121,20 @@ JumpDistribution = Union[GaussianJumps, FixedAtomJumps]
 
 @dataclass
 class LevyDriverSpec:
-    """Driving process: Brownian with covariance sigma, or compound Poisson
-    with jump rate per unit time and a jump-size distribution."""
+    """Compound Poisson driver: jump rate per unit time and jump-size law.
+    (A Brownian driver is given by its covariance matrix alone.)"""
 
-    kind: str
-    sigma: Optional[np.ndarray] = None
-    rate: Optional[float] = None
-    jumps: Optional[JumpDistribution] = None
+    rate: float
+    jumps: JumpDistribution
 
     def __post_init__(self):
-        if self.kind == "brownian":
-            if self.sigma is None:
-                raise ValueError("brownian driver requires a covariance matrix")
-            self.sigma = np.asarray(self.sigma, dtype=float)
-            _require_psd(self.sigma, "driver covariance")
-        elif self.kind == "compound_poisson":
-            if self.rate is None or self.jumps is None:
-                raise ValueError(
-                    "compound Poisson driver requires a rate and a jump distribution")
-            self.rate = float(self.rate)
-            if not self.rate > 0:
-                raise ValueError("jump rate must be positive")
-        else:
-            raise ValueError(f"unknown driver kind: {self.kind!r}")
-
-    @classmethod
-    def brownian(cls, sigma) -> "LevyDriverSpec":
-        return cls(kind="brownian", sigma=sigma)
+        self.rate = float(self.rate)
+        if not self.rate > 0:
+            raise ValueError("jump rate must be positive")
 
     @classmethod
     def compound_poisson(cls, rate, jumps: JumpDistribution) -> "LevyDriverSpec":
-        return cls(kind="compound_poisson", rate=rate, jumps=jumps)
+        return cls(rate=rate, jumps=jumps)
 
 
 @dataclass(frozen=True)
@@ -199,11 +186,7 @@ class SamplePath:
             self.outputs = self.outputs[:, None]
         if self.outputs.shape[0] != self.times.size:
             raise DimensionMismatch("one output row per grid time required")
-        finite = np.isfinite(self.outputs).all(axis=1)
-        if not finite.all():
-            raise UnstableModel(
-                "sample path overflows: first non-finite output at "
-                f"t={self.times[np.argmin(finite)]:.17g}")
+        _require_finite_outputs(self.times, self.outputs)
 
     @property
     def d(self) -> int:
@@ -221,7 +204,8 @@ class SamplePath:
 # PSD utilities
 # ---------------------------------------------------------------------------
 
-def _require_psd(mat: np.ndarray, label: str) -> None:
+def _require_psd(mat, label: str) -> np.ndarray:
+    """mat as a float array; ValueError unless it is finite, symmetric, PSD."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"{label} must be square")
@@ -233,23 +217,27 @@ def _require_psd(mat: np.ndarray, label: str) -> None:
     eigmin = float(np.linalg.eigvalsh((mat + mat.T) / 2).min()) if mat.size else 0.0
     if eigmin < PSD_FLOOR * scale:
         raise ValueError(f"{label} must be positive semidefinite")
+    return mat
+
+
+def _sym_eigh(mat: np.ndarray):
+    """(sym, w, v): the symmetric part of mat and its eigendecomposition."""
+    sym = (mat + mat.T) / 2
+    w, v = np.linalg.eigh(sym)
+    return sym, w, v
 
 
 def _psd_factor(mat: np.ndarray) -> np.ndarray:
     """Symmetric factor L with L L^T = mat (eigenvalues clamped at zero)."""
-    sym = (mat + mat.T) / 2
-    w, v = np.linalg.eigh(sym)
-    w = np.clip(w, 0.0, None)
-    return v * np.sqrt(w)
+    _, w, v = _sym_eigh(mat)
+    return v * np.sqrt(np.clip(w, 0.0, None))
 
 
 def _clamp_psd(mat: np.ndarray) -> np.ndarray:
-    sym = (mat + mat.T) / 2
-    w, v = np.linalg.eigh(sym)
+    sym, w, v = _sym_eigh(mat)
     if w.min() >= 0:
         return sym
-    w = np.clip(w, 0.0, None)
-    return (v * w) @ v.T
+    return (v * np.clip(w, 0.0, None)) @ v.T
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +265,9 @@ def stationary_covariance(ss: StateSpaceModel, sigma_l) -> np.ndarray:
         raise UnstableModel("stationary covariance requires a stable drift")
     a, b, _ = ss_to_float(ss)
     q = _noise_covariance(b, sigma_l)
-    s = solve_continuous_lyapunov(a, -q)
+    with warnings.catch_warnings():  # the residual check below is the guard
+        warnings.simplefilter("ignore", RuntimeWarning)
+        s = solve_continuous_lyapunov(a, -q)
     s = (s + s.T) / 2
     residual = np.linalg.norm(a @ s + s @ a.T + q, "fro")
     if residual > LYAPUNOV_RTOL * (1 + np.linalg.norm(q, "fro")):
@@ -381,11 +371,41 @@ def spectral_density(h_tf: TransferFunction, sigma_l, omega: float) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 def _overflow_quiet():
-    """Silence numpy's overflow and invalid-value warnings around a result
-    that may run into ``inf`` or ``nan`` and is checked afterwards; a
-    non-finite path, for one, is reported by :class:`SamplePath` (as
-    ``UnstableModel``)."""
+    """Silence numpy's overflow and invalid warnings around a checked result."""
     return np.errstate(over="ignore", invalid="ignore")
+
+
+def _require_finite_outputs(times: np.ndarray, outputs: np.ndarray) -> None:
+    finite = np.isfinite(outputs).all(axis=1)
+    if not finite.all():
+        raise UnstableModel(
+            "sample path overflows: first non-finite output at "
+            f"t={times[np.argmin(finite)]:.17g}")
+
+
+def _require_path_values(count: int) -> None:
+    if count > MAX_PATH_VALUES:
+        raise OutOfRange(f"path needs {count} values in one array, more than "
+                         f"MAX_PATH_VALUES = {MAX_PATH_VALUES}")
+
+
+def _record_path(x0, cfg: SimulationConfig, advance, c) -> SamplePath:
+    """The one step loop: states[0] = x0, states[k] = advance(k, states[k-1]).
+    The outputs C x are checked every ``PATH_CHUNK`` rows, and the path stops
+    at the end of the first chunk with a non-finite output."""
+    n = cfg.steps
+    times = np.arange(n) * cfg.step_size
+    states = np.empty((n, x0.size))
+    states[0] = x = x0
+    with _overflow_quiet():
+        for lo in range(0, n, PATH_CHUNK):
+            hi = min(lo + PATH_CHUNK, n)
+            for k in range(max(lo, 1), hi):
+                x = advance(k, x)
+                states[k] = x
+            _require_finite_outputs(times[lo:hi], states[lo:hi] @ c.T)
+        outputs = states @ c.T
+    return SamplePath(times=times, outputs=outputs, states=states)
 
 
 def _initial_state(ss: StateSpaceModel, sigma_l, cfg: SimulationConfig,
@@ -396,8 +416,6 @@ def _initial_state(ss: StateSpaceModel, sigma_l, cfg: SimulationConfig,
             raise DimensionMismatch("initial state length must match state dimension")
         return x0
     if cfg.init == "stationary":
-        if sigma_l is None:
-            raise ValueError("stationary initialization needs a Brownian covariance")
         s_inf = stationary_covariance(ss, sigma_l)
         return _psd_factor(s_inf) @ rng.standard_normal(ss.n)
     return np.zeros(ss.n)
@@ -410,22 +428,16 @@ def simulate_brownian(ss: StateSpaceModel, sigma_l,
     X_{k+1} = Phi X_k + xi_k with xi_k i.i.d. N(0, Sigma_h); no
     time-discretization bias at the grid points.
     """
+    _require_psd(sigma_l, "driver covariance")
+    _require_path_values(cfg.steps * ss.n)
     rng_init, rng_gauss, _, _ = cfg.streams()
     phi, sigma_h = gaussian_step_params(ss, sigma_l, cfg.step_size)
-    x = _initial_state(ss, sigma_l, cfg, rng_init)
-    factor = _psd_factor(sigma_h)
-    n = cfg.steps
-    _, _, c = ss_to_float(ss)
-    states = np.empty((n, ss.n))
-    states[0] = x
+    x0 = _initial_state(ss, sigma_l, cfg, rng_init)
     with _overflow_quiet():
-        increments = rng_gauss.standard_normal((n - 1, ss.n)) @ factor.T
-        for k in range(n - 1):
-            x = phi @ x + increments[k]
-            states[k + 1] = x
-        outputs = states @ c.T
-    times = np.arange(n) * cfg.step_size
-    return SamplePath(times=times, outputs=outputs, states=states)
+        increments = (rng_gauss.standard_normal((cfg.steps - 1, ss.n))
+                      @ _psd_factor(sigma_h).T)
+    return _record_path(x0, cfg, lambda k, x: phi @ x + increments[k - 1],
+                        ss_to_float(ss)[2])
 
 
 def _require_pair_input_dims(ss1: StateSpaceModel, ss2: StateSpaceModel) -> None:
@@ -447,29 +459,25 @@ def simulate_shared_brownian_pair(ss1: StateSpaceModel, ss2: StateSpaceModel,
     _require_pair_input_dims(ss1, ss2)
     if cfg.init != "zero" or cfg.x0 is not None:
         raise ValueError("shared-path comparisons start from the zero state")
-    _, rng_gauss, _, _ = cfg.streams()
-    sigma_l = np.asarray(sigma_l, dtype=float)
+    sigma_l = _require_psd(sigma_l, "driver covariance")
     sub = cfg.euler_substeps
-    dt = cfg.step_size / sub
     fine_steps = (cfg.steps - 1) * sub
-    m = ss1.m
-    dl = rng_gauss.standard_normal((fine_steps, m)) @ _psd_factor(sigma_l).T
+    _require_path_values(max(cfg.steps * max(ss1.n, ss2.n), fine_steps * ss1.m))
+    _, rng_gauss, _, _ = cfg.streams()
+    dt = cfg.step_size / sub
+    dl = rng_gauss.standard_normal((fine_steps, ss1.m)) @ _psd_factor(sigma_l).T
     dl *= math.sqrt(dt)
 
-    times = np.arange(cfg.steps) * cfg.step_size
     paths = []
     for ss in (ss1, ss2):
         a, b, c = ss_to_float(ss)
-        x = np.zeros(ss.n)
-        states = np.empty((cfg.steps, ss.n))
-        states[0] = x
-        with _overflow_quiet():
-            for k in range(fine_steps):
-                x = x + dt * (a @ x) + b @ dl[k]
-                if (k + 1) % sub == 0:
-                    states[(k + 1) // sub] = x
-            outputs = states @ c.T
-        paths.append(SamplePath(times=times, outputs=outputs, states=states))
+
+        def advance(k, x):
+            for i in range((k - 1) * sub, k * sub):
+                x = x + dt * (a @ x) + b @ dl[i]
+            return x
+
+        paths.append(_record_path(np.zeros(ss.n), cfg, advance, c))
     return tuple(paths)
 
 
@@ -481,8 +489,6 @@ def draw_compound_poisson_jumps(driver: LevyDriverSpec, horizon: float,
     order statistics of uniforms.  Returns (times, sizes) with sizes shaped
     (count, m).  Raises ``OutOfRange`` first if rate * horizon is too large.
     """
-    if driver.kind != "compound_poisson":
-        raise ValueError("jump drawing requires a compound Poisson driver")
     expected = driver.rate * horizon
     if not expected <= MAX_EXPECTED_JUMPS:
         raise OutOfRange(f"expected jump count {expected:.6g} exceeds "
@@ -490,10 +496,7 @@ def draw_compound_poisson_jumps(driver: LevyDriverSpec, horizon: float,
     _, _, rng_times, rng_sizes = cfg.streams()
     count = int(rng_times.poisson(expected))
     times = np.sort(rng_times.uniform(0.0, horizon, size=count))
-    sizes = driver.jumps.sample(rng_sizes, count)
-    if count == 0:
-        sizes = np.zeros((0, driver.jumps.dim))
-    return times, sizes
+    return times, driver.jumps.sample(rng_sizes, count)
 
 
 def simulate_compound_poisson(ss: StateSpaceModel, jump_times, jump_sizes,
@@ -504,7 +507,8 @@ def simulate_compound_poisson(ss: StateSpaceModel, jump_times, jump_sizes,
     size dL the state moves by B dL.  The only floating error is that of the
     matrix exponential: there is no time-discretization error.  Matrix
     exponentials are cached per distinct time increment, so regular grid
-    segments cost one decomposition total.
+    segments cost one decomposition total.  Jump times must be sorted; step
+    k applies the jumps in (t_{k-1}, t_k], and step 1 also those at t <= 0.
     """
     if cfg.init == "stationary" and cfg.x0 is None:
         raise ValueError(
@@ -517,9 +521,12 @@ def simulate_compound_poisson(ss: StateSpaceModel, jump_times, jump_sizes,
         raise DimensionMismatch("one jump size per jump time required")
     if jump_times.size and jump_sizes.shape[1] != ss.m:
         raise DimensionMismatch("jump size dimension must match the model input")
+    if np.any(np.diff(jump_times) < 0):
+        raise ValueError("jump times must be sorted")
+    _require_path_values(cfg.steps * ss.n)
     a, b, c = ss_to_float(ss)
     rng_init, _, _, _ = cfg.streams()
-    x = _initial_state(ss, None, cfg, rng_init)
+    x0 = _initial_state(ss, None, cfg, rng_init)
 
     cache = {}
 
@@ -530,27 +537,18 @@ def simulate_compound_poisson(ss: StateSpaceModel, jump_times, jump_sizes,
             cache[dt] = expm(a * dt)
         return cache[dt] @ state
 
-    n = cfg.steps
     h = cfg.step_size
-    states = np.empty((n, ss.n))
-    states[0] = x
-    t = 0.0
-    next_jump = 0
-    with _overflow_quiet():
-        for k in range(1, n):
-            t_target = k * h
-            while next_jump < jump_times.size and jump_times[next_jump] <= t_target:
-                tau = jump_times[next_jump]
-                x = propagate(x, tau - t)
-                x = x + b @ jump_sizes[next_jump]
-                t = tau
-                next_jump += 1
-            x = propagate(x, t_target - t)
-            t = t_target
-            states[k] = x
-        outputs = states @ c.T
-    times = np.arange(n) * h
-    return SamplePath(times=times, outputs=outputs, states=states)
+    bounds = [0, *np.searchsorted(jump_times, np.arange(1, cfg.steps) * h,
+                                  side="right").tolist()]
+
+    def advance(k, x):
+        t = (k - 1) * h
+        for j in range(bounds[k - 1], bounds[k]):
+            x = propagate(x, jump_times[j] - t) + b @ jump_sizes[j]
+            t = jump_times[j]
+        return propagate(x, k * h - t)
+
+    return _record_path(x0, cfg, advance, c)
 
 
 def simulate_compound_poisson_pair(ss1: StateSpaceModel, ss2: StateSpaceModel,
@@ -565,6 +563,7 @@ def simulate_compound_poisson_pair(ss1: StateSpaceModel, ss2: StateSpaceModel,
     _require_pair_input_dims(ss1, ss2)
     if cfg.x0 is not None:
         raise ValueError("shared-path comparisons start from the zero state")
+    _require_path_values(cfg.steps * max(ss1.n, ss2.n))
     horizon = (cfg.steps - 1) * cfg.step_size
     times, sizes = draw_compound_poisson_jumps(driver, horizon, cfg)
     if sizes.shape[1] != ss1.m:

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carmakit import cli
+from carmakit import cli, simulate
 from carmakit.exactalg import (
     Poly,
     RationalFunction,
@@ -61,6 +61,7 @@ def run(capsys, *args):
 
 OU = ss_obj([[-3]], [[1]], [[5]])  # H(z) = 5/(z+3)
 UNSTABLE = ss_obj([[3]], [[1]], [[1]])  # e^{3t} overflows a double by t=237
+UNSTABLE_ERROR = "error: sample path overflows: first non-finite output at t=237\n"
 # Stable (eigenvalue -1e-5, twice), but so non-normal that the Lyapunov solve
 # of its stationary covariance misses the residual tolerance.
 ILL_CONDITIONED = ss_obj([["-1/100000", 100000000], [0, "-1/100000"]],
@@ -330,10 +331,8 @@ class TestCheckEquiv:
         path = write_model(tmp_path / "unstable.json", UNSTABLE)
         code = cli.main(["check-equiv", path, path, "--simulate", "cp",
                          "--seed", "1", "--steps", "2000", "--h", "1"])
-        err = capsys.readouterr().err
         assert code == 5
-        assert "first non-finite output at t=" in err
-        assert len(err.splitlines()) == 1
+        assert capsys.readouterr().err == UNSTABLE_ERROR
 
     def test_simulate_needs_grid_flags(self, tmp_path, capsys):
         path = write_model(tmp_path / "ou.json", OU)
@@ -470,10 +469,33 @@ class TestSimulateCommand:
         code = cli.main(["simulate", path, "--driver", "brownian",
                          "--seed", "1", "--steps", "2000", "--h", "1",
                          "-o", str(out_path)])
-        err = capsys.readouterr().err
         assert code == 5
-        assert "first non-finite output at t=" in err
-        assert len(err.splitlines()) == 1
+        assert capsys.readouterr().err == UNSTABLE_ERROR
+        assert not out_path.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_cp_path_exit_5(self, tmp_path, capsys):
+        path = write_model(tmp_path / "unstable.json", UNSTABLE)
+        out_path = tmp_path / "x.csv"
+        code = cli.main(["simulate", path, "--driver", "cp", "--rate", "1",
+                         "--seed", "1", "--steps", "2000", "--h", "1",
+                         "-o", str(out_path)])
+        assert code == 5
+        assert capsys.readouterr().err == UNSTABLE_ERROR
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("driver", [["brownian"], ["cp", "--rate", "1"]])
+    def test_path_cap_exit_2(self, tmp_path, capsys, monkeypatch, driver):
+        monkeypatch.setattr(simulate, "MAX_PATH_VALUES", 1000)
+        monkeypatch.setattr(simulate, "_record_path", None)  # never reached
+        path = write_model(tmp_path / "ou.json", OU)
+        out_path = tmp_path / "x.csv"
+        code = cli.main(["simulate", path, "--driver", *driver, "--seed", "1",
+                         "--steps", "2000", "--h", "0.1", "-o", str(out_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == ("error: path needs 2000 values in one array, "
+                       "more than MAX_PATH_VALUES = 1000\n")
         assert not out_path.exists()
 
     @pytest.mark.parametrize("rate", ["0.01", "100"])
@@ -522,7 +544,12 @@ class TestFlagValidation:
          "--steps", "10", "--h", "-1", "-o", "{out}"],
         ["simulate", "{m}", "--driver", "cp", "--rate", "0", "--seed", "1",
          "--steps", "10", "--h", "0.1", "-o", "{out}"],
-    ], ids=["steps-0", "seed-negative", "h-nan", "h-negative", "rate-0"])
+        ["spectrum", "{m}", "--omegas", "nan", "-o", "{out}"],
+        ["spectrum", "{m}", "--omegas", "0,inf", "-o", "{out}"],
+        ["spectrum", "{m}", "--omegas", "1,-inf", "-o", "{out}"],
+        ["spectrum", "{m}", "--omegas", "1e400", "-o", "{out}"],
+    ], ids=["steps-0", "seed-negative", "h-nan", "h-negative", "rate-0",
+            "omega-nan", "omega-inf", "omega-minus-inf", "omega-overflow"])
     def test_invalid_flag_exit_2(self, tmp_path, capsys, flags):
         path = write_model(tmp_path / "ou.json", OU)
         argv = [f.format(m=path, out=tmp_path / "x.csv") for f in flags]
@@ -794,7 +821,10 @@ RATES = _flag(st.sampled_from((0.01, 0.5, 3.0)),
               "0", "-1", "nan", "inf", "x", "1e300")
 OMEGAS = _mostly(st.lists(st.floats(-10, 10), min_size=1, max_size=4)
                  .map(lambda ws: ",".join(map(repr, ws))),
-                 st.sampled_from(("", ",", "x,1", "nan", "inf", "0,-inf")))
+                 st.one_of(st.sampled_from(("", ",", "x,1", "1e400")),
+                           st.lists(st.floats(-10, 10).map(repr)
+                                    | st.sampled_from(("nan", "inf", "-inf")),
+                                    min_size=1, max_size=4).map(",".join)))
 
 
 def _path(name):
@@ -869,3 +899,6 @@ class TestFuzz:
         if code == 1:
             assert argv[0] == "check-equiv"
             assert out.getvalue().startswith("DISTINCT\n")
+        if argv[0] == "spectrum" and any(w in argv[3] for w in ("nan", "inf",
+                                                                "e400")):
+            assert code == 2, "a non-finite frequency is a usage error"

@@ -7,6 +7,7 @@ pathwise checks pin determinism and the shared-driver equivalence property.
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
-from carmakit.errors import DimensionMismatch, PoleOnEvaluationAxis, UnstableModel
+from carmakit import simulate
+from carmakit.errors import (DimensionMismatch, OutOfRange, PoleOnEvaluationAxis,
+                             UnstableModel)
 from carmakit.realization import (
     StateSpaceModel,
     observer_realization,
@@ -133,6 +136,15 @@ class TestStationaryCovariance:
                              b=[[0], [1]], c=[[1, 0]])
         with pytest.raises(UnstableModel, match="Lyapunov solve residual"):
             stationary_covariance(ss, [[1.0]])
+
+    def test_perturbed_solve_reports_only_the_residual(self):
+        # scipy perturbs this problem and warns; the residual check decides.
+        ss = StateSpaceModel(a=[[-1, 10**300], [0, -1]], b=[[1], [0]],
+                             c=[[1, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnstableModel, match="Lyapunov solve residual"):
+                stationary_covariance(ss, [[1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +359,55 @@ class TestCompoundPoisson:
         with pytest.raises(DimensionMismatch):
             simulate_compound_poisson_pair(ss, ss, driver, cfg)
 
+    def test_unsorted_jump_times_rejected(self):
+        cfg = SimulationConfig(step_size=0.1, steps=10, seed=1)
+        with pytest.raises(ValueError, match="sorted"):
+            simulate_compound_poisson(scalar_model(1.0), [0.5, 0.2],
+                                      [[1.0], [1.0]], cfg)
+
+    @staticmethod
+    def reference_path(ss, jump_times, jump_sizes, cfg, x0):
+        """Jump by jump: flow to each jump time in order, add B dL, then flow
+        to the grid time; jumps at t <= 0 fall in the first step."""
+        a, b, c = ss_to_float(ss)
+        h = cfg.step_size
+        states = [np.asarray(x0, dtype=float)]
+        x, t, j = states[0], 0.0, 0
+        for k in range(1, cfg.steps):
+            while j < len(jump_times) and jump_times[j] <= k * h:
+                if jump_times[j] != t:
+                    x = expm(a * (jump_times[j] - t)) @ x
+                x = x + b @ jump_sizes[j]
+                t = jump_times[j]
+                j += 1
+            if k * h != t:
+                x = expm(a * (k * h - t)) @ x
+            t = k * h
+            states.append(x)
+        states = np.array(states)
+        return states, states @ c.T
+
+    H = 0.05
+
+    @pytest.mark.parametrize("times", [
+        [],                                       # no jumps
+        [0.0],                                    # a jump at t = 0
+        [0.0, 0.0, 5 * H, 5 * H, 6 * H, 14 * H],  # on k*h, several per step
+        [-0.01, 0.05, 0.12, 0.13, 0.14, 0.95, 1.1],  # off grid, before and past
+    ], ids=["none", "at-zero", "on-grid", "off-grid"])
+    def test_matches_reference_per_jump_loop(self, times):
+        ss = StateSpaceModel(a=[[-1, "1/3", 0], [0, -2, 1], ["1/2", 0, -3]],
+                             b=[[1, 0], [0, 1], [1, 1]], c=[[1, 0, 1], [0, 1, 0]])
+        times = np.array(times)
+        sizes = np.random.default_rng(5).standard_normal((times.size, 2))
+        for x0 in (None, (1.0, -0.5, 0.25)):
+            cfg = SimulationConfig(step_size=self.H, steps=21, seed=3, x0=x0)
+            path = simulate_compound_poisson(ss, times, sizes, cfg)
+            states, outputs = self.reference_path(
+                ss, times, sizes, cfg, np.zeros(3) if x0 is None else x0)
+            assert_array_equal(path.states, states)
+            assert_array_equal(path.outputs, outputs)
+
 
 # ---------------------------------------------------------------------------
 # Second-order structure
@@ -435,14 +496,19 @@ class TestSpectralDensity:
 # Driver validation and CSV output
 # ---------------------------------------------------------------------------
 
+TWO_INPUTS = StateSpaceModel(a=[[-1]], b=[[1, 1]], c=[[1]])
+
+
 class TestDriverValidation:
     def test_brownian_needs_psd_covariance(self):
-        with pytest.raises(ValueError):
-            LevyDriverSpec.brownian([[1.0, 2.0], [2.0, 1.0]])  # eigenvalue -1
+        cfg = SimulationConfig(step_size=0.1, steps=10, seed=1)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            simulate_brownian(TWO_INPUTS, [[1.0, 2.0], [2.0, 1.0]], cfg)  # eig -1
 
     def test_asymmetric_covariance_rejected(self):
-        with pytest.raises(ValueError):
-            LevyDriverSpec.brownian([[1.0, 0.5], [0.0, 1.0]])
+        cfg = SimulationConfig(step_size=0.1, steps=10, seed=1)
+        with pytest.raises(ValueError, match="symmetric"):
+            simulate_brownian(TWO_INPUTS, [[1.0, 0.5], [0.0, 1.0]], cfg)
 
     def test_rate_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -453,9 +519,81 @@ class TestDriverValidation:
         with pytest.raises(ValueError):
             FixedAtomJumps(atoms=[[1.0]], probabilities=[0.5])
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            LevyDriverSpec(kind="gamma")
+    def test_euler_pair_needs_psd_covariance(self):
+        cfg = SimulationConfig(step_size=0.1, steps=10, seed=1)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            simulate_shared_brownian_pair(TWO_INPUTS, TWO_INPUTS,
+                                          [[1.0, 2.0], [2.0, 1.0]], cfg)
+
+
+# ---------------------------------------------------------------------------
+# The path recorder: early overflow stop and the path-size cap
+# ---------------------------------------------------------------------------
+
+class TestRecordPath:
+    def test_stops_one_chunk_past_first_overflow(self):
+        calls = []
+
+        def advance(k, x):
+            calls.append(k)
+            return 10.0 * x
+
+        cfg = SimulationConfig(step_size=1.0, steps=50 * simulate.PATH_CHUNK,
+                               seed=0)
+        with pytest.raises(UnstableModel, match="output at t=309$"):
+            simulate._record_path(np.ones(1), cfg, advance, np.ones((1, 1)))
+        assert calls == list(range(1, len(calls) + 1))
+        assert 309 <= len(calls) < 309 + simulate.PATH_CHUNK
+
+    def test_simulators_report_first_overflow(self):
+        # y(t) = e^{3 (t - 1/2)} after a unit jump at 1/2 first overflows at 238.
+        ss = StateSpaceModel(a=[[3]], b=[[1]], c=[[1]])
+        cfg = SimulationConfig(step_size=1.0, steps=3000, seed=1)
+        with pytest.raises(UnstableModel, match="output at t=238$"):
+            simulate_compound_poisson(ss, [0.5], [[1.0]], cfg)
+        with pytest.raises(UnstableModel, match="output at t=237$"):
+            simulate_brownian(ss, [[1.0]], cfg)
+        with pytest.raises(UnstableModel, match="output at t=513$"):  # ~4^t
+            simulate_shared_brownian_pair(ss, ss, [[1.0]], cfg)
+
+
+class TestPathSizeCap:
+    @pytest.fixture
+    def small_cap(self, monkeypatch):
+        monkeypatch.setattr(simulate, "MAX_PATH_VALUES", 1000)
+
+        def no_draw(self):
+            raise AssertionError("drew random numbers past the path cap")
+
+        monkeypatch.setattr(SimulationConfig, "streams", no_draw)
+
+    def test_all_simulators_reject_before_drawing(self, small_cap):
+        ss = StateSpaceModel(a=[[-1]], b=[[1]], c=[[1]])
+        over = SimulationConfig(step_size=0.1, steps=1001, seed=1)
+        fine = SimulationConfig(step_size=0.1, steps=101, seed=1,
+                                euler_substeps=10)  # 1000 fine increments
+        runs = [
+            lambda: simulate_brownian(ss, [[1.0]], over),
+            lambda: simulate_compound_poisson(ss, [], [], over),
+            lambda: simulate_shared_brownian_pair(ss, ss, [[1.0]], over),
+            lambda: simulate_compound_poisson_pair(ss, ss, LevyDriverSpec(
+                1.0, GaussianJumps(mean=[0.0], cov=[[1.0]])), over),
+        ]
+        for run in runs:
+            with pytest.raises(OutOfRange, match="MAX_PATH_VALUES = 1000"):
+                run()
+        with pytest.raises(AssertionError, match="past the path cap"):
+            simulate_shared_brownian_pair(ss, ss, [[1.0]], fine)
+        with pytest.raises(OutOfRange, match="1010 values"):
+            simulate_shared_brownian_pair(
+                ss, ss, [[1.0]], SimulationConfig(step_size=0.1, steps=102,
+                                                  seed=1, euler_substeps=10))
+
+    def test_cap_counts_the_state_dimension(self, small_cap):
+        ss = StateSpaceModel(a=[[-1, 0], [0, -1]], b=[[1], [1]], c=[[1, 1]])
+        cfg = SimulationConfig(step_size=0.1, steps=501, seed=1)
+        with pytest.raises(OutOfRange, match="1002 values"):
+            simulate_brownian(ss, [[1.0]], cfg)
 
 
 class TestCsvOutput:
