@@ -4,8 +4,8 @@ space models.
 The package splits into four layers:
 
 * :mod:`carmakit.exactalg` -- rational scalars, polynomials, polynomial and
-  rational-function matrices, and the fraction-free resolvent computation
-  everything else is built on.
+  rational-function matrices, the fraction-free resolvent computation
+  everything else is built on, and exact Markov parameters.
 * :mod:`carmakit.realization` -- transfer functions, observer and controller
   canonical forms, matrix fraction descriptions, and exact equivalence.
 * :mod:`carmakit.simulate` -- seeded path simulation (exact Gaussian step,
@@ -36,10 +36,12 @@ from .exactalg import (
     RationalMatrix,
     TransferFunction,
     format_rational,
+    markov_parameters,
     parse_rational,
     poly_gcd,
     poly_lcm,
     ratmat_equal,
+    ratmat_markov_parameters,
     ratmat_reduce,
     resolvent_numerator,
 )
@@ -58,6 +60,7 @@ from .realization import (
     right_mfd,
     strictly_proper,
     tf_equivalent,
+    tf_match,
     transfer_function,
 )
 
@@ -99,10 +102,12 @@ __all__ = [
     "RationalMatrix",
     "TransferFunction",
     "format_rational",
+    "markov_parameters",
     "parse_rational",
     "poly_gcd",
     "poly_lcm",
     "ratmat_equal",
+    "ratmat_markov_parameters",
     "ratmat_reduce",
     "resolvent_numerator",
     "ControllerRealization",
@@ -119,6 +124,7 @@ __all__ = [
     "right_mfd",
     "strictly_proper",
     "tf_equivalent",
+    "tf_match",
     "transfer_function",
     *_SIMULATE_NAMES,
 ]

@@ -42,7 +42,6 @@ from .exactalg import (
     TransferFunction,
     format_rational,
     parse_rational,
-    ratmat_equal,
 )
 from .realization import (
     McarmaSpec,
@@ -51,6 +50,7 @@ from .realization import (
     controller_realization,
     observer_realization,
     tf_equivalent,
+    tf_match,
     transfer_function,
 )
 
@@ -232,7 +232,7 @@ def report_canonical(form: str, h: TransferFunction) -> dict:
         }
     else:
         raise ValueError(f"unknown canonical form: {form!r}")
-    report["tf_match"] = ratmat_equal(transfer_function(real.statespace), h)
+    report["tf_match"] = tf_match(real.statespace, h)
     return report
 
 
@@ -370,8 +370,8 @@ def cmd_check_equiv(args) -> int:
 
 def cmd_simulate(args) -> int:
     from .simulate import (LevyDriverSpec, SimulationConfig,
-                           draw_compound_poisson_jumps, simulate_brownian,
-                           simulate_compound_poisson)
+                           _require_path_values, draw_compound_poisson_jumps,
+                           simulate_brownian, simulate_compound_poisson)
 
     ss = model_to_ss(load_model(args.model))
     cfg = SimulationConfig(step_size=args.h, steps=args.steps, seed=args.seed,
@@ -384,6 +384,8 @@ def cmd_simulate(args) -> int:
         jumps = _load_jumps(args.jump, ss.m)
         driver = LevyDriverSpec.compound_poisson(rate=args.rate, jumps=jumps)
         horizon = (cfg.steps - 1) * cfg.step_size
+        # refuse an oversized path before paying for its jump draw
+        _require_path_values(cfg.steps * ss.n)
         times, sizes = draw_compound_poisson_jumps(driver, horizon, cfg)
         path = simulate_compound_poisson(ss, times, sizes, cfg)
         driver_meta = {"kind": "compound_poisson", "rate": driver.rate,

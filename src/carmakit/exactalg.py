@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NotStrictlyProper
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -432,7 +432,7 @@ class PolyMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Resolvent numerator: the integer Faddeev-LeVerrier iteration
+# Resolvent numerator and Markov parameters: integer iterations on s*A
 # ---------------------------------------------------------------------------
 
 def integer_matrix(matrix: Sequence[Sequence[Fraction]]) -> tuple:
@@ -521,6 +521,36 @@ def faddeev_leverrier(a: RationalMatrixData, b: RationalMatrixData,
             mk = am
     num = PolyMatrix(d, m, tuple(Poly(cs[::-1]) for cs in num_coeffs))
     return num, Poly(char_coeffs[::-1])
+
+
+def markov_parameters(a: RationalMatrixData, b: RationalMatrixData,
+                      c: RationalMatrixData, count: int) -> list:
+    """The Markov parameters ``C A^k B`` for ``k < count``, each an exact
+    d x m matrix, for ``A`` N x N, ``B`` N x m and ``C`` d x N.
+
+    ``A``, ``B`` and ``C`` are scaled to integers as in
+    :func:`faddeev_leverrier`, and the rows of ``s*A`` are kept as their
+    nonzero entries.  The integer N x m block ``X_k = (s*A)^k (s_B*B)`` is
+    iterated, never an N x N power, and ``C A^k B = (s_C*C) X_k / (s_C s_B
+    s^k)``.
+    """
+    s, scaled = integer_matrix(a)
+    rows = nonzero_entries(scaled)
+    s_b, x = integer_matrix(b)
+    s_c, c_ints = integer_matrix(c)
+    c_rows = nonzero_entries(c_ints)
+    m = len(x[0])
+    den = s_c * s_b
+    out = []
+    for k in range(count):
+        out.append(tuple(
+            tuple(Fraction(sum(v * x[t][j] for t, v in pairs), den)
+                  for j in range(m))
+            for pairs in c_rows))
+        if k + 1 < count:
+            x = [_row_combination(pairs, x, m) for pairs in rows]
+            den *= s
+    return out
 
 
 def resolvent_numerator(matrix: Sequence[Sequence[RationalLike]]):
@@ -663,3 +693,46 @@ def ratmat_reduce(num: PolyMatrix, den: Poly) -> RationalMatrix:
 def ratmat_equal(h1: RationalMatrix, h2: RationalMatrix) -> bool:
     """Exact, deterministic equality of rational matrices (no sampling)."""
     return (h1.rows, h1.cols) == (h2.rows, h2.cols) and h1.entries == h2.entries
+
+
+def ratmat_markov_parameters(h: RationalMatrix, count: int) -> list:
+    """The first ``count`` Markov parameters of a strictly proper ``H``: the
+    exact d x m matrices ``h_j`` of ``H(z) = sum_j h_j z^-(j+1)``.
+
+    They come from ``H = common_num / common_den`` alone, never from a
+    realization.  With the monic ``common_den = z^p + a_1 z^(p-1) + ... +
+    a_p`` and ``N_i`` the ``z^i`` coefficient of ``common_num`` (zero for
+    ``i < 0``), matching powers of ``z`` in ``common_den * H = common_num``
+    gives
+
+        h_j = N_(p-1-j) - sum_(i=1..min(j,p)) a_i h_(j-i).
+
+    The recurrence runs on integers: with ``D`` the lcm of the denominators
+    of the ``a_i`` and ``E`` that of the ``N_i``, ``g_j = E D^(j+1) h_j``
+    satisfies ``g_j = D^(j+1) E N_(p-1-j) - sum_i (D a_i) D^(i-1) g_(j-i)``.
+    Its sum is evaluated by Horner's rule in ``D``, so each product has a
+    factor no larger than a scaled coefficient.
+    """
+    if not h.strictly_proper:
+        raise NotStrictlyProper("Markov parameters need a strictly proper matrix")
+    p = len(h.common_den.coeffs) - 1
+    s_d, (alpha,) = integer_matrix((h.common_den.coeffs[::-1],))
+    s_n, nu = integer_matrix(
+        [e.coeffs + (Fraction(0),) * (p - len(e.coeffs))
+         for e in h.common_num.entries])
+    g, out = [], []
+    power = s_d                                 # D^(j+1)
+    for j in range(count):
+        acc = [0] * len(nu)
+        for i in range(min(j, p), 0, -1):
+            acc = [s_d * x + alpha[i] * y for x, y in zip(acc, g[j - i])]
+        top = p - 1 - j
+        gj = [(row[top] * power if top >= 0 else 0) - x
+              for row, x in zip(nu, acc)]
+        g.append(gj)
+        den = s_n * power
+        out.append(tuple(
+            tuple(Fraction(x, den) for x in gj[r * h.cols:(r + 1) * h.cols])
+            for r in range(h.rows)))
+        power *= s_d
+    return out

@@ -14,7 +14,14 @@ between four equivalent descriptions of the same input/output behavior:
   denominators have identity leading coefficient and equal degree.
 
 All arithmetic is exact, so "the transfer functions agree" is decided, not
-estimated.  The constructions here favor transparency over minimality: the
+estimated.  The decision reads Markov parameters, not reduced transfer
+functions: :func:`tf_equivalent` compares the first N1 + N2 of two models,
+and :func:`tf_match` the first N + p of a model and of the transfer function
+it should realize, whose common denominator has degree p.  Either count is
+the order of a linear recurrence that the difference of the two Markov
+sequences satisfies, so agreement there is agreement everywhere.
+
+The constructions here favor transparency over minimality: the
 realized state dimension is p*d (observer) or p*m (controller), which may
 exceed the dimension of the model the transfer function came from.
 """
@@ -37,6 +44,7 @@ from .exactalg import (
     RationalMatrixData,
     TransferFunction,
     faddeev_leverrier,
+    markov_parameters,
     mat_add,
     mat_identity,
     mat_is_zero,
@@ -44,7 +52,7 @@ from .exactalg import (
     mat_sub,
     mat_zeros,
     rational_matrix,
-    ratmat_equal,
+    ratmat_markov_parameters,
     ratmat_reduce,
 )
 
@@ -449,10 +457,41 @@ def right_mfd(h: TransferFunction) -> MfdPair:
     return controller_realization(h)[1]
 
 
+def tf_match(ss: StateSpaceModel, h: TransferFunction) -> bool:
+    """Exact check that ``ss`` realizes ``h``: the certificate behind a
+    canonical report's ``tf_match``.
+
+    The first ``N + p`` Markov parameters of ``ss`` (``N`` its state
+    dimension, ``p`` the degree of ``h.common_den``) are compared with those
+    of ``h``, which come from ``h``'s own numerator and denominator, so the
+    two sides stay independent.  The bound is exact: the Markov parameters
+    of ``C (zI - A)^-1 B - h`` satisfy the linear recurrence whose
+    characteristic polynomial is ``det(zI - A) * common_den``, of degree
+    ``N + p``, so if its first ``N + p`` terms vanish, all of them do.
+    """
+    if (ss.d, ss.m) != (h.rows, h.cols) or not h.strictly_proper:
+        return False
+    count = ss.n + len(h.common_den.coeffs) - 1
+    return (markov_parameters(ss.a, ss.b, ss.c, count)
+            == ratmat_markov_parameters(h, count))
+
+
 def tf_equivalent(ss1: StateSpaceModel, ss2: StateSpaceModel) -> bool:
     """Exact transfer-function equality: the certificate that two models
-    driven by the same process produce the same output process."""
+    driven by the same process produce the same output process.
+
+    Decided by the first ``N1 + N2`` Markov parameters ``C A^k B`` of the
+    two models, with ``N1`` and ``N2`` their state dimensions (Kailath,
+    *Linear Systems*, 6.3; Ho and Kalman 1966).  The difference of the two
+    transfer functions is realized by the block-diagonal model of dimension
+    ``N1 + N2``, so by Cayley-Hamilton its Markov parameters satisfy a linear
+    recurrence of order ``N1 + N2``; if the first ``N1 + N2`` of them vanish,
+    every one does, and the difference, a strictly proper function with
+    vanishing expansion at infinity, is zero.
+    """
     if (ss1.d, ss1.m) != (ss2.d, ss2.m):
         raise DimensionMismatch(
             "models must share input and output dimensions to be compared")
-    return ratmat_equal(transfer_function(ss1), transfer_function(ss2))
+    count = ss1.n + ss2.n
+    return (markov_parameters(ss1.a, ss1.b, ss1.c, count)
+            == markov_parameters(ss2.a, ss2.b, ss2.c, count))

@@ -498,6 +498,23 @@ class TestSimulateCommand:
                        "more than MAX_PATH_VALUES = 1000\n")
         assert not out_path.exists()
 
+    def test_cp_path_cap_checked_before_draws(self, tmp_path, capsys,
+                                              monkeypatch):
+        def no_draws(cfg):
+            raise AssertionError("jumps drawn for a refused path")
+
+        monkeypatch.setattr(simulate, "MAX_PATH_VALUES", 1000)
+        monkeypatch.setattr(simulate.SimulationConfig, "streams", no_draws)
+        path = write_model(tmp_path / "ou.json", OU)
+        out_path = tmp_path / "x.csv"
+        code = cli.main(["simulate", path, "--driver", "cp", "--rate", "1",
+                         "--seed", "1", "--steps", "2000", "--h", "0.1",
+                         "-o", str(out_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("rate", ["0.01", "100"])
     def test_atom_dimension_checked_before_draws(self, tmp_path, capsys, rate):
         # At rate 0.01 this seed draws no jump at all, so only a check made

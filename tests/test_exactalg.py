@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carmakit.errors import DimensionMismatch
+from carmakit.errors import DimensionMismatch, NotStrictlyProper
 from carmakit.exactalg import (
     Poly,
     PolyMatrix,
@@ -20,11 +20,14 @@ from carmakit.exactalg import (
     RationalMatrix,
     _int_divrem,
     format_rational,
+    markov_parameters,
+    mat_mul,
     parse_rational,
     poly_gcd,
     poly_gcd_lcm,
     poly_lcm,
     ratmat_equal,
+    ratmat_markov_parameters,
     ratmat_reduce,
     rational_matrix,
     resolvent_numerator,
@@ -425,3 +428,52 @@ class TestRatmatEqual:
         h1 = ratmat_reduce(PolyMatrix.identity(2), Poly((1, 1)))
         h2 = ratmat_reduce(PolyMatrix.identity(1), Poly((1, 1)))
         assert not ratmat_equal(h1, h2)
+
+
+# ---------------------------------------------------------------------------
+# Markov parameters
+# ---------------------------------------------------------------------------
+
+class TestMarkovParameters:
+    def test_matches_matrix_powers(self):
+        rng = random.Random(4242)
+        for _ in range(30):
+            n, m, d = rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 3)
+            a = random_rational_matrix(rng, n, n)
+            b = random_rational_matrix(rng, n, m)
+            c = random_rational_matrix(rng, d, n)
+            expected, ak_b = [], b
+            for _ in range(2 * n + 1):
+                expected.append(mat_mul(c, ak_b))
+                ak_b = mat_mul(a, ak_b)
+            assert markov_parameters(a, b, c, 2 * n + 1) == expected
+
+    def test_zero_count_is_empty(self):
+        assert markov_parameters(((Fraction(1),),), ((Fraction(1),),),
+                                 ((Fraction(1),),), 0) == []
+
+    def test_series_of_simple_pole(self):
+        # 2/(z - 3/2) = sum_j 2 (3/2)^j z^-(j+1)
+        h = ratmat_reduce(PolyMatrix.from_rows([[Poly((2,))]]),
+                          Poly((Fraction(-3, 2), 1)))
+        assert ratmat_markov_parameters(h, 5) == [
+            ((2 * Fraction(3, 2) ** j,),) for j in range(5)]
+
+    def test_series_matches_realization(self):
+        # z/(z^2 + z/3 - 2) in controller form: A = [[0, 1], [2, -1/3]],
+        # B = e_2, C = (0, 1)
+        h = ratmat_reduce(PolyMatrix.from_rows([[Poly((0, 1))]]),
+                          Poly((-2, Fraction(1, 3), 1)))
+        a = rational_matrix([[0, 1], [2, Fraction(-1, 3)]])
+        b, c = rational_matrix([[0], [1]]), rational_matrix([[0, 1]])
+        assert ratmat_markov_parameters(h, 8) == markov_parameters(a, b, c, 8)
+
+    def test_series_of_zero_matrix(self):
+        h = ratmat_reduce(PolyMatrix.zero(2, 3), Poly.one())
+        assert ratmat_markov_parameters(h, 3) == [
+            tuple((Fraction(0),) * 3 for _ in range(2))] * 3
+
+    def test_series_rejects_improper(self):
+        h = ratmat_reduce(PolyMatrix.from_rows([[Poly((1, 1))]]), Poly((2, 1)))
+        with pytest.raises(NotStrictlyProper):
+            ratmat_markov_parameters(h, 2)

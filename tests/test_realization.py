@@ -10,8 +10,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from carmakit import cli, exactalg, realization
 from carmakit.errors import (
     DegenerateTransferFunction,
     DimensionMismatch,
@@ -43,6 +44,7 @@ from carmakit.realization import (
     right_mfd,
     strictly_proper,
     tf_equivalent,
+    tf_match,
     transfer_function,
 )
 
@@ -630,6 +632,125 @@ class TestTfEquivalent:
 
     def test_dimension_mismatch_rejected(self):
         ss1 = StateSpaceModel(a=[[-1]], b=[[1]], c=[[1]])
-        ss2 = StateSpaceModel(a=[[-1]], b=[[1, 0]], c=[[1]])
-        with pytest.raises(DimensionMismatch):
-            tf_equivalent(ss1, ss2)
+        for ss2 in (StateSpaceModel(a=[[-1]], b=[[1, 0]], c=[[1]]),
+                    StateSpaceModel(a=[[-1]], b=[[1]], c=[[1], [0]])):
+            with pytest.raises(DimensionMismatch):
+                tf_equivalent(ss1, ss2)
+            with pytest.raises(DimensionMismatch):
+                tf_equivalent(ss2, ss1)
+
+
+# ---------------------------------------------------------------------------
+# Markov-parameter verdicts against reduced transfer functions
+# ---------------------------------------------------------------------------
+
+def bezout(f: Poly, g: Poly):
+    """``(s, t)`` with ``s*f + t*g == 1``, ``deg s < deg g`` and
+    ``deg t < deg f``, for coprime nonconstant ``f`` and ``g``; ``None`` if
+    they share a factor.  Extended Euclid on ``Poly.__divmod__``."""
+    r0, r1 = f, g
+    s0, s1, t0, t1 = Poly.one(), Poly.zero(), Poly.zero(), Poly.one()
+    while not r1.is_zero:
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if r0.degree > 0:
+        return None
+    unit = Fraction(1) / r0.coefficient(0)
+    return s0 * unit, t0 * unit
+
+
+def scalar_controller_model(num: Poly, den: Poly) -> StateSpaceModel:
+    """``num/den`` (``den`` monic, ``deg num < deg den``) in controller form."""
+    n = den.degree
+    a = block_companion([[[den.coefficient(n - i)]] for i in range(1, n + 1)], 1)
+    b = [[Fraction(int(i == n - 1))] for i in range(n)]
+    return StateSpaceModel(a=a, b=b, c=[[num.coefficient(i) for i in range(n)]])
+
+
+@st.composite
+def monic_polys(draw):
+    degree = draw(st.integers(1, 4))
+    return Poly(tuple(draw(st.lists(fractions_over(A_DENS), min_size=degree,
+                                    max_size=degree))) + (Fraction(1),))
+
+
+@st.composite
+def tight_distinct_pairs(draw):
+    """Models of ``n1/chi1`` and ``n2/chi2`` with ``n1 chi2 - n2 chi1 = 1``.
+    The difference of the two functions is ``1/(chi1 chi2)``, so their
+    Markov parameters agree below index ``N1 + N2 - 1`` and differ there."""
+    chi1, chi2 = draw(monic_polys()), draw(monic_polys())
+    coeffs = bezout(chi2, chi1)
+    assume(coeffs is not None)
+    n1, t = coeffs
+    return scalar_controller_model(n1, chi1), scalar_controller_model(-t, chi2)
+
+
+def reduced_verdict(ss1, ss2) -> bool:
+    return ratmat_equal(transfer_function(ss1), transfer_function(ss2))
+
+
+class TestMarkovVerdictOracle:
+    @given(statespace_models())
+    @settings(max_examples=40, deadline=None)
+    def test_equal_pairs(self, ss):
+        h = transfer_function(ss)
+        assume(not h.is_zero)
+        for realize in (observer_realization, controller_realization):
+            form = realize(h)[0].statespace
+            assert tf_equivalent(ss, form) is reduced_verdict(ss, form) is True
+            assert tf_match(form, h) is ratmat_equal(
+                transfer_function(form), h) is True
+
+    # 1/(z - a) against 1/(z - b): Markov parameters a^k and b^k
+    @example(pair=(StateSpaceModel(a=[[2]], b=[[1]], c=[[1]]),
+                   StateSpaceModel(a=[[5]], b=[[1]], c=[[1]])))
+    @given(tight_distinct_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_tight_distinct_pairs(self, pair):
+        ss1, ss2 = pair
+        count = ss1.n + ss2.n
+        m1 = exactalg.markov_parameters(ss1.a, ss1.b, ss1.c, count)
+        m2 = exactalg.markov_parameters(ss2.a, ss2.b, ss2.c, count)
+        assert m1[:-1] == m2[:-1] and m1[-1] != m2[-1]
+        h1, h2 = transfer_function(ss1), transfer_function(ss2)
+        assert tf_equivalent(ss1, ss2) is reduced_verdict(ss1, ss2) is False
+        assert tf_match(ss1, h2) is ratmat_equal(h1, h2) is False
+        assert tf_match(ss2, h1) is False
+        assert tf_match(ss1, h1) and tf_match(ss2, h2)
+
+
+class TestMarkovGuards:
+    @pytest.fixture
+    def count_faddeev(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return faddeev_leverrier(*args)
+
+        monkeypatch.setattr(realization, "faddeev_leverrier", counting)
+        monkeypatch.setattr(exactalg, "faddeev_leverrier", counting)
+        return calls
+
+    def test_no_faddeev_on_forms(self, count_faddeev):
+        rng = random.Random(31)
+        ss, h = random_model_nonzero_tf(rng)
+        assert count_faddeev == [ss.n]
+        for form in ("observer", "controller"):
+            assert cli.report_canonical(form, h)["tf_match"] is True
+        obs, _ = observer_realization(h)
+        assert tf_equivalent(ss, obs.statespace)
+        assert count_faddeev == [ss.n]
+
+    def test_perturbed_drift_entry_fails_match(self):
+        rng = random.Random(32)
+        _, h = random_model_nonzero_tf(rng)
+        for realize in (observer_realization, controller_realization):
+            form = realize(h)[0].statespace
+            assert tf_match(form, h)
+            a = [list(row) for row in form.a]
+            a[-1][0] += Fraction(1, 10 ** 9)
+            assert not tf_match(StateSpaceModel(a=a, b=form.b, c=form.c), h)
