@@ -19,12 +19,13 @@ functions, so they are safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import DimensionMismatch, NotStrictlyProper
 
@@ -523,16 +524,18 @@ def faddeev_leverrier(a: RationalMatrixData, b: RationalMatrixData,
     return num, Poly(char_coeffs[::-1])
 
 
-def markov_parameters(a: RationalMatrixData, b: RationalMatrixData,
-                      c: RationalMatrixData, count: int) -> list:
-    """The Markov parameters ``C A^k B`` for ``k < count``, each an exact
-    d x m matrix, for ``A`` N x N, ``B`` N x m and ``C`` d x N.
+def markov_series(a: RationalMatrixData, b: RationalMatrixData,
+                  c: RationalMatrixData) -> Iterator[tuple]:
+    """The Markov parameters ``C A^k B``, ``k = 0, 1, ...``, for ``A`` N x N,
+    ``B`` N x m and ``C`` d x N, as ``(den, nums)``: the d*m integer
+    numerators, row by row, over one positive denominator.
 
     ``A``, ``B`` and ``C`` are scaled to integers as in
     :func:`faddeev_leverrier`, and the rows of ``s*A`` are kept as their
     nonzero entries.  The integer N x m block ``X_k = (s*A)^k (s_B*B)`` is
     iterated, never an N x N power, and ``C A^k B = (s_C*C) X_k / (s_C s_B
-    s^k)``.
+    s^k)``.  No ``Fraction`` is built, and a term is computed only when it
+    is asked for.
     """
     s, scaled = integer_matrix(a)
     rows = nonzero_entries(scaled)
@@ -541,16 +544,40 @@ def markov_parameters(a: RationalMatrixData, b: RationalMatrixData,
     c_rows = nonzero_entries(c_ints)
     m = len(x[0])
     den = s_c * s_b
-    out = []
-    for k in range(count):
-        out.append(tuple(
-            tuple(Fraction(sum(v * x[t][j] for t, v in pairs), den)
-                  for j in range(m))
-            for pairs in c_rows))
-        if k + 1 < count:
-            x = [_row_combination(pairs, x, m) for pairs in rows]
-            den *= s
-    return out
+    while True:
+        yield den, [sum(v * x[t][j] for t, v in pairs)
+                    for pairs in c_rows for j in range(m)]
+        x = [_row_combination(pairs, x, m) for pairs in rows]
+        den *= s
+
+
+def _fraction_blocks(series: Iterator[tuple], count: int, rows: int,
+                     cols: int) -> list:
+    """The first ``count`` terms of a ``(den, nums)`` series as exact
+    ``rows`` x ``cols`` matrices."""
+    return [tuple(tuple(Fraction(x, den) for x in nums[r * cols:(r + 1) * cols])
+                  for r in range(rows))
+            for _, (den, nums) in zip(range(count), series)]
+
+
+def markov_parameters(a: RationalMatrixData, b: RationalMatrixData,
+                      c: RationalMatrixData, count: int) -> list:
+    """The Markov parameters ``C A^k B`` for ``k < count``, each an exact
+    d x m matrix: the first ``count`` terms of :func:`markov_series`."""
+    return _fraction_blocks(markov_series(a, b, c), count, len(c), len(b[0]))
+
+
+def markov_series_equal(first: Iterator[tuple], second: Iterator[tuple],
+                        count: int) -> bool:
+    """Whether two ``(den, nums)`` series, as :func:`markov_series` and
+    :func:`ratmat_markov_series` yield them, agree in their first ``count``
+    terms.  Terms are compared by cross-multiplying the integers, in order,
+    and the comparison stops at the first that differs."""
+    for _, (den1, nums1), (den2, nums2) in zip(range(count), first, second):
+        if len(nums1) != len(nums2) or any(
+                x * den2 != y * den1 for x, y in zip(nums1, nums2)):
+            return False
+    return True
 
 
 def resolvent_numerator(matrix: Sequence[Sequence[RationalLike]]):
@@ -695,9 +722,10 @@ def ratmat_equal(h1: RationalMatrix, h2: RationalMatrix) -> bool:
     return (h1.rows, h1.cols) == (h2.rows, h2.cols) and h1.entries == h2.entries
 
 
-def ratmat_markov_parameters(h: RationalMatrix, count: int) -> list:
-    """The first ``count`` Markov parameters of a strictly proper ``H``: the
-    exact d x m matrices ``h_j`` of ``H(z) = sum_j h_j z^-(j+1)``.
+def ratmat_markov_series(h: RationalMatrix) -> Iterator[tuple]:
+    """The Markov parameters of a strictly proper ``H``, the d x m matrices
+    ``h_j`` of ``H(z) = sum_j h_j z^-(j+1)``, ``j = 0, 1, ...``, as
+    ``(den, nums)`` like :func:`markov_series`.
 
     They come from ``H = common_num / common_den`` alone, never from a
     realization.  With the monic ``common_den = z^p + a_1 z^(p-1) + ... +
@@ -720,19 +748,25 @@ def ratmat_markov_parameters(h: RationalMatrix, count: int) -> list:
     s_n, nu = integer_matrix(
         [e.coeffs + (Fraction(0),) * (p - len(e.coeffs))
          for e in h.common_num.entries])
-    g, out = [], []
-    power = s_d                                 # D^(j+1)
-    for j in range(count):
-        acc = [0] * len(nu)
-        for i in range(min(j, p), 0, -1):
-            acc = [s_d * x + alpha[i] * y for x, y in zip(acc, g[j - i])]
-        top = p - 1 - j
-        gj = [(row[top] * power if top >= 0 else 0) - x
-              for row, x in zip(nu, acc)]
-        g.append(gj)
-        den = s_n * power
-        out.append(tuple(
-            tuple(Fraction(x, den) for x in gj[r * h.cols:(r + 1) * h.cols])
-            for r in range(h.rows)))
-        power *= s_d
-    return out
+
+    def terms():
+        g = []
+        power = s_d                             # D^(j+1)
+        for j in itertools.count():
+            acc = [0] * len(nu)
+            for i in range(min(j, p), 0, -1):
+                acc = [s_d * x + alpha[i] * y for x, y in zip(acc, g[j - i])]
+            top = p - 1 - j
+            g.append([(row[top] * power if top >= 0 else 0) - x
+                      for row, x in zip(nu, acc)])
+            yield s_n * power, g[j]
+            power *= s_d
+
+    return terms()
+
+
+def ratmat_markov_parameters(h: RationalMatrix, count: int) -> list:
+    """The first ``count`` Markov parameters of a strictly proper ``H``, each
+    an exact d x m matrix: the first ``count`` terms of
+    :func:`ratmat_markov_series`."""
+    return _fraction_blocks(ratmat_markov_series(h), count, h.rows, h.cols)

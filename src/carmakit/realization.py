@@ -44,7 +44,8 @@ from .exactalg import (
     RationalMatrixData,
     TransferFunction,
     faddeev_leverrier,
-    markov_parameters,
+    markov_series,
+    markov_series_equal,
     mat_add,
     mat_identity,
     mat_is_zero,
@@ -52,7 +53,7 @@ from .exactalg import (
     mat_sub,
     mat_zeros,
     rational_matrix,
-    ratmat_markov_parameters,
+    ratmat_markov_series,
     ratmat_reduce,
 )
 
@@ -472,8 +473,8 @@ def tf_match(ss: StateSpaceModel, h: TransferFunction) -> bool:
     if (ss.d, ss.m) != (h.rows, h.cols) or not h.strictly_proper:
         return False
     count = ss.n + len(h.common_den.coeffs) - 1
-    return (markov_parameters(ss.a, ss.b, ss.c, count)
-            == ratmat_markov_parameters(h, count))
+    return markov_series_equal(markov_series(ss.a, ss.b, ss.c),
+                               ratmat_markov_series(h), count)
 
 
 def tf_equivalent(ss1: StateSpaceModel, ss2: StateSpaceModel) -> bool:
@@ -493,5 +494,5 @@ def tf_equivalent(ss1: StateSpaceModel, ss2: StateSpaceModel) -> bool:
         raise DimensionMismatch(
             "models must share input and output dimensions to be compared")
     count = ss1.n + ss2.n
-    return (markov_parameters(ss1.a, ss1.b, ss1.c, count)
-            == markov_parameters(ss2.a, ss2.b, ss2.c, count))
+    return markov_series_equal(markov_series(ss1.a, ss1.b, ss1.c),
+                               markov_series(ss2.a, ss2.b, ss2.c), count)

@@ -21,6 +21,8 @@ from carmakit.exactalg import (
     _int_divrem,
     format_rational,
     markov_parameters,
+    markov_series,
+    markov_series_equal,
     mat_mul,
     parse_rational,
     poly_gcd,
@@ -28,6 +30,7 @@ from carmakit.exactalg import (
     poly_lcm,
     ratmat_equal,
     ratmat_markov_parameters,
+    ratmat_markov_series,
     ratmat_reduce,
     rational_matrix,
     resolvent_numerator,
@@ -477,3 +480,43 @@ class TestMarkovParameters:
         h = ratmat_reduce(PolyMatrix.from_rows([[Poly((1, 1))]]), Poly((2, 1)))
         with pytest.raises(NotStrictlyProper):
             ratmat_markov_parameters(h, 2)
+
+    def test_improper_rejected_before_first_term(self):
+        h = ratmat_reduce(PolyMatrix.from_rows([[Poly((1, 1))]]), Poly((2, 1)))
+        with pytest.raises(NotStrictlyProper):
+            ratmat_markov_series(h)
+
+
+class TestMarkovSeriesEqual:
+    def test_different_scalings_compare_equal(self):
+        # B/2 and 2C give the same C A^k B over other integer denominators
+        rng = random.Random(77)
+        for _ in range(10):
+            n, m, d = rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 3)
+            a = random_rational_matrix(rng, n, n)
+            b = random_rational_matrix(rng, n, m)
+            c = random_rational_matrix(rng, d, n)
+            b2 = tuple(tuple(x / 2 for x in row) for row in b)
+            c2 = tuple(tuple(2 * x for x in row) for row in c)
+            assert markov_series_equal(markov_series(a, b, c),
+                                       markov_series(a, b2, c2), 2 * n)
+
+    def test_only_first_count_terms_compared(self):
+        # 2/(z - 3/2) has h_j = 2 (3/2)^j; A = [[1]], B = [[2]], C = [[1]]
+        # gives 2 for every j, so the two agree in h_0 only
+        h = ratmat_reduce(PolyMatrix.from_rows([[Poly((2,))]]),
+                          Poly((Fraction(-3, 2), 1)))
+        a, b, c = rational_matrix([[1]]), rational_matrix([[2]]), rational_matrix([[1]])
+        assert markov_series_equal(ratmat_markov_series(h),
+                                   markov_series(a, b, c), 1)
+        assert not markov_series_equal(ratmat_markov_series(h),
+                                       markov_series(a, b, c), 2)
+
+    def test_no_term_past_count_is_computed(self):
+        def one_term():
+            yield 1, [1]
+            raise AssertionError("term past count was computed")
+        assert markov_series_equal(one_term(), one_term(), 1)
+
+    def test_shape_mismatch_is_not_equal(self):
+        assert not markov_series_equal(iter([(1, [1, 2])]), iter([(1, [1])]), 1)
