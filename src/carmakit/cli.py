@@ -403,28 +403,19 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    from .simulate import spectral_density
+    import numpy as np
+    from .simulate import spectral_density, write_csv
 
     ss = model_to_ss(load_model(args.model))
     h = transfer_function(ss)
     sigma = _load_sigma(args.sigma, ss.m)
-    values = [(omega, spectral_density(h, sigma, omega))
-              for omega in args.omegas]
     d = ss.d
-    header = ["omega"]
-    for i in range(d):
-        for j in range(d):
-            header.append(f"f{i + 1}{j + 1}_re")
-            header.append(f"f{i + 1}{j + 1}_im")
-    with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for omega, f in values:
-            cells = [f"{omega:.17g}"]
-            for i in range(d):
-                for j in range(d):
-                    cells.append(f"{f[i][j].real:.17g}")
-                    cells.append(f"{f[i][j].imag:.17g}")
-            fh.write(",".join(cells) + "\n")
+    values = np.array([spectral_density(h, sigma, omega) for omega in args.omegas],
+                      dtype=complex).reshape(len(args.omegas), d * d)
+    header = ["omega", *(f"f{i + 1}{j + 1}_{part}" for i in range(d)
+                         for j in range(d) for part in ("re", "im"))]
+    write_csv(args.out, header, np.array(args.omegas, dtype=float),
+              values.view(float))
     sys.stdout.write(args.out + "\n")
     return EXIT_OK
 

@@ -49,7 +49,8 @@ PSD_FLOOR = -1e-12
 LYAPUNOV_RTOL = 1e-10
 MAX_EXPECTED_JUMPS = 10**7     # jumps are drawn all at once, before the path
 MAX_PATH_VALUES = 10**8        # floats in any one path array, about 0.8 GB
-PATH_CHUNK = 1024              # rows stepped between two finiteness checks
+PATH_CHUNK = 1024              # rows per finiteness check and CSV block, and
+                               # flow intervals per stacked expm window
 
 
 def _as_float(matrix) -> np.ndarray:
@@ -77,6 +78,8 @@ class GaussianJumps:
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float).reshape(-1)
+        if not np.all(np.isfinite(self.mean)):
+            raise ValueError("jump mean must be finite")
         self.cov = _require_psd(self.cov, "jump covariance")
         if self.cov.shape != (self.mean.size, self.mean.size):
             raise DimensionMismatch("jump mean and covariance sizes disagree")
@@ -102,6 +105,9 @@ class FixedAtomJumps:
         self.probabilities = np.asarray(self.probabilities, dtype=float).reshape(-1)
         if len(self.atoms) != self.probabilities.size:
             raise DimensionMismatch("one probability per atom required")
+        if not (np.all(np.isfinite(self.atoms))
+                and np.all(np.isfinite(self.probabilities))):
+            raise ValueError("atoms and their probabilities must be finite")
         if np.any(self.probabilities < 0):
             raise ValueError("atom probabilities must be nonnegative")
         if abs(self.probabilities.sum() - 1.0) > 1e-12:
@@ -194,10 +200,22 @@ class SamplePath:
 
     def to_csv(self, path) -> None:
         """Write `t,y1,...,yd` rows with 17-significant-digit floats."""
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("t," + ",".join(f"y{i + 1}" for i in range(self.d)) + "\n")
-            for t, row in zip(self.times, self.outputs):
-                fh.write(",".join(f"{v:.17g}" for v in (t, *row)) + "\n")
+        write_csv(path, ["t", *(f"y{i + 1}" for i in range(self.d))],
+                  self.times, self.outputs)
+
+
+def write_csv(path, header: Sequence[str], *columns) -> None:
+    """Write a header line, then one row per entry of the equally long
+    float columns (1-D arrays, or 2-D arrays of several columns), every cell
+    as ``%.17g``.  Rows are formatted and written ``PATH_CHUNK`` at a time,
+    so no more than one block of text is held."""
+    rows = len(columns[0])
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        row = ",".join(["%.17g"] * len(header)) + "\n"
+        for lo in range(0, rows, PATH_CHUNK):
+            block = np.column_stack([col[lo:lo + PATH_CHUNK] for col in columns])
+            fh.write("".join([row % tuple(r) for r in block.tolist()]))
 
 
 # ---------------------------------------------------------------------------
@@ -499,16 +517,33 @@ def draw_compound_poisson_jumps(driver: LevyDriverSpec, horizon: float,
     return times, driver.jumps.sample(rng_sizes, count)
 
 
+def _flow_exponentials(a: np.ndarray, gaps: np.ndarray):
+    """Yield e^{A gap} for each gap in order, or None for a zero gap.
+
+    The gaps are taken ``PATH_CHUNK`` at a time; the distinct gaps of each
+    window are exponentiated in one stacked ``expm`` call, whose slices
+    equal separate calls bit for bit."""
+    for lo in range(0, gaps.size, PATH_CHUNK):
+        window = gaps[lo:lo + PATH_CHUNK]
+        distinct, index = np.unique(window, return_inverse=True)
+        exps = expm(a * distinct[:, None, None])
+        for gap, i in zip(window.tolist(), index.tolist()):
+            yield None if gap == 0.0 else exps[i]
+
+
 def simulate_compound_poisson(ss: StateSpaceModel, jump_times, jump_sizes,
                               cfg: SimulationConfig) -> SamplePath:
     """Exact pathwise simulation against a fixed jump path.
 
     Between events the state follows X(t + dt) = e^{A dt} X(t); at a jump of
     size dL the state moves by B dL.  The only floating error is that of the
-    matrix exponential: there is no time-discretization error.  Matrix
-    exponentials are cached per distinct time increment, so regular grid
-    segments cost one decomposition total.  Jump times must be sorted; step
-    k applies the jumps in (t_{k-1}, t_k], and step 1 also those at t <= 0.
+    matrix exponential: there is no time-discretization error.  The flow
+    intervals (grid point or jump to the next jump or grid point) are laid
+    out in path order, and their exponentials are evaluated in stacked
+    windows of ``PATH_CHUNK`` intervals, one per distinct gap of a window,
+    so a regular grid segment costs a few exponentials per window.  Jump
+    times must be sorted and jump times and sizes finite; step k applies the
+    jumps in (t_{k-1}, t_k], and step 1 also those at t <= 0.
     """
     if cfg.init == "stationary" and cfg.x0 is None:
         raise ValueError(
@@ -521,6 +556,8 @@ def simulate_compound_poisson(ss: StateSpaceModel, jump_times, jump_sizes,
         raise DimensionMismatch("one jump size per jump time required")
     if jump_times.size and jump_sizes.shape[1] != ss.m:
         raise DimensionMismatch("jump size dimension must match the model input")
+    if not (np.all(np.isfinite(jump_times)) and np.all(np.isfinite(jump_sizes))):
+        raise ValueError("jump times and sizes must be finite")
     if np.any(np.diff(jump_times) < 0):
         raise ValueError("jump times must be sorted")
     _require_path_values(cfg.steps * ss.n)
@@ -528,25 +565,19 @@ def simulate_compound_poisson(ss: StateSpaceModel, jump_times, jump_sizes,
     rng_init, _, _, _ = cfg.streams()
     x0 = _initial_state(ss, None, cfg, rng_init)
 
-    cache = {}
-
-    def propagate(state, dt):
-        if dt == 0.0:
-            return state
-        if dt not in cache:
-            cache[dt] = expm(a * dt)
-        return cache[dt] @ state
-
-    h = cfg.step_size
-    bounds = [0, *np.searchsorted(jump_times, np.arange(1, cfg.steps) * h,
-                                  side="right").tolist()]
+    # Path order: t_0, the jumps of step 1, t_1, the jumps of step 2, ...
+    grid = np.arange(cfg.steps) * cfg.step_size
+    bounds = [0, *np.searchsorted(jump_times, grid[1:], side="right").tolist()]
+    step_of_jump = np.repeat(np.arange(1, cfg.steps), np.diff(bounds))
+    points = np.insert(grid, step_of_jump, jump_times[:bounds[-1]])
+    flows = _flow_exponentials(a, np.diff(points))
 
     def advance(k, x):
-        t = (k - 1) * h
         for j in range(bounds[k - 1], bounds[k]):
-            x = propagate(x, jump_times[j] - t) + b @ jump_sizes[j]
-            t = jump_times[j]
-        return propagate(x, k * h - t)
+            e = next(flows)
+            x = (x if e is None else e @ x) + b @ jump_sizes[j]
+        e = next(flows)
+        return x if e is None else e @ x
 
     return _record_path(x0, cfg, advance, c)
 

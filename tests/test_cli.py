@@ -423,7 +423,10 @@ class TestSimulateCommand:
         path = write_model(tmp_path / "ou.json", OU)
         atoms_path = tmp_path / "atoms.json"
         for atoms in ({"atoms": [[2.0], [1.0]], "probabilities": [0.5, 0.6]},
-                      {"atoms": [[10**400]], "probabilities": [1.0]}):
+                      {"atoms": [[10**400]], "probabilities": [1.0]},
+                      {"atoms": [[math.nan]], "probabilities": [1.0]},
+                      {"atoms": [[-math.inf]], "probabilities": [1.0]},
+                      {"atoms": [[1.0]], "probabilities": [math.nan]}):
             atoms_path.write_text(json.dumps(atoms))
             code, _ = run(capsys, "simulate", path, "--driver", "cp",
                           "--rate", "1", "--jump", f"atoms:{atoms_path}",

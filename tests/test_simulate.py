@@ -365,6 +365,31 @@ class TestCompoundPoisson:
             simulate_compound_poisson(scalar_model(1.0), [0.5, 0.2],
                                       [[1.0], [1.0]], cfg)
 
+    @pytest.mark.parametrize("times, sizes", [
+        ([math.nan], [[1.0]]),
+        ([0.05, math.inf], [[1.0], [1.0]]),
+        ([-math.inf, 0.05], [[1.0], [1.0]]),
+        ([0.05], [[math.nan]]),
+    ], ids=["nan-time", "inf-time", "minus-inf-time", "nan-size"])
+    def test_non_finite_jumps_rejected(self, times, sizes):
+        cfg = SimulationConfig(step_size=0.1, steps=5, seed=1)
+        with pytest.raises(ValueError, match="must be finite"):
+            simulate_compound_poisson(scalar_model(1.0), times, sizes, cfg)
+
+    @pytest.fixture
+    def expm_calls(self, monkeypatch):
+        """The stack sizes of the program's ``expm`` calls, each checked to
+        hold at most ``PATH_CHUNK`` matrices."""
+        sizes = []
+
+        def counted(stack):
+            assert stack.ndim == 3 and len(stack) <= simulate.PATH_CHUNK
+            sizes.append(len(stack))
+            return expm(stack)
+
+        monkeypatch.setattr(simulate, "expm", counted)
+        return sizes
+
     @staticmethod
     def reference_path(ss, jump_times, jump_sizes, cfg, x0):
         """Jump by jump: flow to each jump time in order, add B dL, then flow
@@ -394,19 +419,59 @@ class TestCompoundPoisson:
         [0.0],                                    # a jump at t = 0
         [0.0, 0.0, 5 * H, 5 * H, 6 * H, 14 * H],  # on k*h, several per step
         [-0.01, 0.05, 0.12, 0.13, 0.14, 0.95, 1.1],  # off grid, before and past
-    ], ids=["none", "at-zero", "on-grid", "off-grid"])
-    def test_matches_reference_per_jump_loop(self, times):
+        # step 2 holds more flow intervals than a window of 4
+        [0.06, 0.065, 0.07, 0.07, 0.08, 0.09, 2 * H],
+        # at and before t = 0, on k*h, and windows of 4 split inside steps
+        [-0.3, -0.0, 0.0, 0.01, H, 0.07, 0.08, 3 * H, 3 * H, 0.16, 0.17,
+         0.18, 10 * H, 0.51, 20 * H, 1.2],
+    ], ids=["none", "at-zero", "on-grid", "off-grid", "crowded-step",
+            "split-windows"])
+    def test_matches_reference_per_jump_loop(self, times, monkeypatch,
+                                             expm_calls):
         ss = StateSpaceModel(a=[[-1, "1/3", 0], [0, -2, 1], ["1/2", 0, -3]],
                              b=[[1, 0], [0, 1], [1, 1]], c=[[1, 0, 1], [0, 1, 0]])
         times = np.array(times)
         sizes = np.random.default_rng(5).standard_normal((times.size, 2))
-        for x0 in (None, (1.0, -0.5, 0.25)):
-            cfg = SimulationConfig(step_size=self.H, steps=21, seed=3, x0=x0)
-            path = simulate_compound_poisson(ss, times, sizes, cfg)
-            states, outputs = self.reference_path(
-                ss, times, sizes, cfg, np.zeros(3) if x0 is None else x0)
-            assert_array_equal(path.states, states)
-            assert_array_equal(path.outputs, outputs)
+        for chunk in (simulate.PATH_CHUNK, 4):
+            monkeypatch.setattr(simulate, "PATH_CHUNK", chunk)
+            for x0 in (None, (1.0, -0.5, 0.25)):
+                cfg = SimulationConfig(step_size=self.H, steps=21, seed=3, x0=x0)
+                path = simulate_compound_poisson(ss, times, sizes, cfg)
+                states, outputs = self.reference_path(
+                    ss, times, sizes, cfg, np.zeros(3) if x0 is None else x0)
+                assert_array_equal(path.states, states)
+                assert_array_equal(path.outputs, outputs)
+
+    def test_jump_free_path_takes_one_small_stack_per_window(self, expm_calls):
+        ss = StateSpaceModel(a=[[0, 1], [-2, -3]], b=[[0], [1]], c=[[1, 0]])
+        cfg = SimulationConfig(step_size=0.05, steps=10 * simulate.PATH_CHUNK,
+                               seed=3, x0=(1.0, 1.0))
+        simulate_compound_poisson(ss, [], [], cfg)
+        # k*h - (k-1)*h rounds to about a dozen distinct gaps per window
+        assert len(expm_calls) == 10
+        assert max(expm_calls) <= 16
+
+
+class TestStackedExpm:
+    """The compound Poisson simulator relies on scipy's stacked ``expm``
+    giving each slice the bits of a separate call; a scipy whose batch path
+    breaks that fails here rather than in the seeded paths."""
+
+    @pytest.mark.parametrize("a", [
+        [[-1.3]],
+        [[-0.5, 2.0], [-1.0, -0.25]],
+        np.diag([-1.0, -2.5, 0.75]),
+        [[-1.0, 1 / 3, 0.0], [0.2, -2.0, 1.0], [0.5, -0.7, -3.0]],
+        np.random.default_rng(6).standard_normal((6, 6)),
+        [[-50.0, 400.0, 3.0], [0.0, -20.0, 900.0], [0.0, 0.0, -5.0]],
+    ], ids=["1x1", "2x2", "diagonal", "dense-3x3", "dense-6x6",
+            "triangular-squaring"])
+    def test_slices_equal_separate_calls(self, a):
+        a = np.asarray(a, dtype=float)
+        gaps = np.array([0.05, 0.05 + 2 ** -40, 1.7, 0.0, -0.0, -0.3, -1e-9])
+        stack = expm(a * gaps[:, None, None])
+        for gap, e in zip(gaps, stack):
+            assert e.tobytes() == expm(a * gap).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +584,14 @@ class TestDriverValidation:
         with pytest.raises(ValueError):
             FixedAtomJumps(atoms=[[1.0]], probabilities=[0.5])
 
+    def test_jump_laws_must_be_finite(self):
+        with pytest.raises(ValueError, match="mean must be finite"):
+            GaussianJumps(mean=[math.nan], cov=[[1.0]])
+        for atoms, probabilities in (([[math.inf]], [1.0]),
+                                     ([[1.0]], [math.nan])):
+            with pytest.raises(ValueError, match="must be finite"):
+                FixedAtomJumps(atoms=atoms, probabilities=probabilities)
+
     def test_euler_pair_needs_psd_covariance(self):
         cfg = SimulationConfig(step_size=0.1, steps=10, seed=1)
         with pytest.raises(ValueError, match="positive semidefinite"):
@@ -597,6 +670,31 @@ class TestPathSizeCap:
 
 
 class TestCsvOutput:
+    SPECIALS = [-0.0, 5e-324, 1.7976931348623157e308, 1e16, 1e17, 1 / 3]
+
+    @staticmethod
+    def reference_csv(path) -> bytes:
+        """Every value formatted on its own, as `t,y1,...,yd` rows."""
+        lines = ["t," + ",".join(f"y{i + 1}" for i in range(path.d))]
+        for t, row in zip(path.times, path.outputs):
+            lines.append(",".join(f"{v:.17g}" for v in (t, *row)))
+        return ("\n".join(lines) + "\n").encode("ascii")
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_bytes_match_per_value_writer(self, tmp_path, d):
+        rng = np.random.default_rng(9)
+        rows = 2 * simulate.PATH_CHUNK + 5  # crosses two block boundaries
+        long = (rng.standard_normal((rows, d + 1))
+                * 10.0 ** rng.integers(-300, 300, (rows, d + 1)))
+        long[::97] = np.resize(self.SPECIALS, long[::97].shape)
+        tables = [np.full((1, d + 1), v) for v in self.SPECIALS]
+        tables += [np.resize(self.SPECIALS, (7, d + 1)), long]
+        target = tmp_path / "path.csv"
+        for table in tables:
+            path = SamplePath(times=table[:, 0], outputs=table[:, 1:])
+            path.to_csv(target)
+            assert target.read_bytes() == self.reference_csv(path)
+
     def test_round_trip_and_header(self, tmp_path):
         times = np.array([0.0, 0.1, 0.2])
         outputs = np.array([[1.0, -2.0], [1 / 3, math.pi], [1e-17, 123456.789]])
