@@ -25,7 +25,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DimensionMismatch, NotStrictlyProper
 
@@ -525,7 +525,8 @@ def faddeev_leverrier(a: RationalMatrixData, b: RationalMatrixData,
 
 
 def markov_series(a: RationalMatrixData, b: RationalMatrixData,
-                  c: RationalMatrixData) -> Iterator[tuple]:
+                  c: RationalMatrixData,
+                  annihilator: Optional[Poly] = None) -> Iterator[tuple]:
     """The Markov parameters ``C A^k B``, ``k = 0, 1, ...``, for ``A`` N x N,
     ``B`` N x m and ``C`` d x N, as ``(den, nums)``: the d*m integer
     numerators, row by row, over one positive denominator.
@@ -536,6 +537,16 @@ def markov_series(a: RationalMatrixData, b: RationalMatrixData,
     iterated, never an N x N power, and ``C A^k B = (s_C*C) X_k / (s_C s_B
     s^k)``.  No ``Fraction`` is built, and a term is computed only when it
     is asked for.
+
+    Given an ``annihilator`` ``pi = sum_i pi_i z^i`` of degree ``p``, the
+    same iterates also decide whether ``pi(A) B = 0``.  With ``D`` the lcm
+    of the denominators of the ``pi_i``, ``D s^p s_B pi(A) B = sum_(i<=p)
+    (D pi_i) s^(p-i) X_i``, an integer block summed by Horner's rule in
+    ``s`` as ``X_0, ..., X_p`` are formed.  If it is zero, the series ends
+    after its first ``p`` terms: ``sum_i pi_i C A^(k+i) B = C A^k pi(A) B =
+    0`` for every ``k``, so those ``p`` terms fix all the others through
+    the recurrence with characteristic polynomial ``pi``.  Otherwise the
+    series goes on without end, as it does with no annihilator.
     """
     s, scaled = integer_matrix(a)
     rows = nonzero_entries(scaled)
@@ -544,7 +555,14 @@ def markov_series(a: RationalMatrixData, b: RationalMatrixData,
     c_rows = nonzero_entries(c_ints)
     m = len(x[0])
     den = s_c * s_b
-    while True:
+    pi = [] if annihilator is None else integer_matrix((annihilator.coeffs,))[1][0]
+    acc = [[0] * m for _ in x]
+    for k in itertools.count():
+        if k < len(pi):
+            acc = [[s * u + pi[k] * v for u, v in zip(acc_row, x_row)]
+                   for acc_row, x_row in zip(acc, x)]
+            if k == len(pi) - 1 and not any(map(any, acc)):
+                return
         yield den, [sum(v * x[t][j] for t, v in pairs)
                     for pairs in c_rows for j in range(m)]
         x = [_row_combination(pairs, x, m) for pairs in rows]
@@ -572,7 +590,10 @@ def markov_series_equal(first: Iterator[tuple], second: Iterator[tuple],
     """Whether two ``(den, nums)`` series, as :func:`markov_series` and
     :func:`ratmat_markov_series` yield them, agree in their first ``count``
     terms.  Terms are compared by cross-multiplying the integers, in order,
-    and the comparison stops at the first that differs."""
+    and the comparison stops at the first that differs.  It also stops,
+    with agreement, when a series ends: a :func:`markov_series` with an
+    annihilator ends only when its later terms follow from the earlier ones,
+    so this is sound when the other series satisfies the same recurrence."""
     for _, (den1, nums1), (den2, nums2) in zip(range(count), first, second):
         if len(nums1) != len(nums2) or any(
                 x * den2 != y * den1 for x, y in zip(nums1, nums2)):

@@ -15,9 +15,11 @@ between four equivalent descriptions of the same input/output behavior:
 
 All arithmetic is exact, so "the transfer functions agree" is decided, not
 estimated.  The decision reads Markov parameters, not reduced transfer
-functions: :func:`tf_equivalent` compares the first N1 + N2 of two models,
-and :func:`tf_match` the first N + p of a model and of the transfer function
-it should realize, whose common denominator has degree p.  Either count is
+functions: :func:`tf_equivalent` compares the first N1 + N2 of two models.
+:func:`tf_match` compares a model with the transfer function it should
+realize, whose common denominator pi has degree p: the first p terms when
+pi(A) B = 0, which holds for both canonical forms since their drift is
+companion(pi) in block form, and the first N + p otherwise.  Each count is
 the order of a linear recurrence that the difference of the two Markov
 sequences satisfies, so agreement there is agreement everywhere.
 
@@ -462,18 +464,26 @@ def tf_match(ss: StateSpaceModel, h: TransferFunction) -> bool:
     """Exact check that ``ss`` realizes ``h``: the certificate behind a
     canonical report's ``tf_match``.
 
-    The first ``N + p`` Markov parameters of ``ss`` (``N`` its state
-    dimension, ``p`` the degree of ``h.common_den``) are compared with those
-    of ``h``, which come from ``h``'s own numerator and denominator, so the
-    two sides stay independent.  The bound is exact: the Markov parameters
-    of ``C (zI - A)^-1 B - h`` satisfy the linear recurrence whose
-    characteristic polynomial is ``det(zI - A) * common_den``, of degree
-    ``N + p``, so if its first ``N + p`` terms vanish, all of them do.
+    The Markov parameters of ``ss`` are compared with those of ``h``, which
+    come from ``h``'s own numerator and denominator, so the two sides stay
+    independent.  With ``pi = h.common_den`` monic of degree ``p``,
+    ``pi * h`` is a polynomial, so ``h``'s parameters satisfy the linear
+    recurrence with characteristic polynomial ``pi`` from the first term
+    on.  :func:`markov_series` decides on the same integer iterates whether
+    ``pi(A) B = 0``; if so, the parameters of ``ss`` satisfy that recurrence
+    too, so do the differences, and the first ``p`` of them decide
+    (Kailath, *Linear Systems*, 6.3).  The observer and controller forms of
+    ``h`` are ``companion(pi)`` in block form, so they always take this
+    path.  Otherwise the first ``N + p`` are compared, ``N`` the state
+    dimension of ``ss``: the differences then satisfy the recurrence whose
+    characteristic polynomial is ``det(zI - A) * pi``, of degree ``N + p``.
+    Either way, if the compared terms agree, all of them do.
     """
     if (ss.d, ss.m) != (h.rows, h.cols) or not h.strictly_proper:
         return False
-    count = ss.n + len(h.common_den.coeffs) - 1
-    return markov_series_equal(markov_series(ss.a, ss.b, ss.c),
+    den = h.common_den
+    count = ss.n + len(den.coeffs) - 1
+    return markov_series_equal(markov_series(ss.a, ss.b, ss.c, den),
                                ratmat_markov_series(h), count)
 
 

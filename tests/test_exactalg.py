@@ -5,6 +5,7 @@ determinants come from fraction-free Bareiss elimination, and adjugates from
 recursive Laplace cofactor expansion over polynomial entries.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -19,6 +20,7 @@ from carmakit.exactalg import (
     RationalFunction,
     RationalMatrix,
     _int_divrem,
+    faddeev_leverrier,
     format_rational,
     markov_parameters,
     markov_series,
@@ -135,6 +137,44 @@ def random_rational_matrix(rng, n, m):
     return tuple(
         tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m))
         for _ in range(n))
+
+
+def random_monic(rng, degree) -> Poly:
+    return Poly(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                      for _ in range(degree)) + (1,))
+
+
+def scalar_block_companion(den: Poly, k: int):
+    """The drift built from ``den(z) I_k``, ``den = z^p + a_1 z^(p-1) + ...
+    + a_p``: identity blocks on the superdiagonal and the last block row
+    ``(-a_p I, ..., -a_1 I)``."""
+    p = den.degree
+    n = p * k
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n - k):
+        rows[i][i + k] = Fraction(1)
+    for j in range(p):
+        for r in range(k):
+            rows[n - k + r][j * k + r] = -den.coefficient(j)
+    return tuple(map(tuple, rows))
+
+
+def unit_input(p: int, k: int):
+    """``B = (0, ..., 0, I_k)^T`` of a p-block controller form."""
+    return tuple(tuple(Fraction(int(i == (p - 1) * k + j)) for j in range(k))
+                 for i in range(p * k))
+
+
+def annihilated_terms(a, b, c, pi: Poly) -> list:
+    """The terms :func:`markov_series` yields with annihilator ``pi``, up
+    to ``deg pi + 1`` of them: exactly ``deg pi`` iff ``pi(A) B = 0``."""
+    return [tuple(Fraction(x, den) for x in nums) for den, nums in
+            itertools.islice(markov_series(a, b, c, pi), pi.degree + 1)]
+
+
+def flat_markov_parameters(a, b, c, count) -> list:
+    return [tuple(x for row in blk for x in row)
+            for blk in markov_parameters(a, b, c, count)]
 
 
 # ---------------------------------------------------------------------------
@@ -520,3 +560,54 @@ class TestMarkovSeriesEqual:
 
     def test_shape_mismatch_is_not_equal(self):
         assert not markov_series_equal(iter([(1, [1, 2])]), iter([(1, [1])]), 1)
+
+
+class TestMarkovAnnihilator:
+    def test_characteristic_polynomial_annihilates(self):
+        # Cayley-Hamilton: det(zI - A) annihilates every B, and the series
+        # ends after its first N terms, which are the usual ones
+        rng = random.Random(5151)
+        for _ in range(30):
+            n, m, d = rng.randint(1, 5), rng.randint(1, 3), rng.randint(1, 3)
+            a = random_rational_matrix(rng, n, n)
+            b = random_rational_matrix(rng, n, m)
+            c = random_rational_matrix(rng, d, n)
+            _, chi = faddeev_leverrier(a, b, c)
+            assert annihilated_terms(a, b, c, chi) == flat_markov_parameters(
+                a, b, c, n)
+
+    def test_scalar_denominator_annihilates_its_block_companion(self):
+        rng = random.Random(5152)
+        for _ in range(12):
+            f = random_monic(rng, rng.randint(1, 3))
+            g = random_monic(rng, rng.randint(1, 3))
+            den, k = f * g, rng.randint(1, 3)
+            p = den.degree
+            a = scalar_block_companion(den, k)
+            c = random_rational_matrix(rng, 2, p * k)
+            for b in (unit_input(p, k), random_rational_matrix(rng, p * k, 2)):
+                assert len(annihilated_terms(a, b, c, den)) == p
+            # B, AB, ..., A^(p-1) B are independent for the controller input,
+            # so no polynomial of lower degree annihilates it
+            b = unit_input(p, k)
+            for factor in (f, g):
+                assert annihilated_terms(a, b, c, factor) == \
+                    flat_markov_parameters(a, b, c, factor.degree + 1)
+
+    def test_degree_zero_annihilates_only_zero_input(self):
+        # pi = 1: pi(A) B = B
+        a = rational_matrix([[1, 2], [Fraction(-1, 3), 0]])
+        c = rational_matrix([[1, 1]])
+        assert len(annihilated_terms(a, rational_matrix([[0], [1]]), c,
+                                     Poly.one())) == 1
+        assert annihilated_terms(a, rational_matrix([[0], [0]]), c,
+                                 Poly.one()) == []
+
+    def test_zero_input_is_annihilated_by_every_polynomial(self):
+        rng = random.Random(5153)
+        a = random_rational_matrix(rng, 3, 3)
+        b = rational_matrix([[0, 0]] * 3)
+        c = random_rational_matrix(rng, 2, 3)
+        for degree in range(4):
+            assert annihilated_terms(a, b, c, random_monic(rng, degree)) == [
+                (Fraction(0),) * 4] * degree

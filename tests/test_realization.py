@@ -688,6 +688,22 @@ def tight_distinct_pairs(draw):
     return scalar_controller_model(n1, chi1), scalar_controller_model(-t, chi2)
 
 
+def with_delayed_impulse(ss: StateSpaceModel, lag: int, eps) -> StateSpaceModel:
+    """``ss`` in parallel with a nilpotent chain of ``lag + 1`` states that
+    adds ``eps z^-(lag+1)`` to entry (0, 0) of its transfer function: Markov
+    parameter ``lag`` changes by ``eps`` and no other one does."""
+    n, k, zero = ss.n, lag + 1, Fraction(0)
+    a = [list(row) + [zero] * k for row in ss.a]
+    a += [[zero] * n + [Fraction(int(j == i + 1)) for j in range(k)]
+          for i in range(k)]
+    b = [list(row) for row in ss.b]
+    b += [[eps if i == k - 1 and j == 0 else zero for j in range(ss.m)]
+          for i in range(k)]
+    c = [list(row) + [Fraction(int(r == 0 and j == 0)) for j in range(k)]
+         for r, row in enumerate(ss.c)]
+    return StateSpaceModel(a=a, b=b, c=c)
+
+
 def reduced_verdict(ss1, ss2) -> bool:
     return ratmat_equal(transfer_function(ss1), transfer_function(ss2))
 
@@ -754,3 +770,72 @@ class TestMarkovGuards:
             a = [list(row) for row in form.a]
             a[-1][0] += Fraction(1, 10 ** 9)
             assert not tf_match(StateSpaceModel(a=a, b=form.b, c=form.c), h)
+
+    @pytest.fixture
+    def h_terms_drawn(self, monkeypatch):
+        """How many terms of H's Markov series each ``tf_match`` draws."""
+        drawn = []
+
+        def counting(h):
+            call = len(drawn)
+            drawn.append(0)
+
+            def terms():
+                for term in exactalg.ratmat_markov_series(h):
+                    drawn[call] += 1
+                    yield term
+            return terms()
+
+        monkeypatch.setattr(realization, "ratmat_markov_series", counting)
+        return drawn
+
+    def test_forms_are_certified_by_p_terms(self, h_terms_drawn):
+        rng = random.Random(33)
+        for _ in range(5):
+            _, h = random_model_nonzero_tf(rng)
+            for form in ("observer", "controller"):
+                del h_terms_drawn[:]
+                assert cli.report_canonical(form, h)["tf_match"] is True
+                assert h_terms_drawn == [h.common_den.degree]
+
+    def test_agreement_short_of_the_bound_fails_match(self):
+        # Two bent copies of each form of H, each agreeing with H in all
+        # Markov parameters before number k and differing there:
+        # - in parallel with a delayed impulse, k = p and pi(A) B != 0, so
+        #   trusting p terms without checking pi(A) B would pass it;
+        # - with one entry of B (observer) or C (controller) moved, the
+        #   drift and so pi(A) B = 0 stay, and k = p - 1, so stopping one
+        #   term early would pass it.
+        rng = random.Random(34)
+        eps = Fraction(1, 10 ** 9)
+        for _ in range(6):
+            _, h = random_model_nonzero_tf(rng)
+            p = h.common_den.degree
+            want = exactalg.ratmat_markov_parameters(h, p + 1)
+            obs = observer_realization(h)[0].statespace
+            ctrl = controller_realization(h)[0].statespace
+            b = [list(row) for row in obs.b]
+            b[-1][0] += eps
+            c = [list(row) for row in ctrl.c]
+            c[0][0] += eps
+            bent = [(with_delayed_impulse(obs, p, eps), p),
+                    (with_delayed_impulse(ctrl, p, eps), p),
+                    (StateSpaceModel(a=obs.a, b=b, c=obs.c), p - 1),
+                    (StateSpaceModel(a=ctrl.a, b=ctrl.b, c=c), p - 1)]
+            for ss, k in bent:
+                got = exactalg.markov_parameters(ss.a, ss.b, ss.c, k + 1)
+                assert got[:k] == want[:k] and got[k] != want[k]
+                assert not tf_match(ss, h)
+
+    def test_zero_transfer_function(self, h_terms_drawn):
+        # p = 0: pi = 1 annihilates B = 0 before any term; with B != 0 the
+        # first N terms decide
+        zero_h = ratmat_reduce(PolyMatrix.zero(2, 1), Poly.one())
+        a = [[1, 2], [Fraction(-1, 3), 4]]
+        no_input = StateSpaceModel(a=a, b=[[0], [0]], c=[[1, 0], [0, 1]])
+        no_output = StateSpaceModel(a=a, b=[[1], [1]], c=[[0, 0], [0, 0]])
+        live = StateSpaceModel(a=a, b=[[0], [1]], c=[[1, 0], [0, 0]])
+        assert tf_match(no_input, zero_h)
+        assert tf_match(no_output, zero_h)
+        assert not tf_match(live, zero_h)
+        assert h_terms_drawn == [0, 2, 2]
