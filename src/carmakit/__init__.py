@@ -36,12 +36,10 @@ from .exactalg import (
     RationalMatrix,
     TransferFunction,
     format_rational,
-    markov_parameters,
     parse_rational,
     poly_gcd,
     poly_lcm,
     ratmat_equal,
-    ratmat_markov_parameters,
     ratmat_reduce,
     resolvent_numerator,
 )
@@ -54,11 +52,8 @@ from .realization import (
     assemble_observer_ss,
     beta_from_mcarma,
     controller_realization,
-    left_mfd,
     observer_realization,
     q_and_Q_from_beta,
-    right_mfd,
-    strictly_proper,
     tf_equivalent,
     tf_match,
     transfer_function,
@@ -102,12 +97,10 @@ __all__ = [
     "RationalMatrix",
     "TransferFunction",
     "format_rational",
-    "markov_parameters",
     "parse_rational",
     "poly_gcd",
     "poly_lcm",
     "ratmat_equal",
-    "ratmat_markov_parameters",
     "ratmat_reduce",
     "resolvent_numerator",
     "ControllerRealization",
@@ -118,11 +111,8 @@ __all__ = [
     "assemble_observer_ss",
     "beta_from_mcarma",
     "controller_realization",
-    "left_mfd",
     "observer_realization",
     "q_and_Q_from_beta",
-    "right_mfd",
-    "strictly_proper",
     "tf_equivalent",
     "tf_match",
     "transfer_function",

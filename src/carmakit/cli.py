@@ -12,8 +12,9 @@ Exit codes are a stable interface:
 
   0  success (check-equiv: models equivalent)
   1  check-equiv: models distinct
-  2  parse or usage error (bad JSON, bad rational, unknown field, bad flags),
-     or an input out of range (see errors.OutOfRange)
+  2  parse or usage error (bad JSON, UTF-8 or nesting, bad rational, unknown
+     field, bad flags), or an input or exact result out of range (see
+     errors.OutOfRange)
   3  dimension error
   4  degenerate transfer function (identically zero, or not strictly proper)
   5  unstable drift: --init stationary on an unstable or ill-conditioned
@@ -73,7 +74,9 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ModelFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad JSON or UTF-8, an integer literal past the interpreter's digit
+        # limit, or nesting deeper than the recursion limit
         raise ModelFileError(f"{path} is not valid JSON: {exc}") from exc
 
 

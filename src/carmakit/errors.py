@@ -15,10 +15,11 @@ class ModelFileError(CarmakitError, ValueError):
 
 
 class OutOfRange(CarmakitError, ValueError):
-    """A well-formed input beyond the double range, a compound Poisson path
-    expecting more than ``simulate.MAX_EXPECTED_JUMPS`` jumps, or a path
-    whose largest array would hold more than ``simulate.MAX_PATH_VALUES``
-    floats."""
+    """A well-formed input beyond the double range (a grid whose last time
+    overflows included), an exact result with more digits than the
+    interpreter converts to a string, a compound Poisson path expecting more
+    than ``simulate.MAX_EXPECTED_JUMPS`` jumps, or a path whose largest
+    array would hold more than ``simulate.MAX_PATH_VALUES`` floats."""
 
 
 class DegenerateTransferFunction(CarmakitError):

@@ -19,15 +19,17 @@ functions, so they are safe to share across threads.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import operator
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import DimensionMismatch, NotStrictlyProper
+from .errors import DimensionMismatch, NotStrictlyProper, OutOfRange
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -55,10 +57,18 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    """Inverse of :func:`parse_rational`: ``"p"`` for integers, else ``"p/q"``."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    """Inverse of :func:`parse_rational`: ``"p"`` for integers, else ``"p/q"``.
+
+    Raises :class:`OutOfRange` if a part has more digits than the
+    interpreter's limit for integer string conversion."""
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError as exc:
+        raise OutOfRange(
+            f"exact result has more than {sys.get_int_max_str_digits()} "
+            "digits, the limit for integer string conversion") from exc
 
 
 def as_rational(x: RationalLike) -> Fraction:
@@ -337,20 +347,11 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return Poly(x).monic()
 
 
-def poly_gcd_lcm(a: Poly, b: Poly) -> tuple:
-    """Both ``(gcd, lcm)``, each monic, with ``gcd*lcm`` proportional to ``a*b``.
-    The lcm is zero if either input is zero."""
-    g = poly_gcd(a, b)
-    if a.is_zero or b.is_zero:
-        return g, Poly.zero()
-    return g, (a * b.exact_div(g)).monic()
-
-
 def poly_lcm(a: Poly, b: Poly) -> Poly:
     """Monic least common multiple; zero if either input is zero."""
-    if a.is_zero and b.is_zero:
-        return Poly.zero()      # their gcd is undefined, their lcm is not
-    return poly_gcd_lcm(a, b)[1]
+    if a.is_zero or b.is_zero:
+        return Poly.zero()
+    return (a * b.exact_div(poly_gcd(a, b))).monic()
 
 
 # ---------------------------------------------------------------------------
@@ -569,22 +570,6 @@ def markov_series(a: RationalMatrixData, b: RationalMatrixData,
         den *= s
 
 
-def _fraction_blocks(series: Iterator[tuple], count: int, rows: int,
-                     cols: int) -> list:
-    """The first ``count`` terms of a ``(den, nums)`` series as exact
-    ``rows`` x ``cols`` matrices."""
-    return [tuple(tuple(Fraction(x, den) for x in nums[r * cols:(r + 1) * cols])
-                  for r in range(rows))
-            for _, (den, nums) in zip(range(count), series)]
-
-
-def markov_parameters(a: RationalMatrixData, b: RationalMatrixData,
-                      c: RationalMatrixData, count: int) -> list:
-    """The Markov parameters ``C A^k B`` for ``k < count``, each an exact
-    d x m matrix: the first ``count`` terms of :func:`markov_series`."""
-    return _fraction_blocks(markov_series(a, b, c), count, len(c), len(b[0]))
-
-
 def markov_series_equal(first: Iterator[tuple], second: Iterator[tuple],
                         count: int) -> bool:
     """Whether two ``(den, nums)`` series, as :func:`markov_series` and
@@ -661,8 +646,19 @@ class RationalFunction:
     def strictly_proper(self) -> bool:
         return self.num.degree < self.den.degree
 
-    def evaluate(self, x):
-        return self.num.evaluate(x) / self.den.evaluate(x)
+    def evaluate(self, x: complex) -> complex:
+        """The value at a float or complex point.  Where ``num(x) / den(x)``
+        is not finite, ``|x| > 1`` and the function is proper, the value is
+        read in ``w = 1/x`` from the reversed coefficients, ``w^(deg den -
+        deg num) num~(w) / den~(w)``, which cannot overflow where the
+        function is small."""
+        value = self.num.evaluate(x) / self.den.evaluate(x)
+        gap = len(self.den.coeffs) - len(self.num.coeffs)
+        if cmath.isfinite(value) or abs(x) <= 1 or gap < 0:
+            return value
+        w = 1 / x
+        num, den = (Poly(p.coeffs[::-1]) for p in (self.num, self.den))
+        return w ** gap * num.evaluate(w) / den.evaluate(w)
 
     def __str__(self) -> str:
         if self.den == Poly.one():
@@ -784,10 +780,3 @@ def ratmat_markov_series(h: RationalMatrix) -> Iterator[tuple]:
             power *= s_d
 
     return terms()
-
-
-def ratmat_markov_parameters(h: RationalMatrix, count: int) -> list:
-    """The first ``count`` Markov parameters of a strictly proper ``H``, each
-    an exact d x m matrix: the first ``count`` terms of
-    :func:`ratmat_markov_series`."""
-    return _fraction_blocks(ratmat_markov_series(h), count, h.rows, h.cols)

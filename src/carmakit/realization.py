@@ -274,11 +274,6 @@ def transfer_function(ss: StateSpaceModel) -> TransferFunction:
     return ratmat_reduce(*faddeev_leverrier(ss.a, ss.b, ss.c))
 
 
-def strictly_proper(h: TransferFunction) -> bool:
-    """True iff every entry's numerator degree is below its denominator degree."""
-    return h.strictly_proper
-
-
 # ---------------------------------------------------------------------------
 # The coefficient recursion and its inverse
 # ---------------------------------------------------------------------------
@@ -448,16 +443,6 @@ def controller_realization(h: TransferFunction):
                   p=p, q=q_tilde)
     return ControllerRealization(statespace=ss, atilde_coeffs=atilde,
                                  n_coeffs=n_coeffs, q_tilde=q_tilde), mfd
-
-
-def left_mfd(h: TransferFunction) -> MfdPair:
-    """H = P^{-1} Q with P = d(z) I, identity leading coefficient."""
-    return observer_realization(h)[1]
-
-
-def right_mfd(h: TransferFunction) -> MfdPair:
-    """H = Q P^{-1} with P = d(z) I, identity leading coefficient."""
-    return controller_realization(h)[1]
 
 
 def tf_match(ss: StateSpaceModel, h: TransferFunction) -> bool:

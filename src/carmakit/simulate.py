@@ -164,6 +164,13 @@ class SimulationConfig:
             raise ValueError("step size must be positive")
         if self.steps < 1:
             raise ValueError("need at least one step")
+        try:
+            last = (self.steps - 1) * self.step_size
+        except OverflowError:       # more steps than a double can count
+            last = math.inf
+        if not math.isfinite(last):
+            raise OutOfRange(f"the grid of {self.steps} steps of "
+                             f"{self.step_size!r} ends past the double range")
         if self.init not in ("zero", "stationary"):
             raise ValueError("init must be 'zero' or 'stationary'")
         if self.euler_substeps < 1:

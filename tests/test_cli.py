@@ -68,6 +68,13 @@ ILL_CONDITIONED = ss_obj([["-1/100000", 100000000], [0, "-1/100000"]],
                          [[0], [1]], [[1, 0]])
 HUGE = ss_obj([[-1]], [[1]], [[10**400]])  # 10^400 exceeds every double
 TWO_INPUTS = ss_obj([[-1, 0], [0, -2]], [[1, 0], [0, 1]], [[1, 1]])
+# Files the JSON reader cannot take: nesting past the recursion limit, bytes
+# that are not UTF-8, and an integer literal past the interpreter's limit of
+# digits for integer conversion.
+NESTED = "[" * 100000 + "]" * 100000
+NOT_UTF8 = b"\xff\xfe{}"
+UNREADABLE_JSON = {"nested": NESTED.encode(), "not-utf8": NOT_UTF8,
+                   "long-integer": b"[" + b"9" * 5000 + b"]"}
 
 
 def rand_frac(rng, num=6, den=4):
@@ -144,6 +151,26 @@ class TestModelFiles:
         code, _ = run(capsys, "tf", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("role", ["model", "sigma", "atoms"])
+    @pytest.mark.parametrize("content", UNREADABLE_JSON.values(),
+                             ids=UNREADABLE_JSON)
+    def test_unreadable_json_exit_2(self, tmp_path, capsys, role, content):
+        model = write_model(tmp_path / "ou.json", OU)
+        broken = tmp_path / "broken.json"
+        broken.write_bytes(content)
+        grid = ["--seed", "1", "--steps", "3", "--h", "0.1",
+                "-o", str(tmp_path / "x.csv")]
+        argv = {"model": ["tf", str(broken)],
+                "sigma": ["simulate", model, "--driver", "brownian",
+                          "--sigma", str(broken), *grid],
+                "atoms": ["simulate", model, "--driver", "cp", "--rate", "1",
+                          "--jump", f"atoms:{broken}", *grid]}[role]
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {broken} is not valid JSON: ")
+        assert len(err.splitlines()) == 1
+
     def test_mcarma_order_violation_exit_2(self, tmp_path, capsys):
         obj = mcarma_obj(1, 1, 1, 1, [[[3]]], [[[1]], [[2]]])
         code, _ = run(capsys, "tf", write_model(tmp_path / "m.json", obj))
@@ -219,6 +246,25 @@ class TestTfCommand:
         code, out = run(capsys, "tf", write_model(tmp_path / "z.json", obj))
         assert code == 0
         assert json.loads(out)["entries"] == [[{"num": [], "den": ["1"]}]]
+
+    @pytest.mark.parametrize("command", [["tf"],
+                                         ["canonical", "--form", "observer"],
+                                         ["canonical", "--form", "controller"]],
+                             ids=["tf", "observer", "controller"])
+    def test_result_too_long_to_print_exit_2(self, tmp_path, capsys, command):
+        # det(zI - A) = (z - N)^2 - 1 has a coefficient of about 6000 digits
+        nines = "9" * 3000
+        path = write_model(tmp_path / "m.json", ss_obj(
+            [[nines, 1], [1, nines]], [[1], [0]], [[1, 0]]))
+        limit = sys.get_int_max_str_digits()
+        out_path = tmp_path / "report.json"
+        code = cli.main([command[0], path, *command[1:], "-o", str(out_path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err == (f"error: exact result has more than {limit} digits, "
+                       "the limit for integer string conversion\n")
+        assert out == "" and not out_path.exists()
+        assert sys.get_int_max_str_digits() == limit
 
     def test_out_file_matches_stdout(self, tmp_path, capsys):
         path = write_model(tmp_path / "ou.json", OU)
@@ -581,6 +627,9 @@ class TestFlagValidation:
         assert not (tmp_path / "x.csv").exists()
 
 
+GRID_ERROR = "the grid of 10 steps of 1e+308 ends past the double range"
+
+
 class TestOutOfRange:
 
     @pytest.mark.parametrize("model, flags, message", [
@@ -598,8 +647,15 @@ class TestOutOfRange:
         (ss_obj([[-1]], [[10**300]], [[1]]),
          ["simulate", "--driver", "brownian", "--init", "stationary",
           "--h", "1"], "noise covariance"),
+        (OU, ["simulate", "--driver", "brownian", "--h", "1e308"], GRID_ERROR),
+        (OU, ["simulate", "--driver", "cp", "--rate", "1", "--h", "1e308"],
+         GRID_ERROR),
+        (OU, ["check-equiv", "{m}", "--simulate", "cp", "--h", "1e308"],
+         GRID_ERROR),
     ], ids=["simulate-rate", "check-equiv-rate", "simulate-entry",
-            "spectrum-coefficient", "simulate-norm", "simulate-noise"])
+            "spectrum-coefficient", "simulate-norm", "simulate-noise",
+            "brownian-grid", "cp-grid", "check-equiv-grid"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exit_2_before_any_draw(self, tmp_path, capsys, model, flags,
                                     message):
         path = write_model(tmp_path / "m.json", model)
@@ -661,6 +717,27 @@ class TestSpectrumCommand:
         # Equal transfer functions have identical reduced entries, so the
         # evaluations agree bit for bit, not merely within tolerance.
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_large_frequency_is_no_pole(self, tmp_path, capsys):
+        # H = 1/(z + 1)^3 tends to 0 as omega grows, while its denominator
+        # at i*1e200 overflows to nan - inf*j
+        path = write_model(tmp_path / "cube.json", ss_obj(
+            [[0, 1, 0], [0, 0, 1], [-1, -3, -3]], [[0], [0], [1]], [[1, 0, 0]]))
+        out_path = tmp_path / "spec.csv"
+        code, _ = run(capsys, "spectrum", path, "--omegas", "1e200,-1e300,2",
+                      "-o", str(out_path))
+        assert code == 0
+        data = np.loadtxt(out_path, delimiter=",", skiprows=1)
+        assert data[:2, 1:].tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert abs(data[2, 1] - 1 / (125 * 2 * math.pi)) < 1e-15
+        # 10^300/(z^2 + 1) next to its pole at i overflows read either way
+        path = write_model(tmp_path / "near.json", ss_obj(
+            [[0, 1], [-1, 0]], [[0], [1]], [[10**300, 0]]))
+        code = cli.main(["spectrum", path, "--omegas", repr(1 + 2.0 ** -52),
+                         "-o", str(tmp_path / "near.csv")])
+        assert code == 6
+        assert capsys.readouterr().err == (
+            "error: spectral density overflows at i*1.0000000000000002\n")
 
     def test_pole_exit_6(self, tmp_path, capsys):
         path = write_model(tmp_path / "int.json", ss_obj([[0]], [[1]], [[1]]))
@@ -793,7 +870,8 @@ def _entry_paths(obj, path=()):
 
 @st.composite
 def model_texts(draw):
-    """A valid statespace or mcarma file, or one corruption of one."""
+    """A valid statespace or mcarma file, or one corruption of one: text,
+    or bytes that are not UTF-8."""
     k, d, m = (draw(st.integers(1, 3)), draw(st.integers(1, 2)),
                draw(st.integers(1, 2)))
 
@@ -810,7 +888,8 @@ def model_texts(draw):
                          [mat(d, m) for _ in range(q + 1)])
     corruption = draw(st.sampled_from(
         ("none",) * 6
-        + ("entry", "field", "extra", "missing", "document", "text")))
+        + ("entry", "field", "extra", "missing", "document", "text",
+           "nested", "bytes")))
     if corruption == "entry":
         *head, last = draw(st.sampled_from(_entry_paths(doc)))
         target = doc
@@ -827,6 +906,10 @@ def model_texts(draw):
         doc = draw(JSON_VALUES)
     elif corruption == "text":
         return draw(st.text(max_size=20))
+    elif corruption == "nested":
+        return NESTED
+    elif corruption == "bytes":
+        return NOT_UTF8
     return json.dumps(doc)
 
 
@@ -834,9 +917,10 @@ STEPS = _flag(st.integers(1, 50), "0", "-3", "2.5", "x")
 SEEDS = _flag(st.integers(0, 2**40), "-1", "x")
 # With at most 50 steps of at most 10, every path is short and few jumps are
 # drawn, yet a mildly unstable drift overflows.  "1e300" makes the expected
-# jump count of any compound Poisson run exceed its cap, so nothing is drawn.
+# jump count of any compound Poisson run exceed its cap, so nothing is drawn;
+# with "1e308" the last grid time of three or more steps overflows.
 STEP_SIZES = _flag(st.sampled_from((0.01, 0.25, 1.0, 10.0)),
-                   "0", "-1", "nan", "inf", "x", "1e300", "1e-300")
+                   "0", "-1", "nan", "inf", "x", "1e300", "1e308", "1e-300")
 RATES = _flag(st.sampled_from((0.01, 0.5, 3.0)),
               "0", "-1", "nan", "inf", "x", "1e300")
 OMEGAS = _mostly(st.lists(st.floats(-10, 10), min_size=1, max_size=4)
@@ -862,11 +946,11 @@ def cli_runs(draw):
             draw(STEP_SIZES)]
     files["sigma.json"] = draw(_mostly(
         st.integers(1, 2).map(lambda k: json.dumps(np.eye(k).tolist())),
-        JSON_VALUES.map(json.dumps)))
+        JSON_VALUES.map(json.dumps) | st.sampled_from((NESTED, NOT_UTF8))))
     files["atoms.json"] = draw(_mostly(
         st.integers(1, 2).map(lambda k: json.dumps(
             {"atoms": [[1.0] * k, [-2.0] * k], "probabilities": [0.5, 0.5]})),
-        JSON_VALUES.map(json.dumps)))
+        JSON_VALUES.map(json.dumps) | st.sampled_from((NESTED, NOT_UTF8))))
     sigma = ["--sigma", draw(st.sampled_from(("identity", "{dir}/sigma.json")))]
     command = draw(st.sampled_from(
         ("tf", "canonical", "check-equiv", "simulate", "spectrum")))
@@ -906,8 +990,9 @@ class TestFuzz:
         files, argv = run_spec
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
-            for name, text in files.items():
-                Path(tmp, name).write_text(text, encoding="utf-8")
+            for name, content in files.items():
+                Path(tmp, name).write_bytes(
+                    content if isinstance(content, bytes) else content.encode())
             argv = [a.format(dir=tmp) for a in argv]
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 try:

@@ -5,13 +5,14 @@ determinants come from fraction-free Bareiss elimination, and adjugates from
 recursive Laplace cofactor expansion over polynomial entries.
 """
 
+import cmath
 import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from carmakit.errors import DimensionMismatch, NotStrictlyProper
 from carmakit.exactalg import (
@@ -22,16 +23,13 @@ from carmakit.exactalg import (
     _int_divrem,
     faddeev_leverrier,
     format_rational,
-    markov_parameters,
     markov_series,
     markov_series_equal,
     mat_mul,
     parse_rational,
     poly_gcd,
-    poly_gcd_lcm,
     poly_lcm,
     ratmat_equal,
-    ratmat_markov_parameters,
     ratmat_markov_series,
     ratmat_reduce,
     rational_matrix,
@@ -165,16 +163,18 @@ def unit_input(p: int, k: int):
                  for i in range(p * k))
 
 
+def fraction_terms(series, count: int) -> list:
+    """The first ``count`` terms of a ``(den, nums)`` series, as
+    :func:`markov_series` and :func:`ratmat_markov_series` yield them, each
+    the tuple of its exact entries, row by row."""
+    return [tuple(Fraction(x, den) for x in nums)
+            for den, nums in itertools.islice(series, count)]
+
+
 def annihilated_terms(a, b, c, pi: Poly) -> list:
     """The terms :func:`markov_series` yields with annihilator ``pi``, up
     to ``deg pi + 1`` of them: exactly ``deg pi`` iff ``pi(A) B = 0``."""
-    return [tuple(Fraction(x, den) for x in nums) for den, nums in
-            itertools.islice(markov_series(a, b, c, pi), pi.degree + 1)]
-
-
-def flat_markov_parameters(a, b, c, count) -> list:
-    return [tuple(x for row in blk for x in row)
-            for blk in markov_parameters(a, b, c, count)]
+    return fraction_terms(markov_series(a, b, c, pi), pi.degree + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -284,19 +284,23 @@ class TestPolyArithmetic:
         assert p.evaluate(x) == expected
 
 
+def gcd_lcm(a: Poly, b: Poly) -> tuple:
+    return poly_gcd(a, b), poly_lcm(a, b)
+
+
 class TestPolyGcdLcm:
     def test_identical_inputs(self):
         p = Poly((1, 1))
-        g, l = poly_gcd_lcm(p, p)
+        g, l = gcd_lcm(p, p)
         assert g == p and l == p
 
     def test_coprime_linear_factors(self):
-        g, l = poly_gcd_lcm(Poly((1, 1)), Poly((2, 1)))
+        g, l = gcd_lcm(Poly((1, 1)), Poly((2, 1)))
         assert g == Poly.one()
         assert l == Poly((2, 3, 1))
 
     def test_shared_factor(self):
-        g, l = poly_gcd_lcm(Poly((-1, 0, 1)), Poly((1, 1)))
+        g, l = gcd_lcm(Poly((-1, 0, 1)), Poly((1, 1)))
         assert g == Poly((1, 1))
         assert l == Poly((-1, 0, 1))
 
@@ -307,10 +311,15 @@ class TestPolyGcdLcm:
     def test_gcd_with_one_zero_input(self):
         assert poly_gcd(Poly.zero(), Poly((2, 2))) == Poly((1, 1))
 
+    def test_lcm_with_a_zero_input_is_zero(self):
+        assert poly_lcm(Poly.zero(), Poly((2, 2))).is_zero
+        assert poly_lcm(Poly((2, 2)), Poly.zero()).is_zero
+        assert poly_lcm(Poly.zero(), Poly.zero()).is_zero
+
     @given(nonzero_polys, nonzero_polys)
     @settings(max_examples=50, deadline=None)
     def test_divisibility(self, a, b):
-        g, l = poly_gcd_lcm(a, b)
+        g, l = gcd_lcm(a, b)
         assert (a % g).is_zero and (b % g).is_zero
         assert (l % a).is_zero and (l % b).is_zero
         # gcd * lcm agrees with a*b up to a nonzero rational factor
@@ -407,6 +416,20 @@ class TestRationalFunction:
         assert not RationalFunction(Poly((1, 1)), Poly((1, 1))).strictly_proper
         assert RationalFunction(Poly.zero(), Poly.one()).strictly_proper
 
+    @example(Poly.one(), Poly((1, 3, 3, 1)), 1e200)  # den(z) = nan - inf*j
+    @given(polys, nonzero_polys,
+           st.sampled_from((0.5, 1.5, 10.0, 1e50, -1e100, 1e200)))
+    @settings(max_examples=60, deadline=None)
+    def test_evaluate_reads_in_reciprocal_only_past_overflow(self, a, b, omega):
+        f = RationalFunction(a, b)
+        z = 1j * omega
+        assume(f.den.evaluate(z) != 0)
+        direct = f.num.evaluate(z) / f.den.evaluate(z)
+        if cmath.isfinite(direct):
+            assert f.evaluate(z) == direct
+        elif f.strictly_proper and abs(omega) > 1e99:
+            # small coefficients keep |f| near |num lead| / |omega|^(deg gap)
+            assert abs(f.evaluate(z)) < 1e-95
 
 class TestRatmatReduce:
     def test_common_factor_cancels_to_constant(self):
@@ -487,20 +510,20 @@ class TestMarkovParameters:
             c = random_rational_matrix(rng, d, n)
             expected, ak_b = [], b
             for _ in range(2 * n + 1):
-                expected.append(mat_mul(c, ak_b))
+                expected.append(sum(mat_mul(c, ak_b), ()))
                 ak_b = mat_mul(a, ak_b)
-            assert markov_parameters(a, b, c, 2 * n + 1) == expected
+            assert fraction_terms(markov_series(a, b, c), 2 * n + 1) == expected
 
     def test_zero_count_is_empty(self):
-        assert markov_parameters(((Fraction(1),),), ((Fraction(1),),),
-                                 ((Fraction(1),),), 0) == []
+        one = ((Fraction(1),),)
+        assert fraction_terms(markov_series(one, one, one), 0) == []
 
     def test_series_of_simple_pole(self):
         # 2/(z - 3/2) = sum_j 2 (3/2)^j z^-(j+1)
         h = ratmat_reduce(PolyMatrix.from_rows([[Poly((2,))]]),
                           Poly((Fraction(-3, 2), 1)))
-        assert ratmat_markov_parameters(h, 5) == [
-            ((2 * Fraction(3, 2) ** j,),) for j in range(5)]
+        assert fraction_terms(ratmat_markov_series(h), 5) == [
+            (2 * Fraction(3, 2) ** j,) for j in range(5)]
 
     def test_series_matches_realization(self):
         # z/(z^2 + z/3 - 2) in controller form: A = [[0, 1], [2, -1/3]],
@@ -509,17 +532,20 @@ class TestMarkovParameters:
                           Poly((-2, Fraction(1, 3), 1)))
         a = rational_matrix([[0, 1], [2, Fraction(-1, 3)]])
         b, c = rational_matrix([[0], [1]]), rational_matrix([[0, 1]])
-        assert ratmat_markov_parameters(h, 8) == markov_parameters(a, b, c, 8)
+        assert fraction_terms(ratmat_markov_series(h), 8) == fraction_terms(
+            markov_series(a, b, c), 8)
 
     def test_series_of_zero_matrix(self):
         h = ratmat_reduce(PolyMatrix.zero(2, 3), Poly.one())
-        assert ratmat_markov_parameters(h, 3) == [
-            tuple((Fraction(0),) * 3 for _ in range(2))] * 3
+        assert fraction_terms(ratmat_markov_series(h), 3) == [
+            (Fraction(0),) * 6] * 3
 
     def test_series_rejects_improper(self):
-        h = ratmat_reduce(PolyMatrix.from_rows([[Poly((1, 1))]]), Poly((2, 1)))
+        # one improper entry, (z + 2)/(z + 1), beside a proper one
+        h = ratmat_reduce(PolyMatrix.from_rows([[Poly.one(), Poly((2, 1))]]),
+                          Poly((1, 1)))
         with pytest.raises(NotStrictlyProper):
-            ratmat_markov_parameters(h, 2)
+            fraction_terms(ratmat_markov_series(h), 2)
 
     def test_improper_rejected_before_first_term(self):
         h = ratmat_reduce(PolyMatrix.from_rows([[Poly((1, 1))]]), Poly((2, 1)))
@@ -573,8 +599,8 @@ class TestMarkovAnnihilator:
             b = random_rational_matrix(rng, n, m)
             c = random_rational_matrix(rng, d, n)
             _, chi = faddeev_leverrier(a, b, c)
-            assert annihilated_terms(a, b, c, chi) == flat_markov_parameters(
-                a, b, c, n)
+            assert annihilated_terms(a, b, c, chi) == fraction_terms(
+                markov_series(a, b, c), n)
 
     def test_scalar_denominator_annihilates_its_block_companion(self):
         rng = random.Random(5152)
@@ -591,8 +617,8 @@ class TestMarkovAnnihilator:
             # so no polynomial of lower degree annihilates it
             b = unit_input(p, k)
             for factor in (f, g):
-                assert annihilated_terms(a, b, c, factor) == \
-                    flat_markov_parameters(a, b, c, factor.degree + 1)
+                assert annihilated_terms(a, b, c, factor) == fraction_terms(
+                    markov_series(a, b, c), factor.degree + 1)
 
     def test_degree_zero_annihilates_only_zero_input(self):
         # pi = 1: pi(A) B = B

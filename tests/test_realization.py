@@ -6,6 +6,7 @@ written out by hand for orders up to 3, and matrix-fraction identities are
 checked against a cofactor-expansion polynomial-matrix inverse.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -38,11 +39,8 @@ from carmakit.realization import (
     assemble_observer_ss,
     beta_from_mcarma,
     controller_realization,
-    left_mfd,
     observer_realization,
     q_and_Q_from_beta,
-    right_mfd,
-    strictly_proper,
     tf_equivalent,
     tf_match,
     transfer_function,
@@ -204,13 +202,13 @@ class TestTransferFunction:
         rng = random.Random(123)
         for _ in range(25):
             ss = random_model(rng)
-            assert strictly_proper(transfer_function(ss))
+            assert transfer_function(ss).strictly_proper
 
     def test_strictly_proper_examples(self):
         proper = ratmat_reduce(PolyMatrix.from_rows([[Poly.one()]]), Poly((1, 1)))
-        assert strictly_proper(proper)
+        assert proper.strictly_proper
         constant = ratmat_reduce(PolyMatrix.from_rows([[Poly((1, 1))]]), Poly((1, 1)))
-        assert not strictly_proper(constant)
+        assert not constant.strictly_proper
 
 
 # Entry denominators are drawn from pairwise coprime sets, so B and C carry
@@ -500,7 +498,7 @@ class TestMatrixFractions:
         rng = random.Random(13)
         for _ in range(10):
             _, h = random_model_nonzero_tf(rng)
-            mfd = left_mfd(h)
+            mfd = observer_realization(h)[1]
             assert ratmat_equal(laplace_inverse_times(mfd.den, mfd.num), h)
 
     def test_right_identity_on_random_models(self):
@@ -508,7 +506,7 @@ class TestMatrixFractions:
         rng = random.Random(14)
         for _ in range(10):
             _, h = random_model_nonzero_tf(rng)
-            mfd = right_mfd(h)
+            mfd = controller_realization(h)[1]
             lhs = h.common_num @ mfd.den
             rhs = mfd.num.scale(h.common_den)
             assert lhs == rhs
@@ -517,8 +515,8 @@ class TestMatrixFractions:
         rng = random.Random(15)
         for _ in range(10):
             _, h = random_model_nonzero_tf(rng)
-            left = left_mfd(h)
-            right = right_mfd(h)
+            left = observer_realization(h)[1]
+            right = controller_realization(h)[1]
             assert left.p == right.p
             assert left.p > left.q
             assert right.p > right.q
@@ -527,8 +525,8 @@ class TestMatrixFractions:
 
     def test_scalar_case_sides_coincide(self):
         h = ratmat_reduce(PolyMatrix.from_rows([[Poly((3, 1))]]), Poly((2, 3, 1)))
-        left = left_mfd(h)
-        right = right_mfd(h)
+        left = observer_realization(h)[1]
+        right = controller_realization(h)[1]
         assert left.den == right.den
         assert left.num == right.num
 
@@ -704,6 +702,13 @@ def with_delayed_impulse(ss: StateSpaceModel, lag: int, eps) -> StateSpaceModel:
     return StateSpaceModel(a=a, b=b, c=c)
 
 
+def fraction_terms(series, count: int) -> list:
+    """The first ``count`` terms of a ``(den, nums)`` Markov series, each
+    the tuple of its exact entries, row by row."""
+    return [tuple(Fraction(x, den) for x in nums)
+            for den, nums in itertools.islice(series, count)]
+
+
 def reduced_verdict(ss1, ss2) -> bool:
     return ratmat_equal(transfer_function(ss1), transfer_function(ss2))
 
@@ -728,8 +733,8 @@ class TestMarkovVerdictOracle:
     def test_tight_distinct_pairs(self, pair):
         ss1, ss2 = pair
         count = ss1.n + ss2.n
-        m1 = exactalg.markov_parameters(ss1.a, ss1.b, ss1.c, count)
-        m2 = exactalg.markov_parameters(ss2.a, ss2.b, ss2.c, count)
+        m1 = fraction_terms(exactalg.markov_series(ss1.a, ss1.b, ss1.c), count)
+        m2 = fraction_terms(exactalg.markov_series(ss2.a, ss2.b, ss2.c), count)
         assert m1[:-1] == m2[:-1] and m1[-1] != m2[-1]
         h1, h2 = transfer_function(ss1), transfer_function(ss2)
         assert tf_equivalent(ss1, ss2) is reduced_verdict(ss1, ss2) is False
@@ -811,7 +816,7 @@ class TestMarkovGuards:
         for _ in range(6):
             _, h = random_model_nonzero_tf(rng)
             p = h.common_den.degree
-            want = exactalg.ratmat_markov_parameters(h, p + 1)
+            want = fraction_terms(exactalg.ratmat_markov_series(h), p + 1)
             obs = observer_realization(h)[0].statespace
             ctrl = controller_realization(h)[0].statespace
             b = [list(row) for row in obs.b]
@@ -823,7 +828,8 @@ class TestMarkovGuards:
                     (StateSpaceModel(a=obs.a, b=b, c=obs.c), p - 1),
                     (StateSpaceModel(a=ctrl.a, b=ctrl.b, c=c), p - 1)]
             for ss, k in bent:
-                got = exactalg.markov_parameters(ss.a, ss.b, ss.c, k + 1)
+                got = fraction_terms(exactalg.markov_series(ss.a, ss.b, ss.c),
+                                     k + 1)
                 assert got[:k] == want[:k] and got[k] != want[k]
                 assert not tf_match(ss, h)
 
