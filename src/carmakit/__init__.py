@@ -50,10 +50,8 @@ from .realization import (
     ObserverRealization,
     StateSpaceModel,
     assemble_observer_ss,
-    beta_from_mcarma,
     controller_realization,
     observer_realization,
-    q_and_Q_from_beta,
     tf_equivalent,
     tf_match,
     transfer_function,
@@ -109,10 +107,8 @@ __all__ = [
     "ObserverRealization",
     "StateSpaceModel",
     "assemble_observer_ss",
-    "beta_from_mcarma",
     "controller_realization",
     "observer_realization",
-    "q_and_Q_from_beta",
     "tf_equivalent",
     "tf_match",
     "transfer_function",

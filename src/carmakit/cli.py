@@ -14,12 +14,15 @@ Exit codes are a stable interface:
   1  check-equiv: models distinct
   2  parse or usage error (bad JSON, UTF-8 or nesting, bad rational, unknown
      field, bad flags), or an input or exact result out of range (see
-     errors.OutOfRange)
+     errors.OutOfRange), a --sigma whose density or one-step covariance
+     overflows on a model with no pole there or a stable drift included
   3  dimension error
   4  degenerate transfer function (identically zero, or not strictly proper)
   5  unstable drift: --init stationary on an unstable or ill-conditioned
-     drift, or a simulated path that overflows
-  6  spectral density pole on the sampled axis
+     drift, a one-step covariance overflowing on an unstable drift, or a
+     simulated path that overflows
+  6  spectral density pole on the sampled axis, or a density that overflows
+     there even with --sigma scaled to largest entry 1
 """
 
 import argparse

@@ -16,15 +16,17 @@ class ModelFileError(CarmakitError, ValueError):
 
 class OutOfRange(CarmakitError, ValueError):
     """A well-formed input beyond the double range (a grid whose last time
-    overflows included), an exact result with more digits than the
-    interpreter converts to a string, a compound Poisson path expecting more
-    than ``simulate.MAX_EXPECTED_JUMPS`` jumps, or a path whose largest
-    array would hold more than ``simulate.MAX_PATH_VALUES`` floats."""
+    overflows included, and a driver covariance whose spectral density or
+    one-step covariance overflows on a model with no pole there or a stable
+    drift), an exact result with more digits than the interpreter converts
+    to a string, a compound Poisson path expecting more than
+    ``simulate.MAX_EXPECTED_JUMPS`` jumps, or a path whose largest array
+    would hold more than ``simulate.MAX_PATH_VALUES`` floats."""
 
 
 class DegenerateTransferFunction(CarmakitError):
-    """The requested construction is undefined for this transfer function
-    (e.g. recovering numerator coefficients from an all-zero input stack)."""
+    """The requested construction is undefined for this transfer function;
+    base of :class:`ZeroTransferFunction`, the case carmakit raises."""
 
 
 class ZeroTransferFunction(DegenerateTransferFunction):
@@ -47,4 +49,5 @@ class UnstableModel(CarmakitError):
 
 class PoleOnEvaluationAxis(CarmakitError):
     """Spectral density requested at a frequency where the transfer function
-    has a pole on the imaginary axis, or so near one that it overflows."""
+    has a pole on the imaginary axis, or so near one that the density
+    overflows even with the covariance scaled to largest entry 1."""

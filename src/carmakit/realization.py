@@ -32,10 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import (
-    DegenerateTransferFunction,
     DimensionMismatch,
     NotStrictlyProper,
     ZeroTransferFunction,
@@ -138,8 +137,7 @@ class McarmaSpec:
             if self.b_coeffs:
                 raise ValueError("zero moving-average part admits no B coefficients")
             object.__setattr__(self, "b_coeffs", ())
-            object.__setattr__(
-                self, "beta", tuple(mat_zeros(self.d, self.m) for _ in range(self.p)))
+            object.__setattr__(self, "beta", (mat_zeros(self.d, self.m),) * self.p)
             return
 
         if not 0 <= self.q < self.p:
@@ -151,49 +149,60 @@ class McarmaSpec:
             if len(bj) != self.d or len(bj[0]) != self.m:
                 raise DimensionMismatch("moving-average coefficients must be dxm")
         object.__setattr__(self, "b_coeffs", b_coeffs)
-        object.__setattr__(
-            self, "beta", beta_from_mcarma(a_coeffs, b_coeffs, self.p, self.q))
+        zero = mat_zeros(self.d, self.m)
+        beta = []
+        for k in range(1, self.p + 1):
+            beta.append(zero if k < self.p - self.q else mat_sub(
+                b_coeffs[self.q - self.p + k], _lag_sum(a_coeffs, beta, k, zero)))
+        object.__setattr__(self, "beta", tuple(beta))
 
     @classmethod
     def from_beta(cls, a_coeffs, beta, d: int, m: int) -> "McarmaSpec":
-        """Rebuild the (q, B_0..B_q) description from stacked input blocks.
-
-        An all-zero block list yields the explicit zero-Q spec rather than an
-        error, so callers can round-trip degenerate models they built on
-        purpose.
-        """
+        """The spec with stacked input blocks ``beta``: q = p - min{k : beta_k
+        != 0} and B_{q-p+k} = beta_k + sum_{i=1}^{k-1} A_i beta_{k-i}.  A zero
+        B_0 in the source spec gives a smaller q with the same blocks, and
+        all-zero blocks give the explicit zero-Q spec rather than an error."""
         a_coeffs = tuple(rational_matrix(ai) for ai in a_coeffs)
         beta = tuple(rational_matrix(bk) for bk in beta)
         p = len(a_coeffs)
-        if all(mat_is_zero(bk) for bk in beta):
+        if len(beta) != p:
+            raise DimensionMismatch(f"expected {p} stacked input blocks")
+        if any(len(bk) != d or len(bk[0]) != m for bk in beta):
+            raise DimensionMismatch("stacked input blocks must be dxm")
+        first = next((k for k, bk in enumerate(beta, 1) if not mat_is_zero(bk)), None)
+        if first is None:
             return cls(p=p, q=None, d=d, m=m, a_coeffs=a_coeffs, b_coeffs=())
-        q, b_coeffs = q_and_Q_from_beta(a_coeffs, beta, p)
-        return cls(p=p, q=q, d=d, m=m, a_coeffs=a_coeffs, b_coeffs=b_coeffs)
+        zero = mat_zeros(d, m)
+        b_coeffs = tuple(mat_add(beta[k - 1], _lag_sum(a_coeffs, beta, k, zero))
+                         for k in range(first, p + 1))
+        return cls(p=p, q=p - first, d=d, m=m, a_coeffs=a_coeffs, b_coeffs=b_coeffs)
 
-    def ar_poly(self) -> PolyMatrix:
-        """P(z) = I_d z^p + A_1 z^(p-1) + ... + A_p as a polynomial matrix."""
-        out = []
-        for r in range(self.d):
-            row = []
-            for c in range(self.d):
-                coeffs = [self.a_coeffs[self.p - 1 - k][r][c] for k in range(self.p)]
-                coeffs.append(Fraction(1) if r == c else Fraction(0))
-                row.append(Poly(coeffs))
-            out.append(row)
-        return PolyMatrix.from_rows(out)
+    def fraction(self) -> "MfdPair":
+        """The left matrix fraction H = P^{-1} Q this spec encodes, with
+        P(z) = I_d z^p + A_1 z^(p-1) + ... + A_p and
+        Q(z) = B_0 z^q + ... + B_q (zero if q is None)."""
+        return MfdPair(side="left",
+                       den=_poly_from_blocks((mat_identity(self.d), *self.a_coeffs),
+                                             self.d, self.d),
+                       num=_poly_from_blocks(self.b_coeffs, self.d, self.m),
+                       p=self.p, q=self.q)
 
-    def ma_poly(self) -> PolyMatrix:
-        """Q(z) = B_0 z^q + ... + B_q as a polynomial matrix (zero if q is None)."""
-        if self.q is None:
-            return PolyMatrix.zero(self.d, self.m)
-        out = []
-        for r in range(self.d):
-            row = []
-            for c in range(self.m):
-                coeffs = [self.b_coeffs[self.q - k][r][c] for k in range(self.q + 1)]
-                row.append(Poly(coeffs))
-            out.append(row)
-        return PolyMatrix.from_rows(out)
+
+def _lag_sum(a_coeffs, beta, k: int, zero) -> RationalMatrixData:
+    """sum_{i=1}^{k-1} A_i beta_{k-i}: the term linking beta_k to B_{q-p+k}
+    (zero, of the blocks' shape, for k = 1)."""
+    acc = zero
+    for i in range(1, k):
+        acc = mat_add(acc, mat_mul(a_coeffs[i - 1], beta[k - i - 1]))
+    return acc
+
+
+def _poly_from_blocks(blocks, rows: int, cols: int) -> PolyMatrix:
+    """C_0 z^r + C_1 z^(r-1) + ... + C_r from rows x cols blocks C_0..C_r
+    (the zero matrix for no blocks)."""
+    return PolyMatrix.from_rows(
+        [[Poly([blk[r][c] for blk in reversed(blocks)]) for c in range(cols)]
+         for r in range(rows)])
 
 
 @dataclass(frozen=True)
@@ -275,71 +284,6 @@ def transfer_function(ss: StateSpaceModel) -> TransferFunction:
 
 
 # ---------------------------------------------------------------------------
-# The coefficient recursion and its inverse
-# ---------------------------------------------------------------------------
-
-def beta_from_mcarma(a_coeffs, b_coeffs, p: int, q: int) -> tuple:
-    """Stacked input blocks beta_1..beta_p from (A_1..A_p, B_0..B_q).
-
-    beta_k vanishes for k < p - q; from k = p - q upward,
-
-        beta_k = -sum_{i=1}^{k-1} A_i beta_{k-i} + B_{q-p+k},
-
-    evaluated in increasing k so every term on the right is already known.
-    Empty sums are zero.
-    """
-    if not 0 <= q < p:
-        raise ValueError("orders must satisfy 0 <= q < p")
-    a_coeffs = tuple(rational_matrix(ai) for ai in a_coeffs)
-    b_coeffs = tuple(rational_matrix(bj) for bj in b_coeffs)
-    if len(a_coeffs) != p or len(b_coeffs) != q + 1:
-        raise DimensionMismatch("coefficient list lengths do not match orders")
-    d = len(b_coeffs[0])
-    m = len(b_coeffs[0][0])
-    beta = []
-    for k in range(1, p + 1):
-        if k < p - q:
-            beta.append(mat_zeros(d, m))
-            continue
-        acc = b_coeffs[q - p + k]
-        for i in range(1, k):
-            acc = mat_sub(acc, mat_mul(a_coeffs[i - 1], beta[k - i - 1]))
-        beta.append(acc)
-    return tuple(beta)
-
-
-def q_and_Q_from_beta(a_coeffs, beta, p: int) -> tuple:
-    """Inverse of :func:`beta_from_mcarma`: recover (q, B_0..B_q).
-
-    q = p - min{ i : beta_i != 0 }, and for j = 0..q
-
-        B_{q-j} = beta_{p-j} + sum_{i=1}^{p-j-1} A_i beta_{p-j-i}.
-
-    If the leading supplied B_0 was zero, the recovered order is the smaller
-    effective one; the recovered coefficients still reproduce the same beta.
-    """
-    a_coeffs = tuple(rational_matrix(ai) for ai in a_coeffs)
-    beta = tuple(rational_matrix(bk) for bk in beta)
-    if len(a_coeffs) != p or len(beta) != p:
-        raise DimensionMismatch("coefficient list lengths do not match order p")
-    first_nonzero = next((i for i in range(1, p + 1) if not mat_is_zero(beta[i - 1])),
-                         None)
-    if first_nonzero is None:
-        raise DegenerateTransferFunction(
-            "all stacked input blocks vanish: no moving-average order exists")
-    q = p - first_nonzero
-    b_coeffs = []
-    for j in range(q + 1):
-        acc = beta[p - j - 1]
-        for i in range(1, p - j):
-            acc = mat_add(acc, mat_mul(a_coeffs[i - 1], beta[p - j - i - 1]))
-        b_coeffs.append(acc)
-    # the loop over j emits B_q first and B_0 last
-    b_coeffs.reverse()
-    return q, tuple(b_coeffs)
-
-
-# ---------------------------------------------------------------------------
 # Assembling block-companion models
 # ---------------------------------------------------------------------------
 
@@ -416,10 +360,8 @@ def observer_realization(h: TransferFunction):
     q = num.degree
     b_coeffs = tuple(num.coefficient_matrix(q - j) for j in range(q + 1))
     spec = McarmaSpec(p=p, q=q, d=d, m=m, a_coeffs=a_coeffs, b_coeffs=b_coeffs)
-    mfd = MfdPair(side="left", den=PolyMatrix.identity(d).scale(den), num=num,
-                  p=p, q=q)
     return ObserverRealization(statespace=assemble_observer_ss(spec),
-                               mcarma=spec), mfd
+                               mcarma=spec), spec.fraction()
 
 
 def controller_realization(h: TransferFunction):
@@ -439,8 +381,9 @@ def controller_realization(h: TransferFunction):
     c = tuple(sum((blk[r] for blk in n_coeffs), ()) for r in range(d))
     q_tilde = num.degree
     ss = StateSpaceModel(a=a, b=b, c=c)
-    mfd = MfdPair(side="right", den=PolyMatrix.identity(m).scale(den), num=num,
-                  p=p, q=q_tilde)
+    mfd = MfdPair(side="right",
+                  den=_poly_from_blocks((mat_identity(m), *atilde), m, m),
+                  num=num, p=p, q=q_tilde)
     return ControllerRealization(statespace=ss, atilde_coeffs=atilde,
                                  n_coeffs=n_coeffs, q_tilde=q_tilde), mfd
 

@@ -236,13 +236,18 @@ def _require_psd(mat, label: str) -> np.ndarray:
         raise DimensionMismatch(f"{label} must be square")
     if not np.all(np.isfinite(mat)):
         raise ValueError(f"{label} must be finite")
-    scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 0.0)
-    if np.max(np.abs(mat - mat.T)) > 1e-12 * scale:
+    unit = mat / _magnitude(mat)    # checked at unit scale, where no sum overflows
+    if np.max(np.abs(unit - unit.T)) > 1e-12:
         raise ValueError(f"{label} must be symmetric")
-    eigmin = float(np.linalg.eigvalsh((mat + mat.T) / 2).min()) if mat.size else 0.0
-    if eigmin < PSD_FLOOR * scale:
+    eigmin = float(np.linalg.eigvalsh((unit + unit.T) / 2).min()) if mat.size else 0.0
+    if eigmin < PSD_FLOOR:
         raise ValueError(f"{label} must be positive semidefinite")
     return mat
+
+
+def _magnitude(mat: np.ndarray) -> float:
+    """max(1, largest |entry|) of a finite array."""
+    return max(1.0, float(np.max(np.abs(mat))) if mat.size else 0.0)
 
 
 def _sym_eigh(mat: np.ndarray):
@@ -294,10 +299,12 @@ def stationary_covariance(ss: StateSpaceModel, sigma_l) -> np.ndarray:
         warnings.simplefilter("ignore", RuntimeWarning)
         s = solve_continuous_lyapunov(a, -q)
     s = (s + s.T) / 2
-    residual = np.linalg.norm(a @ s + s @ a.T + q, "fro")
-    if residual > LYAPUNOV_RTOL * (1 + np.linalg.norm(q, "fro")):
+    scale = _magnitude(q)           # residual and tolerance both divided by it
+    with _overflow_quiet():
+        residual = np.linalg.norm((a @ s + s @ a.T + q) / scale, "fro")
+    if not residual <= LYAPUNOV_RTOL * (1 / scale + np.linalg.norm(q / scale, "fro")):
         raise UnstableModel(
-            f"Lyapunov solve residual {residual:.3e} exceeds tolerance")
+            f"Lyapunov solve residual {residual * scale:.3e} exceeds tolerance")
     return s
 
 
@@ -317,7 +324,8 @@ def gaussian_step_params(ss: StateSpaceModel, sigma_l, h: float):
 
     which keeps every intermediate bounded.  Sigma_h is symmetrized and its
     spectrum clamped at zero before use as a covariance; if it overflows all
-    the same, ``UnstableModel`` is raised.
+    the same, ``OutOfRange`` is raised for a drift that :func:`stability_check`
+    calls stable, and ``UnstableModel`` otherwise.
     """
     a, b, _ = ss_to_float(ss)
     n = a.shape[0]
@@ -333,16 +341,17 @@ def gaussian_step_params(ss: StateSpaceModel, sigma_l, h: float):
     block[:n, :n] = a
     block[:n, n:] = q
     block[n:, n:] = -a.T
-    e = expm(block * dt)
-    phi = e[:n, :n]
     with _overflow_quiet():
+        e = expm(block * dt)
+        phi = e[:n, :n]
         sigma = e[:n, n:] @ phi.T
         for _ in range(squarings):
             sigma = phi @ sigma @ phi.T + sigma
             sigma = (sigma + sigma.T) / 2
             phi = phi @ phi
     if not np.all(np.isfinite(sigma)):
-        raise UnstableModel(f"one-step covariance overflows at step size {h:.6g}")
+        message = f"one-step covariance overflows at step size {h:.6g}"
+        raise (OutOfRange if stability_check(ss) else UnstableModel)(message)
     return phi, _clamp_psd(sigma)
 
 
@@ -386,9 +395,12 @@ def spectral_density(h_tf: TransferFunction, sigma_l, omega: float) -> np.ndarra
         raise OutOfRange(f"transfer function: {exc}") from exc
     with _overflow_quiet():
         f = h @ sigma_l @ h.conj().T / (2 * math.pi)
-    if not np.all(np.isfinite(f.view(float))):
-        raise PoleOnEvaluationAxis(f"spectral density overflows at i*{omega}")
-    return f
+        if np.all(np.isfinite(f.view(float))):
+            return f
+        unit = h @ (sigma_l / _magnitude(sigma_l)) @ h.conj().T
+    if np.all(np.isfinite(unit.view(float))):
+        raise OutOfRange(f"spectral density at i*{omega} beyond the double range")
+    raise PoleOnEvaluationAxis(f"spectral density overflows at i*{omega}")
 
 
 # ---------------------------------------------------------------------------

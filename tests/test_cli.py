@@ -494,8 +494,11 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("sigma", ["[[1.0, 0.0], [0.0, -1.0]]",
                                        "[[1.0, 0.5], [0.0, 1.0]]",
                                        "[[NaN, 0.0], [0.0, 1.0]]",
-                                       f"[[{10**400}, 0], [0, 1]]"],
-                             ids=["not-psd", "asymmetric", "nan", "huge"])
+                                       f"[[{10**400}, 0], [0, 1]]",
+                                       "[[1.7e308, 0], [0, -1.7e308]]"],
+                             ids=["not-psd", "asymmetric", "nan", "huge",
+                                  "huge-not-psd"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_sigma_values_exit_2(self, tmp_path, capsys, command, sigma):
         path = write_model(tmp_path / "m.json", TWO_INPUTS)
         sigma_path = tmp_path / "sigma.json"
@@ -670,6 +673,42 @@ class TestOutOfRange:
         assert err.startswith(f"error: {message}")
         assert len(err.splitlines()) == 1
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("model, sigma, flags, message", [
+        (ss_obj([[-1]], [[5]], [[1]]), "[[1.7e308]]", ["spectrum", "--omegas", "0"],
+         "spectral density at i*0.0 beyond the double range"),
+        (ss_obj([[-1]], [[1]], [[1]]), "[[1.7e308]]",
+         ["simulate", "--driver", "brownian", "--h", "1"],
+         "one-step covariance overflows at step size 1"),
+    ], ids=["spectrum-density", "brownian-step"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_covariance_beyond_double_range(self, tmp_path, capsys, model,
+                                            sigma, flags, message):
+        path = write_model(tmp_path / "m.json", model)
+        sigma_path = tmp_path / "sigma.json"
+        sigma_path.write_text(sigma)
+        out_path = tmp_path / "x.csv"
+        command, *flags = flags
+        grid = ["--seed", "0", "--steps", "10"] if command == "simulate" else []
+        code = cli.main([command, path, "--sigma", str(sigma_path), *flags,
+                         *grid, "-o", str(out_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert not out_path.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_covariance_small_step_runs(self, tmp_path, capsys):
+        # the one-step covariance at h = 0.1 stays inside the double range
+        path = write_model(tmp_path / "m.json", ss_obj([[-1]], [[1]], [[1]]))
+        sigma_path = tmp_path / "sigma.json"
+        sigma_path.write_text("[[1.7e308]]")
+        out_path = tmp_path / "x.csv"
+        code, _ = run(capsys, "simulate", path, "--sigma", str(sigma_path),
+                      "--driver", "brownian", "--h", "0.1", "--seed", "0",
+                      "--steps", "10", "-o", str(out_path))
+        assert code == 0
+        assert np.all(np.isfinite(np.loadtxt(out_path, delimiter=",", skiprows=1)))
 
 
 class TestSpectrumCommand:

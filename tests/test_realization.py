@@ -15,7 +15,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from carmakit import cli, exactalg, realization
 from carmakit.errors import (
-    DegenerateTransferFunction,
     DimensionMismatch,
     NotStrictlyProper,
     ZeroTransferFunction,
@@ -26,6 +25,7 @@ from carmakit.exactalg import (
     RationalFunction,
     faddeev_leverrier,
     mat_identity,
+    mat_is_zero,
     mat_mul,
     mat_sub,
     mat_zeros,
@@ -37,10 +37,8 @@ from carmakit.realization import (
     MfdPair,
     StateSpaceModel,
     assemble_observer_ss,
-    beta_from_mcarma,
     controller_realization,
     observer_realization,
-    q_and_Q_from_beta,
     tf_equivalent,
     tf_match,
     transfer_function,
@@ -288,16 +286,28 @@ class TestTransferFunctionOracle:
 # The input-block recursion and its inverse
 # ---------------------------------------------------------------------------
 
+def beta_of(a, b, p, q):
+    """beta_1..beta_p of the spec with coefficients (A_1..A_p, B_0..B_q)."""
+    return McarmaSpec(p=p, q=q, d=len(b[0]), m=len(b[0][0]),
+                      a_coeffs=a, b_coeffs=b).beta
+
+
+def recovered(a, beta):
+    """(q, B_0..B_q) of the spec that McarmaSpec.from_beta rebuilds."""
+    spec = McarmaSpec.from_beta(a, beta, d=len(beta[0]), m=len(beta[0][0]))
+    return spec.q, spec.b_coeffs
+
+
 class TestBetaRecursion:
     def test_first_order(self):
         b0 = ((Fraction(4),),)
-        beta = beta_from_mcarma((((Fraction(7),),),), (b0,), p=1, q=0)
+        beta = beta_of((((Fraction(7),),),), (b0,), p=1, q=0)
         assert beta == (b0,)
 
     def test_second_order_lowest_ma(self):
         a1 = ((Fraction(5),),)
         b0 = ((Fraction(3),),)
-        beta = beta_from_mcarma((a1, a1), (b0,), p=2, q=0)
+        beta = beta_of((a1, a1), (b0,), p=2, q=0)
         assert beta == (((Fraction(0),),), b0)
 
     def test_second_order_full_ma_closed_form(self):
@@ -307,7 +317,7 @@ class TestBetaRecursion:
             m = rng.randint(1, 3)
             a = (rand_mat(rng, d, d), rand_mat(rng, d, d))
             b = (rand_mat(rng, d, m), rand_mat(rng, d, m))
-            beta = beta_from_mcarma(a, b, p=2, q=1)
+            beta = beta_of(a, b, p=2, q=1)
             assert beta[0] == b[0]
             assert beta[1] == mat_sub(b[1], mat_mul(a[0], b[0]))
 
@@ -319,7 +329,7 @@ class TestBetaRecursion:
             q = rng.randint(0, 2)
             a = tuple(rand_mat(rng, d, d) for _ in range(3))
             b = tuple(rand_mat(rng, d, m) for _ in range(q + 1))
-            assert beta_from_mcarma(a, b, 3, q) == unrolled_beta(a, b, 3, q)
+            assert beta_of(a, b, 3, q) == unrolled_beta(a, b, 3, q)
 
     def test_low_index_blocks_vanish(self):
         rng = random.Random(3)
@@ -328,7 +338,7 @@ class TestBetaRecursion:
             q = rng.randint(0, p - 1)
             a = tuple(rand_mat(rng, 2, 2) for _ in range(p))
             b = tuple(rand_mat(rng, 2, 2) for _ in range(q + 1))
-            beta = beta_from_mcarma(a, b, p, q)
+            beta = beta_of(a, b, p, q)
             for k in range(1, p - q):
                 assert beta[k - 1] == mat_zeros(2, 2)
 
@@ -336,14 +346,14 @@ class TestBetaRecursion:
         a1 = ((Fraction(1),),)
         b0 = ((Fraction(1),),)
         with pytest.raises(ValueError):
-            beta_from_mcarma((a1,), (b0, b0), p=1, q=1)
+            beta_of((a1,), (b0, b0), p=1, q=1)
 
 
 class TestQRecovery:
     def test_first_order(self):
         a1 = ((Fraction(2),),)
         beta = (((Fraction(9),),),)
-        q, b = q_and_Q_from_beta((a1,), beta, p=1)
+        q, b = recovered((a1,), beta)
         assert q == 0 and b == beta
 
     def test_leading_zero_block_lowers_order(self):
@@ -351,7 +361,7 @@ class TestQRecovery:
         a2 = rand_mat(random.Random(5), 2, 2)
         b0 = rand_mat(random.Random(6), 2, 2)
         beta = (mat_zeros(2, 2), b0)
-        q, b = q_and_Q_from_beta((a1, a2), beta, p=2)
+        q, b = recovered((a1, a2), beta)
         assert q == 0
         assert b == (b0,)
 
@@ -361,19 +371,21 @@ class TestQRecovery:
             a1, a2 = rand_mat(rng, 2, 2), rand_mat(rng, 2, 2)
             b1 = rand_mat(rng, 2, 2)
             b2 = rand_mat(rng, 2, 2)
-            q, b = q_and_Q_from_beta((a1, a2), (b1, b2), p=2)
             if b1 == mat_zeros(2, 2):
                 continue
+            q, b = recovered((a1, a2), (b1, b2))
             assert q == 1
             assert b[0] == b1
             assert b[1] == tuple(
                 tuple(x + y for x, y in zip(r1, r2))
                 for r1, r2 in zip(b2, mat_mul(a1, b1)))
 
-    def test_all_zero_rejected(self):
-        a1 = ((Fraction(1),),)
-        with pytest.raises(DegenerateTransferFunction):
-            q_and_Q_from_beta((a1,), (((Fraction(0),),),), p=1)
+    def test_blocks_must_be_d_by_m(self):
+        # all-zero blocks of the wrong shape are not a zero-Q spec
+        with pytest.raises(DimensionMismatch):
+            McarmaSpec.from_beta((mat_identity(2),), (mat_zeros(5, 7),), d=2, m=3)
+        with pytest.raises(DimensionMismatch):
+            McarmaSpec.from_beta((mat_identity(2),), (mat_identity(2),), d=2, m=3)
 
     def test_round_trip_both_ways(self):
         rng = random.Random(8)
@@ -387,10 +399,10 @@ class TestQRecovery:
                 b = tuple(rand_mat(rng, d, m) for _ in range(q + 1))
                 if b[0] != mat_zeros(d, m):
                     break
-            beta = beta_from_mcarma(a, b, p, q)
-            q2, b2 = q_and_Q_from_beta(a, beta, p)
+            beta = beta_of(a, b, p, q)
+            q2, b2 = recovered(a, beta)
             assert (q2, b2) == (q, b)
-            assert beta_from_mcarma(a, b2, p, q2) == beta
+            assert beta_of(a, b2, p, q2) == beta
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +542,17 @@ class TestMatrixFractions:
         assert left.den == right.den
         assert left.num == right.num
 
+    def test_fractions_have_the_scalar_denominator(self):
+        # both fractions are (d(z) I, N(z)) with d = H's common denominator
+        rng = random.Random(19)
+        for _ in range(10):
+            _, h = random_model_nonzero_tf(rng)
+            p, q = len(h.common_den.coeffs) - 1, h.common_num.degree
+            for side, k, (_, mfd) in (("left", h.rows, observer_realization(h)),
+                                      ("right", h.cols, controller_realization(h))):
+                assert mfd == MfdPair(side, PolyMatrix.identity(k).scale(h.common_den),
+                                      h.common_num, p, q)
+
     def test_invalid_leading_coefficient_rejected(self):
         den = PolyMatrix.from_rows([[Poly((1, 2))]])  # 2z + 1, not monic
         num = PolyMatrix.from_rows([[Poly.one()]])
@@ -566,7 +589,8 @@ class TestAssembleObserver:
         # last block row is (-A_2, -A_1)
         assert ss.a[2] == (Fraction(-1), Fraction(0), Fraction(-1), Fraction(0))
         assert ss.a[3] == (Fraction(0), Fraction(-1), Fraction(0), Fraction(-2))
-        oracle = laplace_inverse_times(spec.ar_poly(), spec.ma_poly())
+        fraction = spec.fraction()
+        oracle = laplace_inverse_times(fraction.den, fraction.num)
         assert ratmat_equal(transfer_function(ss), oracle)
 
     def test_round_trip_recovers_ma_coefficients(self):
@@ -582,8 +606,8 @@ class TestAssembleObserver:
                 if b[0] != mat_zeros(d, m):
                     break
             spec = McarmaSpec(p=p, q=q, d=d, m=m, a_coeffs=a, b_coeffs=b)
-            q2, b2 = q_and_Q_from_beta(spec.a_coeffs, spec.beta, p)
-            assert (q2, b2) == (q, b)
+            rebuilt = McarmaSpec.from_beta(spec.a_coeffs, spec.beta, d, m)
+            assert (rebuilt.q, rebuilt.b_coeffs) == (q, b)
 
     def test_zero_ma_flag(self):
         a1 = ((Fraction(3),),)
@@ -603,6 +627,30 @@ class TestAssembleObserver:
         a = (mat_identity(2),)
         spec = McarmaSpec.from_beta(a, (mat_zeros(2, 3),), d=2, m=3)
         assert spec.q is None and spec.b_coeffs == ()
+
+
+@st.composite
+def mcarma_specs(draw):
+    """Full-matrix specs: p in 1..4, d and m in 1..3, q None or 0..p-1."""
+    p, d, m = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    q = draw(st.sampled_from((None, *range(p))))
+    a = tuple(draw(matrices(d, d, A_DENS)) for _ in range(p))
+    b = tuple(draw(matrices(d, m, B_DENS)) for _ in range(0 if q is None else q + 1))
+    return McarmaSpec(p=p, q=q, d=d, m=m, a_coeffs=a, b_coeffs=b)
+
+
+class TestSpecFraction:
+    @given(mcarma_specs())
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_and_left_identity(self, spec):
+        rebuilt = McarmaSpec.from_beta(spec.a_coeffs, spec.beta, spec.d, spec.m)
+        assert rebuilt.beta == spec.beta
+        if spec.q is None or not mat_is_zero(spec.b_coeffs[0]):
+            assert rebuilt == spec
+        # P H = Q with H realized by the observer form, cleared of denominators
+        f = spec.fraction()
+        h = transfer_function(assemble_observer_ss(spec))
+        assert f.den @ h.common_num == f.num.scale(h.common_den)
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,14 @@ class TestStationaryCovariance:
             with pytest.raises(UnstableModel, match="Lyapunov solve residual"):
                 stationary_covariance(ss, [[1.0]])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_residual_guard_holds_for_huge_covariance(self):
+        # ||q|| and the residual both overflow unscaled; the guard still bites
+        ss = StateSpaceModel(a=[["-1/100000", 100000000], [0, "-1/100000"]],
+                             b=[[0], [1]], c=[[1, 0]])
+        with pytest.raises(UnstableModel, match="Lyapunov solve residual"):
+            stationary_covariance(ss, [[1e200]])
+
 
 # ---------------------------------------------------------------------------
 # Exact one-step discretization
@@ -194,6 +202,12 @@ class TestGaussianStepParams:
         ss = StateSpaceModel(a=a, b=[[0], [0], [0]], c=[[0, 0, 0]])
         with pytest.raises(UnstableModel, match="one-step covariance"):
             gaussian_step_params(ss, [[1.0]], 0.01)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_covariance_overflow_on_stable_drift_out_of_range(self):
+        ss = StateSpaceModel(a=[[-1]], b=[[1]], c=[[1]])
+        with pytest.raises(OutOfRange, match="one-step covariance"):
+            gaussian_step_params(ss, [[1.7e308]], 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +560,17 @@ class TestSpectralDensity:
             with pytest.raises(PoleOnEvaluationAxis):
                 spectral_density(h, [[1.0]], omega)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_covariance_out_of_range_not_pole(self):
+        h = transfer_function(StateSpaceModel(a=[[-1]], b=[[5]], c=[[1]]))
+        with pytest.raises(OutOfRange, match="beyond the double range"):
+            spectral_density(h, [[1.7e308]], 0.0)
+        # next to a pole, H alone overflows: still a pole verdict
+        near = transfer_function(StateSpaceModel(
+            a=[[0, 1], [-1, 0]], b=[[0], [1]], c=[[10**300, 0]]))
+        with pytest.raises(PoleOnEvaluationAxis):
+            spectral_density(near, [[1.7e308]], 1 + 2.0 ** -52)
+
     def test_invariant_under_realization_change(self):
         ss = random_stable_model(random.Random(44))
         h = transfer_function(ss)
@@ -574,6 +599,12 @@ class TestDriverValidation:
         cfg = SimulationConfig(step_size=0.1, steps=10, seed=1)
         with pytest.raises(ValueError, match="symmetric"):
             simulate_brownian(TWO_INPUTS, [[1.0, 0.5], [0.0, 1.0]], cfg)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_indefinite_covariance_rejected(self):
+        cfg = SimulationConfig(step_size=0.1, steps=10, seed=1)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            simulate_brownian(TWO_INPUTS, [[1.7e308, 0.0], [0.0, -1.7e308]], cfg)
 
     def test_rate_must_be_positive(self):
         with pytest.raises(ValueError):
