@@ -44,10 +44,9 @@ from .exactalg import (
     resolvent_numerator,
 )
 from .realization import (
-    ControllerRealization,
+    CanonicalRealization,
     McarmaSpec,
     MfdPair,
-    ObserverRealization,
     StateSpaceModel,
     assemble_observer_ss,
     controller_realization,
@@ -101,10 +100,9 @@ __all__ = [
     "ratmat_equal",
     "ratmat_reduce",
     "resolvent_numerator",
-    "ControllerRealization",
+    "CanonicalRealization",
     "McarmaSpec",
     "MfdPair",
-    "ObserverRealization",
     "StateSpaceModel",
     "assemble_observer_ss",
     "controller_realization",

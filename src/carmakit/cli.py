@@ -13,7 +13,8 @@ Exit codes are a stable interface:
   0  success (check-equiv: models equivalent)
   1  check-equiv: models distinct
   2  parse or usage error (bad JSON, UTF-8 or nesting, bad rational, unknown
-     field, bad flags), or an input or exact result out of range (see
+     field, bad flags, a side-file entry that is not a JSON number, atoms
+     not a list of vectors), or an input or exact result out of range (see
      errors.OutOfRange), a --sigma whose density or one-step covariance
      overflows on a model with no pole there or a stable drift included
   3  dimension error
@@ -208,37 +209,31 @@ def report_tf(h: TransferFunction) -> dict:
 
 
 def report_canonical(form: str, h: TransferFunction) -> dict:
-    if form == "observer":
-        real, mfd = observer_realization(h)
-        spec = real.mcarma
-        report = {
-            "kind": "canonical_form",
-            "form": "observer",
-            "p": spec.p,
-            "q": spec.q,
-            "ar_coeffs": [_rat_rows_json(ai) for ai in spec.a_coeffs],
-            "ma_coeffs": [_rat_rows_json(bj) for bj in spec.b_coeffs],
-            "input_blocks": [_rat_rows_json(bk) for bk in spec.beta],
-            "statespace": _statespace_json(real.statespace),
-            "mfd": _mfd_json(mfd),
-        }
-    elif form == "controller":
-        real, mfd = controller_realization(h)
-        report = {
-            "kind": "canonical_form",
-            "form": "controller",
-            "p": len(real.atilde_coeffs),
-            "q_tilde": real.q_tilde,
-            "ar_coeffs": [_rat_rows_json(ai) for ai in real.atilde_coeffs],
-            "num_coeffs": [_rat_rows_json(nk) for nk in real.n_coeffs],
-            "num_coeffs_descending": [_rat_rows_json(bj)
-                                      for bj in real.btilde_coeffs],
-            "statespace": _statespace_json(real.statespace),
-            "mfd": _mfd_json(mfd),
-        }
-    else:
+    """The report of one canonical form: its autoregressive and numerator
+    blocks read off its matrix fraction, the observer's input blocks off B."""
+    realize = {"observer": observer_realization,
+               "controller": controller_realization}.get(form)
+    if realize is None:
         raise ValueError(f"unknown canonical form: {form!r}")
-    report["tf_match"] = tf_match(real.statespace, h)
+    real, mfd = realize(h)
+    ss, p, q = real.statespace, mfd.p, mfd.q
+    num = [_rat_rows_json(mfd.num.coefficient_matrix(k)) for k in range(p)]
+    report = {
+        "kind": "canonical_form",
+        "form": form,
+        "p": p,
+        "ar_coeffs": [_rat_rows_json(mfd.den.coefficient_matrix(p - i))
+                      for i in range(1, p + 1)],
+        "statespace": _statespace_json(ss),
+        "mfd": _mfd_json(mfd),
+        "tf_match": tf_match(ss, h),
+    }
+    if form == "observer":
+        report.update(q=q, ma_coeffs=num[q::-1],
+                      input_blocks=[_rat_rows_json(ss.b[k * ss.d:(k + 1) * ss.d])
+                                    for k in range(p)])
+    else:
+        report.update(q_tilde=q, num_coeffs_descending=num[q::-1], num_coeffs=num)
     return report
 
 
@@ -264,17 +259,30 @@ def _emit_report(report: dict, out_path) -> None:
 # start without either.
 # ---------------------------------------------------------------------------
 
+def _number_array(value, label: str) -> "numpy.ndarray":
+    """A side file's array as floats; a string or boolean entry is refused."""
+    import numpy as np
+
+    stack = [value]
+    while stack:
+        entry = stack.pop()
+        if isinstance(entry, list):
+            stack.extend(entry)
+        elif isinstance(entry, bool) or not isinstance(entry, (int, float)):
+            raise ModelFileError(f"{label} must hold JSON numbers, got {entry!r}")
+    try:
+        return np.asarray(value, dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise ModelFileError(f"{label} must be a numeric array") from exc
+
+
 def _load_sigma(spec: str, m: int) -> "numpy.ndarray":
     import numpy as np
     from .simulate import _require_psd
 
     if spec == "identity":
         return np.eye(m)
-    obj = _load_json(spec)
-    try:
-        sigma = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ModelFileError(f"{spec}: covariance must be a numeric array") from exc
+    sigma = _number_array(_load_json(spec), f"{spec}: covariance")
     if sigma.shape != (m, m):
         raise DimensionMismatch(
             f"covariance must be {m}x{m} to match the model input")
@@ -299,8 +307,8 @@ def _load_jumps(spec: str, m: int):
             raise ModelFileError(
                 "atom file must hold exactly the fields atoms, probabilities")
         try:
-            jumps = FixedAtomJumps(atoms=obj["atoms"],
-                                   probabilities=obj["probabilities"])
+            jumps = FixedAtomJumps(*(_number_array(obj[name], name) for name
+                                     in ("atoms", "probabilities")))
         except DimensionMismatch:
             raise
         except (TypeError, ValueError, OverflowError) as exc:

@@ -13,6 +13,9 @@ between four equivalent descriptions of the same input/output behavior:
 * left/right matrix fraction descriptions H = P^{-1} Q = Qt Pt^{-1} whose
   denominators have identity leading coefficient and equal degree.
 
+Each canonical form is a :class:`CanonicalRealization`: a state space model
+and the left (observer) or right (controller) fraction it is read from.
+
 All arithmetic is exact, so "the transfer functions agree" is decided, not
 estimated.  The decision reads Markov parameters, not reduced transfer
 functions: :func:`tf_equivalent` compares the first N1 + N2 of two models.
@@ -181,11 +184,9 @@ class McarmaSpec:
         """The left matrix fraction H = P^{-1} Q this spec encodes, with
         P(z) = I_d z^p + A_1 z^(p-1) + ... + A_p and
         Q(z) = B_0 z^q + ... + B_q (zero if q is None)."""
-        return MfdPair(side="left",
-                       den=_poly_from_blocks((mat_identity(self.d), *self.a_coeffs),
-                                             self.d, self.d),
-                       num=_poly_from_blocks(self.b_coeffs, self.d, self.m),
-                       p=self.p, q=self.q)
+        return MfdPair("left", _poly_from_blocks((mat_identity(self.d), *self.a_coeffs),
+                                                 self.d, self.d),
+                       _poly_from_blocks(self.b_coeffs, self.d, self.m))
 
 
 def _lag_sum(a_coeffs, beta, k: int, zero) -> RationalMatrixData:
@@ -206,39 +207,6 @@ def _poly_from_blocks(blocks, rows: int, cols: int) -> PolyMatrix:
 
 
 @dataclass(frozen=True)
-class ObserverRealization:
-    """Block-companion realization with C = (I_d, 0, ..., 0).
-
-    The drift has identity blocks on the superdiagonal and last block row
-    (-A_p, ..., -A_1); the input matrix stacks beta_1..beta_p.
-    """
-
-    statespace: StateSpaceModel
-    mcarma: McarmaSpec
-
-
-@dataclass(frozen=True)
-class ControllerRealization:
-    """Dual block-companion realization with B = (0, ..., 0, I_m)^T.
-
-    ``n_coeffs`` stores the numerator coefficient blocks N_0..N_(p-1) in
-    ascending degree; the output matrix is their concatenation.  The
-    descending-degree naming Bt_j = N_(qt - j) is exposed separately for
-    reporting.
-    """
-
-    statespace: StateSpaceModel
-    atilde_coeffs: tuple
-    n_coeffs: tuple
-    q_tilde: int
-
-    @property
-    def btilde_coeffs(self) -> tuple:
-        """Numerator blocks in descending degree: Bt_0 (degree qt) .. Bt_qt."""
-        return tuple(self.n_coeffs[self.q_tilde - j] for j in range(self.q_tilde + 1))
-
-
-@dataclass(frozen=True)
 class MfdPair:
     """One side of a matrix fraction description of a transfer function.
 
@@ -250,20 +218,39 @@ class MfdPair:
     side: str
     den: PolyMatrix
     num: PolyMatrix
-    p: int
-    q: int
 
     def __post_init__(self):
         if self.side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         if self.den.rows != self.den.cols:
             raise DimensionMismatch("denominator of a matrix fraction must be square")
-        if self.den.degree != self.p:
-            raise ValueError("denominator degree does not match recorded p")
         if self.den.coefficient_matrix(self.p) != mat_identity(self.den.rows):
             raise ValueError("denominator leading coefficient must be the identity")
         if not self.num.degree < self.den.degree:
             raise NotStrictlyProper("numerator degree must be below denominator degree")
+
+    @property
+    def p(self) -> int:
+        """The degree of the denominator."""
+        return self.den.degree
+
+    @property
+    def q(self) -> Optional[int]:
+        """The degree of the numerator, None if it is zero."""
+        return self.num.degree if self.num.degree >= 0 else None
+
+
+@dataclass(frozen=True)
+class CanonicalRealization:
+    """A block-companion realization and the matrix fraction it is read
+    from: the observer form of a left fraction, whose drift's last block row
+    is (-A_p, ..., -A_1) and whose C = (I_d, 0, ..., 0), or the controller
+    form of a right fraction, with B = (0, ..., 0, I_m)^T and C holding the
+    numerator blocks N_0..N_(p-1) in ascending degree.
+    """
+
+    statespace: StateSpaceModel
+    fraction: MfdPair
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +308,10 @@ def assemble_observer_ss(spec: McarmaSpec) -> StateSpaceModel:
     return StateSpaceModel(a=a, b=b, c=c)
 
 
-def _denominator_data(h: TransferFunction):
-    """Shared preamble of both canonical constructions.
-
-    Returns (d(z), p, N(z)) where d(z) is the monic common denominator,
-    p its degree, and N(z) = d(z) H(z) the exact polynomial numerator matrix.
-    """
+def _scalar_ar_blocks(h: TransferFunction, k: int) -> tuple:
+    """The k x k blocks a_1 I_k, ..., a_p I_k of H's monic common
+    denominator d(z) = z^p + a_1 z^(p-1) + ... + a_p, the autoregressive
+    coefficients both canonical forms share."""
     if h.is_zero:
         raise ZeroTransferFunction(
             "cannot realize an identically zero transfer function")
@@ -334,16 +319,10 @@ def _denominator_data(h: TransferFunction):
         raise NotStrictlyProper(
             "transfer function must be strictly proper (no feedthrough)")
     den = h.common_den
-    return den, len(den.coeffs) - 1, h.common_num
-
-
-def _scalar_blocks(den: Poly, p: int, k: int) -> tuple:
-    """The k x k blocks a_1 I_k, ..., a_p I_k of the monic
-    d(z) = z^p + a_1 z^(p-1) + ... + a_p."""
     return tuple(
-        tuple(tuple(den.coefficient(p - i) if r == c else Fraction(0)
+        tuple(tuple(den.coefficient(j) if r == c else Fraction(0)
                     for c in range(k)) for r in range(k))
-        for i in range(1, p + 1))
+        for j in reversed(range(den.degree)))
 
 
 def observer_realization(h: TransferFunction):
@@ -352,16 +331,15 @@ def observer_realization(h: TransferFunction):
     The scalar denominator d(z) = z^p + a_1 z^(p-1) + ... + a_p induces
     A_i = a_i I_d; the numerator matrix N(z) = d(z) H(z) supplies B_0..B_q
     with B_j the coefficient of z^(q-j), q = deg N.  Returns the realization
-    together with the left fraction (P, Q) = (d(z) I_d, N(z)).
+    together with the left fraction (P, Q) = (d(z) I_d, N(z)) of their spec.
     """
-    den, p, num = _denominator_data(h)
-    d, m = h.rows, h.cols
-    a_coeffs = _scalar_blocks(den, p, d)
+    a_coeffs, num = _scalar_ar_blocks(h, h.rows), h.common_num
     q = num.degree
-    b_coeffs = tuple(num.coefficient_matrix(q - j) for j in range(q + 1))
-    spec = McarmaSpec(p=p, q=q, d=d, m=m, a_coeffs=a_coeffs, b_coeffs=b_coeffs)
-    return ObserverRealization(statespace=assemble_observer_ss(spec),
-                               mcarma=spec), spec.fraction()
+    spec = McarmaSpec(p=len(a_coeffs), q=q, d=h.rows, m=h.cols, a_coeffs=a_coeffs,
+                      b_coeffs=tuple(num.coefficient_matrix(q - j)
+                                     for j in range(q + 1)))
+    mfd = spec.fraction()
+    return CanonicalRealization(assemble_observer_ss(spec), mfd), mfd
 
 
 def controller_realization(h: TransferFunction):
@@ -372,20 +350,15 @@ def controller_realization(h: TransferFunction):
     (0, ..., 0, I_m)^T and the output matrix (N_0, ..., N_(p-1)) built from
     ascending numerator coefficients.
     """
-    den, p, num = _denominator_data(h)
     d, m = h.rows, h.cols
-    atilde = _scalar_blocks(den, p, m)
-    a = _block_companion(atilde, m)
-    b = mat_zeros((p - 1) * m, m) + mat_identity(m)
-    n_coeffs = tuple(num.coefficient_matrix(k) for k in range(p))
-    c = tuple(sum((blk[r] for blk in n_coeffs), ()) for r in range(d))
-    q_tilde = num.degree
-    ss = StateSpaceModel(a=a, b=b, c=c)
-    mfd = MfdPair(side="right",
-                  den=_poly_from_blocks((mat_identity(m), *atilde), m, m),
-                  num=num, p=p, q=q_tilde)
-    return ControllerRealization(statespace=ss, atilde_coeffs=atilde,
-                                 n_coeffs=n_coeffs, q_tilde=q_tilde), mfd
+    atilde = _scalar_ar_blocks(h, m)
+    p, num = len(atilde), h.common_num
+    n_blocks = [num.coefficient_matrix(k) for k in range(p)]
+    c = tuple(sum((blk[r] for blk in n_blocks), ()) for r in range(d))
+    ss = StateSpaceModel(a=_block_companion(atilde, m),
+                         b=mat_zeros((p - 1) * m, m) + mat_identity(m), c=c)
+    mfd = MfdPair("right", _poly_from_blocks((mat_identity(m), *atilde), m, m), num)
+    return CanonicalRealization(ss, mfd), mfd
 
 
 def tf_match(ss: StateSpaceModel, h: TransferFunction) -> bool:

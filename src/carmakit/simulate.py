@@ -101,8 +101,10 @@ class FixedAtomJumps:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        self.atoms = np.atleast_2d(np.asarray(self.atoms, dtype=float))
-        self.probabilities = np.asarray(self.probabilities, dtype=float).reshape(-1)
+        self.atoms = np.asarray(self.atoms, dtype=float)
+        self.probabilities = np.asarray(self.probabilities, dtype=float)
+        if self.atoms.ndim != 2 or not len(self.atoms) or self.probabilities.ndim != 1:
+            raise ValueError("atoms must be a non-empty 2-D array, probabilities 1-D")
         if len(self.atoms) != self.probabilities.size:
             raise DimensionMismatch("one probability per atom required")
         if not (np.all(np.isfinite(self.atoms))
@@ -571,8 +573,8 @@ def simulate_compound_poisson(ss: StateSpaceModel, jump_times, jump_sizes,
     jump_sizes = np.asarray(jump_sizes, dtype=float)
     if jump_sizes.ndim == 1:
         jump_sizes = jump_sizes[:, None]
-    if jump_sizes.shape[0] != jump_times.size:
-        raise DimensionMismatch("one jump size per jump time required")
+    if jump_sizes.ndim != 2 or jump_sizes.shape[0] != jump_times.size:
+        raise DimensionMismatch("one jump size vector per jump time required")
     if jump_times.size and jump_sizes.shape[1] != ss.m:
         raise DimensionMismatch("jump size dimension must match the model input")
     if not (np.all(np.isfinite(jump_times)) and np.all(np.isfinite(jump_sizes))):

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from carmakit import cli, simulate
 from carmakit.exactalg import (
@@ -479,6 +479,48 @@ class TestSimulateCommand:
                           "--seed", "9", "--steps", "10", "--h", "0.25",
                           "-o", str(tmp_path / "x.csv"))
             assert code == 2
+
+    @pytest.mark.parametrize("atoms", [
+        {"atoms": [[[1]], [[2]]], "probabilities": [0.5, 0.5]},
+        {"atoms": [], "probabilities": []},
+        {"atoms": [1, 2], "probabilities": [0.5, 0.5]},
+        {"atoms": [["1"], [True]], "probabilities": ["0.5", 0.5]},
+    ], ids=["rank-3", "empty", "flat", "string-and-boolean"])
+    def test_malformed_atom_file_exit_2(self, tmp_path, capsys, atoms):
+        # Two states and one input: rank-3 atoms of length 1 fit the input
+        # but not the state update, and this seed draws jumps.
+        path = write_model(tmp_path / "m.json",
+                           ss_obj([[-1, 0], [0, -2]], [[1], [1]], [[1, 1]]))
+        atoms_path = tmp_path / "atoms.json"
+        atoms_path.write_text(json.dumps(atoms))
+        out_path = tmp_path / "x.csv"
+        code = cli.main(["simulate", path, "--driver", "cp", "--rate", "4",
+                         "--jump", f"atoms:{atoms_path}", "--seed", "9",
+                         "--steps", "40", "--h", "0.25", "-o", str(out_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: bad atom file: ")
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "spectrum"])
+    @pytest.mark.parametrize("sigma", ['[["2"]]', "[[true]]"],
+                             ids=["string", "boolean"])
+    def test_non_number_sigma_exit_2(self, tmp_path, capsys, command, sigma):
+        path = write_model(tmp_path / "ou.json", OU)
+        sigma_path = tmp_path / "sigma.json"
+        sigma_path.write_text(sigma)
+        out_path = tmp_path / "x.csv"
+        flags = (["--driver", "brownian", "--seed", "1", "--steps", "10",
+                  "--h", "0.1"] if command == "simulate"
+                 else ["--omegas", "0,1"])
+        code = cli.main([command, path, "--sigma", str(sigma_path), *flags,
+                         "-o", str(out_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        entry = json.loads(sigma)[0][0]
+        assert err == (f"error: {sigma_path}: covariance must hold JSON "
+                       f"numbers, got {entry!r}\n")
+        assert not out_path.exists()
 
     def test_bad_sigma_shape_exit_3(self, tmp_path, capsys):
         path = write_model(tmp_path / "ou.json", OU)
@@ -970,6 +1012,34 @@ OMEGAS = _mostly(st.lists(st.floats(-10, 10), min_size=1, max_size=4)
                                     min_size=1, max_size=4).map(",".join)))
 
 
+@st.composite
+def side_arrays(draw, array):
+    """``array``, a matrix as nested lists of numbers, as a side file may
+    hold it: unchanged, flattened to rank 1, wrapped to rank 3, emptied, or
+    with one entry made a string or a boolean."""
+    change = draw(st.sampled_from(("none",) * 3 + ("flat", "wrapped", "empty",
+                                                   "string", "boolean")))
+    if change == "flat":
+        return [x for row in array for x in row]
+    if change == "wrapped":
+        return [[[x] for x in row] for row in array]
+    if change == "empty":
+        return []
+    if change != "none":
+        i, j = draw(st.sampled_from(_entry_paths(array)))
+        array[i][j] = repr(array[i][j]) if change == "string" else draw(st.booleans())
+    return array
+
+
+def _is_number_array(value, rank: int) -> bool:
+    """Whether ``value`` nests non-empty lists exactly ``rank`` deep around
+    JSON numbers (not strings or booleans)."""
+    if rank == 0:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return (isinstance(value, list) and bool(value)
+            and all(_is_number_array(v, rank - 1) for v in value))
+
+
 def _path(name):
     return _mostly(st.just("{dir}/" + name), st.just("{dir}/absent/" + name))
 
@@ -984,11 +1054,13 @@ def cli_runs(draw):
     grid = ["--seed", draw(SEEDS), "--steps", draw(STEPS), "--h",
             draw(STEP_SIZES)]
     files["sigma.json"] = draw(_mostly(
-        st.integers(1, 2).map(lambda k: json.dumps(np.eye(k).tolist())),
+        st.integers(1, 2).flatmap(lambda k: side_arrays(np.eye(k).tolist()))
+        .map(json.dumps),
         JSON_VALUES.map(json.dumps) | st.sampled_from((NESTED, NOT_UTF8))))
     files["atoms.json"] = draw(_mostly(
-        st.integers(1, 2).map(lambda k: json.dumps(
-            {"atoms": [[1.0] * k, [-2.0] * k], "probabilities": [0.5, 0.5]})),
+        st.integers(1, 2).flatmap(lambda k: side_arrays([[1.0] * k, [-2.0] * k]))
+        .map(lambda atoms: json.dumps({"atoms": atoms,
+                                       "probabilities": [0.5, 0.5]})),
         JSON_VALUES.map(json.dumps) | st.sampled_from((NESTED, NOT_UTF8))))
     sigma = ["--sigma", draw(st.sampled_from(("identity", "{dir}/sigma.json")))]
     command = draw(st.sampled_from(
@@ -1023,6 +1095,19 @@ def cli_runs(draw):
 
 class TestFuzz:
 
+    # Side files the random draws reach only now and then: a string entry
+    # in a covariance, and rank-3 atoms that fit a two-state model's input
+    # but not its state update.
+    @example(({"m1.json": json.dumps(OU), "sigma.json": '[["1.0"]]'},
+              ["spectrum", "{dir}/m1.json", "--omegas", "0", "--sigma",
+               "{dir}/sigma.json", "-o", "{dir}/out"]))
+    @example(({"m1.json": json.dumps(ss_obj([[-1, 0], [0, -2]], [[1], [1]],
+                                            [[1, 1]])),
+               "atoms.json": json.dumps({"atoms": [[[1.0]], [[-2.0]]],
+                                         "probabilities": [0.5, 0.5]})},
+              ["simulate", "{dir}/m1.json", "--driver", "cp", "--seed", "9",
+               "--steps", "40", "--h", "0.25", "-o", "{dir}/out", "--rate",
+               "3.0", "--jump", "atoms:{dir}/atoms.json"]))
     @given(cli_runs())
     @settings(max_examples=150, deadline=None)
     def test_every_run_ends_in_a_documented_exit_code(self, run_spec):
@@ -1032,14 +1117,20 @@ class TestFuzz:
             for name, content in files.items():
                 Path(tmp, name).write_bytes(
                     content if isinstance(content, bytes) else content.encode())
-            argv = [a.format(dir=tmp) for a in argv]
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 try:
-                    code = cli.main(argv)
+                    code = cli.main([a.format(dir=tmp) for a in argv])
                 except SystemExit as exc:  # argparse usage errors
                     code = exc.code
         assert code in range(7), (argv, code, err.getvalue())
         assert "Traceback" not in out.getvalue() + err.getvalue()
+        if code == 0 and "{dir}/sigma.json" in argv:
+            # a run that read a side file succeeds only on the documented shape
+            assert _is_number_array(json.loads(files["sigma.json"]), 2)
+        if code == 0 and "atoms:{dir}/atoms.json" in argv:
+            doc = json.loads(files["atoms.json"])
+            assert _is_number_array(doc["atoms"], 2)
+            assert _is_number_array(doc["probabilities"], 1)
         if code == 1:
             assert argv[0] == "check-equiv"
             assert out.getvalue().startswith("DISTINCT\n")

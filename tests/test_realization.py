@@ -24,6 +24,7 @@ from carmakit.exactalg import (
     PolyMatrix,
     RationalFunction,
     faddeev_leverrier,
+    format_rational,
     mat_identity,
     mat_is_zero,
     mat_mul,
@@ -424,20 +425,21 @@ class TestObserverRealization:
                                     [Poly.zero(), Poly((1, 1))]])
         h = ratmat_reduce(num, Poly((2, 3, 1)))
         obs, mfd = observer_realization(h)
-        spec = obs.mcarma
-        assert spec.p == 2 and spec.q == 1
+        assert obs.fraction is mfd and mfd.side == "left"
+        assert mfd.p == 2 and mfd.q == 1
         three_i = tuple(tuple(Fraction(3) if i == j else Fraction(0)
                               for j in range(2)) for i in range(2))
         two_i = tuple(tuple(Fraction(2) if i == j else Fraction(0)
                             for j in range(2)) for i in range(2))
-        assert spec.a_coeffs == (three_i, two_i)
+        # autoregressive blocks A_1 = 3I, A_2 = 2I of P(z) = I z^2 + 3I z + 2I
+        assert [mfd.den.coefficient_matrix(k) for k in (2, 1, 0)] == [
+            mat_identity(2), three_i, two_i]
         # numerator diag(z+2, z+1): leading coefficient I, constant diag(2, 1)
-        assert spec.b_coeffs[0] == mat_identity(2)
-        assert spec.b_coeffs[1] == ((Fraction(2), Fraction(0)),
-                                    (Fraction(0), Fraction(1)))
-        assert spec.beta[0] == spec.b_coeffs[0]
-        assert spec.beta[1] == mat_sub(spec.b_coeffs[1],
-                                       mat_mul(three_i, spec.b_coeffs[0]))
+        b0, b1 = mfd.num.coefficient_matrix(1), mfd.num.coefficient_matrix(0)
+        assert b0 == mat_identity(2)
+        assert b1 == ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(1)))
+        # the input blocks beta_1 = B_0 and beta_2 = B_1 - A_1 B_0 stack into B
+        assert obs.statespace.b == b0 + mat_sub(b1, mat_mul(three_i, b0))
         assert ratmat_equal(transfer_function(obs.statespace), h)
         assert mfd.num == num
 
@@ -483,8 +485,11 @@ class TestControllerRealization:
         assert ss.a == ((Fraction(0), Fraction(1)), (Fraction(-2), Fraction(-3)))
         assert ss.b == ((Fraction(0),), (Fraction(1),))
         assert ss.c == ((Fraction(3), Fraction(1)),)
-        assert ctrl.q_tilde == 1
-        assert ctrl.btilde_coeffs == (((Fraction(1),),), ((Fraction(3),),))
+        assert ctrl.fraction is mfd
+        # numerator z + 3: degree qt = 1, blocks Bt_0 = 1 and Bt_1 = 3
+        assert mfd.q == 1
+        assert [mfd.num.coefficient_matrix(1 - j) for j in range(2)] == [
+            ((Fraction(1),),), ((Fraction(3),),)]
         assert ratmat_equal(transfer_function(ss), h)
         assert mfd.side == "right"
 
@@ -551,13 +556,73 @@ class TestMatrixFractions:
             for side, k, (_, mfd) in (("left", h.rows, observer_realization(h)),
                                       ("right", h.cols, controller_realization(h))):
                 assert mfd == MfdPair(side, PolyMatrix.identity(k).scale(h.common_den),
-                                      h.common_num, p, q)
+                                      h.common_num)
+                assert (mfd.p, mfd.q) == (p, q)
 
     def test_invalid_leading_coefficient_rejected(self):
         den = PolyMatrix.from_rows([[Poly((1, 2))]])  # 2z + 1, not monic
         num = PolyMatrix.from_rows([[Poly.one()]])
         with pytest.raises(ValueError):
-            MfdPair(side="left", den=den, num=num, p=1, q=0)
+            MfdPair(side="left", den=den, num=num)
+
+    def test_orders_are_the_degrees(self):
+        # p and q are read off den and num; a zero numerator has q None
+        den = PolyMatrix.from_rows([[Poly((2, 3, 1))]])
+        for num, q in ((Poly((3, 1)), 1), (Poly.constant(3), 0), (Poly.zero(), None)):
+            mfd = MfdPair("right", den, PolyMatrix.from_rows([[num]]))
+            assert (mfd.p, mfd.q) == (2, q)
+
+    def test_spec_with_zero_leading_ma_block(self):
+        # B_0 = 0 leaves Q(z) = 3, so the fraction's q is 0, not the spec's 1
+        spec = McarmaSpec(p=2, q=1, d=1, m=1, a_coeffs=([[1]], [[2]]),
+                          b_coeffs=([[0]], [[3]]))
+        den = PolyMatrix.from_rows([[Poly((2, 1, 1))]])
+        assert spec.fraction() == MfdPair("left", den,
+                                          PolyMatrix.from_rows([[Poly.constant(3)]]))
+        assert (spec.fraction().p, spec.fraction().q) == (2, 0)
+
+    def test_spec_with_zero_ma_part(self):
+        spec = McarmaSpec(p=2, q=None, d=2, m=1, a_coeffs=(mat_identity(2),) * 2,
+                          b_coeffs=())
+        den = PolyMatrix.identity(2).scale(Poly((1, 1, 1)))
+        assert spec.fraction() == MfdPair("left", den, PolyMatrix.zero(2, 1))
+        assert (spec.fraction().p, spec.fraction().q) == (2, None)
+
+
+def json_blocks(pm: PolyMatrix, degrees) -> list:
+    """The coefficient blocks of ``pm`` at ``degrees``, as report JSON."""
+    return [[[format_rational(x) for x in row] for row in pm.coefficient_matrix(k)]
+            for k in degrees]
+
+
+class TestCanonicalReport:
+    @given(statespace_models())
+    @settings(max_examples=40, deadline=None)
+    def test_report_reads_the_fraction(self, ss):
+        h = transfer_function(ss)
+        assume(not h.is_zero)
+        for form, realize in (("observer", observer_realization),
+                              ("controller", controller_realization)):
+            real, mfd = realize(h)
+            assert real.fraction is mfd
+            p, q = mfd.den.degree, mfd.num.degree
+            assert (mfd.p, mfd.q) == (p, q)
+            assert (p, q) == (h.common_den.degree, h.common_num.degree)
+            report = cli.report_canonical(form, h)
+            assert (report["p"], report["mfd"]["p"], report["mfd"]["q"]) == (p, p, q)
+            assert report["ar_coeffs"] == json_blocks(mfd.den, range(p - 1, -1, -1))
+            descending = json_blocks(mfd.num, range(q, -1, -1))
+            if form == "observer":
+                assert (report["q"], report["ma_coeffs"]) == (q, descending)
+                b = [[format_rational(x) for x in row] for row in real.statespace.b]
+                assert report["input_blocks"] == [b[k * h.rows:(k + 1) * h.rows]
+                                                  for k in range(p)]
+            else:
+                assert report["q_tilde"] == q
+                assert report["num_coeffs_descending"] == descending
+                assert report["num_coeffs"] == json_blocks(mfd.num, range(p))
+            assert report["statespace"]["B"] == [
+                [format_rational(x) for x in row] for row in real.statespace.b]
 
 
 # ---------------------------------------------------------------------------

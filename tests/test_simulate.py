@@ -373,6 +373,12 @@ class TestCompoundPoisson:
         with pytest.raises(DimensionMismatch):
             simulate_compound_poisson_pair(ss, ss, driver, cfg)
 
+    def test_jump_sizes_must_be_vectors(self):
+        cfg = SimulationConfig(step_size=0.1, steps=5, seed=1)
+        with pytest.raises(DimensionMismatch, match="one jump size vector"):
+            simulate_compound_poisson(scalar_model(1.0), [0.05, 0.2],
+                                      [[[1.0]], [[2.0]]], cfg)
+
     def test_unsorted_jump_times_rejected(self):
         cfg = SimulationConfig(step_size=0.1, steps=10, seed=1)
         with pytest.raises(ValueError, match="sorted"):
@@ -614,6 +620,16 @@ class TestDriverValidation:
     def test_atom_probabilities_must_sum_to_one(self):
         with pytest.raises(ValueError):
             FixedAtomJumps(atoms=[[1.0]], probabilities=[0.5])
+
+    @pytest.mark.parametrize("atoms, probabilities", [
+        ([], []),
+        ([1.0, 2.0], [0.5, 0.5]),
+        ([[[1.0]], [[2.0]]], [0.5, 0.5]),
+        ([[1.0], [2.0]], [[0.5, 0.5]]),
+    ], ids=["empty", "flat", "rank-3", "nested-probabilities"])
+    def test_atoms_must_be_a_list_of_vectors(self, atoms, probabilities):
+        with pytest.raises(ValueError, match="non-empty 2-D array"):
+            FixedAtomJumps(atoms=atoms, probabilities=probabilities)
 
     def test_jump_laws_must_be_finite(self):
         with pytest.raises(ValueError, match="mean must be finite"):
