@@ -122,7 +122,8 @@ def mat_mul(a: RationalMatrixData, b: RationalMatrixData) -> RationalMatrixData:
             f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
     bt = tuple(zip(*b))
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+        tuple(sum((x * y for x, y in zip(row, col) if x), Fraction(0))
+              for col in bt) for row in a)
 
 
 def mat_is_zero(a: RationalMatrixData) -> bool:

@@ -212,7 +212,8 @@ class MfdPair:
 
     ``side == "left"`` means H = den^{-1} num; ``side == "right"`` means
     H = num den^{-1}.  The denominator is square with identity leading
-    coefficient and degree strictly greater than the numerator's.
+    coefficient and degree strictly greater than the numerator's, and the
+    numerator has its rows (left) or its columns (right).
     """
 
     side: str
@@ -224,6 +225,9 @@ class MfdPair:
             raise ValueError("side must be 'left' or 'right'")
         if self.den.rows != self.den.cols:
             raise DimensionMismatch("denominator of a matrix fraction must be square")
+        if (self.num.rows if self.side == "left" else self.num.cols) != self.den.rows:
+            raise DimensionMismatch(
+                f"numerator of a {self.side} fraction does not fit its denominator")
         if self.den.coefficient_matrix(self.p) != mat_identity(self.den.rows):
             raise ValueError("denominator leading coefficient must be the identity")
         if not self.num.degree < self.den.degree:

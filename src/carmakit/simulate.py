@@ -5,14 +5,16 @@ converted to double precision once, on entry to this module; everything
 downstream is floating point.
 
 Grid convention: a path with n steps of size h is reported at t_k = k*h for
-k = 0..n-1, so the first row is the initial state's output.  A path stops at
-the first chunk of ``PATH_CHUNK`` rows with a non-finite output, and a run
-needing over ``MAX_PATH_VALUES`` floats in one array is refused.
+k = 0..n-1, so the first row is the initial state's output.  Every path
+starts from the zero state, except a Brownian run with ``init="stationary"``,
+whose start is drawn from the stationary law.  A path stops at the first
+chunk of ``PATH_CHUNK`` rows with a non-finite output, and a run needing
+over ``MAX_PATH_VALUES`` floats in one array is refused.
 
 Randomness is drawn from numpy's PCG64 generator through a fixed
 stream-splitting rule: the run seed spawns four independent child streams,
 
-    0: initial state draw,
+    0: initial state draw (a stationary Brownian start),
     1: Gaussian increments (Brownian drivers),
     2: jump times (compound Poisson),
     3: jump sizes (compound Poisson),
@@ -149,9 +151,9 @@ class LevyDriverSpec:
 class SimulationConfig:
     """Grid, seed and initialization for one simulation run.
 
-    ``init`` is "zero" or "stationary"; ``x0`` overrides both with an
-    explicit initial state (useful for deterministic decay checks).
-    ``euler_substeps`` only matters for the shared-increment Euler runs.
+    ``init`` is "zero" or "stationary"; only the Brownian path takes a
+    stationary start.  ``euler_substeps`` only matters for the
+    shared-increment Euler runs.
     """
 
     step_size: float
@@ -159,7 +161,6 @@ class SimulationConfig:
     seed: int
     init: str = "zero"
     euler_substeps: int = 1
-    x0: Optional[tuple] = None
 
     def __post_init__(self):
         if not self.step_size > 0:
@@ -177,8 +178,6 @@ class SimulationConfig:
             raise ValueError("init must be 'zero' or 'stationary'")
         if self.euler_substeps < 1:
             raise ValueError("euler_substeps must be at least 1")
-        if self.x0 is not None:
-            object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
 
     def streams(self):
         """The four child generators in the documented order."""
@@ -311,7 +310,7 @@ def stationary_covariance(ss: StateSpaceModel, sigma_l) -> np.ndarray:
 
 
 def gaussian_step_params(ss: StateSpaceModel, sigma_l, h: float):
-    """Exact one-step discretization: (Phi, Sigma_h).
+    """Exact one-step discretization at a step h > 0: (Phi, Sigma_h).
 
     Phi = e^{Ah} and Sigma_h = integral_0^h e^{Au} B Sigma B^T e^{A^T u} du,
     both read off one matrix exponential of the doubled block matrix
@@ -329,6 +328,8 @@ def gaussian_step_params(ss: StateSpaceModel, sigma_l, h: float):
     the same, ``OutOfRange`` is raised for a drift that :func:`stability_check`
     calls stable, and ``UnstableModel`` otherwise.
     """
+    if not h > 0:
+        raise ValueError("step size must be positive")
     a, b, _ = ss_to_float(ss)
     n = a.shape[0]
     q = _noise_covariance(b, sigma_l)
@@ -447,31 +448,22 @@ def _record_path(x0, cfg: SimulationConfig, advance, c) -> SamplePath:
     return SamplePath(times=times, outputs=outputs, states=states)
 
 
-def _initial_state(ss: StateSpaceModel, sigma_l, cfg: SimulationConfig,
-                   rng: np.random.Generator) -> np.ndarray:
-    if cfg.x0 is not None:
-        x0 = np.asarray(cfg.x0, dtype=float)
-        if x0.size != ss.n:
-            raise DimensionMismatch("initial state length must match state dimension")
-        return x0
-    if cfg.init == "stationary":
-        s_inf = stationary_covariance(ss, sigma_l)
-        return _psd_factor(s_inf) @ rng.standard_normal(ss.n)
-    return np.zeros(ss.n)
-
-
 def simulate_brownian(ss: StateSpaceModel, sigma_l,
                       cfg: SimulationConfig) -> SamplePath:
     """Exact-discretization Gaussian simulation on the sampling grid.
 
     X_{k+1} = Phi X_k + xi_k with xi_k i.i.d. N(0, Sigma_h); no
-    time-discretization bias at the grid points.
+    time-discretization bias at the grid points.  X_0 is zero, or for
+    ``init == "stationary"`` a draw from stream 0 of the stationary law.
     """
     _require_psd(sigma_l, "driver covariance")
     _require_path_values(cfg.steps * ss.n)
     rng_init, rng_gauss, _, _ = cfg.streams()
     phi, sigma_h = gaussian_step_params(ss, sigma_l, cfg.step_size)
-    x0 = _initial_state(ss, sigma_l, cfg, rng_init)
+    x0 = np.zeros(ss.n)
+    if cfg.init == "stationary":
+        x0 = (_psd_factor(stationary_covariance(ss, sigma_l))
+              @ rng_init.standard_normal(ss.n))
     with _overflow_quiet():
         increments = (rng_gauss.standard_normal((cfg.steps - 1, ss.n))
                       @ _psd_factor(sigma_h).T)
@@ -496,7 +488,7 @@ def simulate_shared_brownian_pair(ss1: StateSpaceModel, ss2: StateSpaceModel,
     ``euler_substeps`` grows.  Both runs start from the zero state.
     """
     _require_pair_input_dims(ss1, ss2)
-    if cfg.init != "zero" or cfg.x0 is not None:
+    if cfg.init != "zero":
         raise ValueError("shared-path comparisons start from the zero state")
     sigma_l = _require_psd(sigma_l, "driver covariance")
     sub = cfg.euler_substeps
@@ -563,10 +555,11 @@ def simulate_compound_poisson(ss: StateSpaceModel, jump_times, jump_sizes,
     out in path order, and their exponentials are evaluated in stacked
     windows of ``PATH_CHUNK`` intervals, one per distinct gap of a window,
     so a regular grid segment costs a few exponentials per window.  Jump
-    times must be sorted and jump times and sizes finite; step k applies the
-    jumps in (t_{k-1}, t_k], and step 1 also those at t <= 0.
+    times must be sorted, nonnegative and finite, and jump sizes finite;
+    step k applies the jumps in (t_{k-1}, t_k], and step 1 also those at
+    t = 0.  The path starts from the zero state.
     """
-    if cfg.init == "stationary" and cfg.x0 is None:
+    if cfg.init == "stationary":
         raise ValueError(
             "stationary initialization is not defined for compound Poisson runs")
     jump_times = np.asarray(jump_times, dtype=float)
@@ -581,10 +574,10 @@ def simulate_compound_poisson(ss: StateSpaceModel, jump_times, jump_sizes,
         raise ValueError("jump times and sizes must be finite")
     if np.any(np.diff(jump_times) < 0):
         raise ValueError("jump times must be sorted")
+    if np.any(jump_times < 0):
+        raise ValueError("jump times must be nonnegative")
     _require_path_values(cfg.steps * ss.n)
     a, b, c = ss_to_float(ss)
-    rng_init, _, _, _ = cfg.streams()
-    x0 = _initial_state(ss, None, cfg, rng_init)
 
     # Path order: t_0, the jumps of step 1, t_1, the jumps of step 2, ...
     grid = np.arange(cfg.steps) * cfg.step_size
@@ -600,7 +593,7 @@ def simulate_compound_poisson(ss: StateSpaceModel, jump_times, jump_sizes,
         e = next(flows)
         return x if e is None else e @ x
 
-    return _record_path(x0, cfg, advance, c)
+    return _record_path(np.zeros(ss.n), cfg, advance, c)
 
 
 def simulate_compound_poisson_pair(ss1: StateSpaceModel, ss2: StateSpaceModel,
@@ -613,8 +606,6 @@ def simulate_compound_poisson_pair(ss1: StateSpaceModel, ss2: StateSpaceModel,
     pathwise equivalence witness.
     """
     _require_pair_input_dims(ss1, ss2)
-    if cfg.x0 is not None:
-        raise ValueError("shared-path comparisons start from the zero state")
     _require_path_values(cfg.steps * max(ss1.n, ss2.n))
     horizon = (cfg.steps - 1) * cfg.step_size
     times, sizes = draw_compound_poisson_jumps(driver, horizon, cfg)

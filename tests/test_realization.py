@@ -565,6 +565,14 @@ class TestMatrixFractions:
         with pytest.raises(ValueError):
             MfdPair(side="left", den=den, num=num)
 
+    def test_numerator_must_fit_the_denominator(self):
+        # a left numerator has den's rows, a right one den's columns
+        den = PolyMatrix.identity(2).scale(Poly((1, 1)))
+        for side, num in (("left", [[Poly.one()]]),
+                          ("right", [[Poly.one()], [Poly.constant(2)]])):
+            with pytest.raises(DimensionMismatch, match="does not fit"):
+                MfdPair(side, den, PolyMatrix.from_rows(num))
+
     def test_orders_are_the_degrees(self):
         # p and q are read off den and num; a zero numerator has q None
         den = PolyMatrix.from_rows([[Poly((2, 3, 1))]])

@@ -196,6 +196,18 @@ class TestGaussianStepParams:
         s_inf = stationary_covariance(ss, sigma)
         assert_allclose(sigma_h, s_inf, rtol=1e-6, atol=1e-12)
 
+    @pytest.mark.parametrize("h, error, message", [
+        (0.0, ValueError, "step size must be positive"),
+        (-1.0, ValueError, "step size must be positive"),
+        (math.nan, ValueError, "step size must be positive"),
+        (-math.inf, ValueError, "step size must be positive"),
+        (math.inf, OutOfRange, "drift norm times step size inf overflows"),
+    ], ids=["zero", "negative", "nan", "minus-inf", "inf"])
+    def test_step_must_be_positive_and_finite(self, h, error, message):
+        ss = StateSpaceModel(a=[[-1]], b=[[1]], c=[[1]])
+        with pytest.raises(error, match=message):
+            gaussian_step_params(ss, [[1.0]], h)
+
     def test_overflowing_covariance_rejected(self):
         # e^{10^4} overflows while the covariance is doubled up to h
         a = [[10**6, 0, 0], [0, 0, 0], [0, 0, 0]]
@@ -215,16 +227,26 @@ class TestGaussianStepParams:
 # ---------------------------------------------------------------------------
 
 class TestSimulateBrownian:
-    def test_noiseless_decay(self):
+    def test_replays_the_increment_stream(self):
+        # From the zero start, x_k = Phi x_(k-1) + xi_k with xi_k the normals
+        # of child stream 1 scaled by a factor of Sigma_h: the recursion
+        # propagates non-zero states, and the draws follow the stream layout.
         ss = StateSpaceModel(a=[[0, 1], [-2, -3]], b=[[0], [1]], c=[[1, 0]])
-        cfg = SimulationConfig(step_size=0.25, steps=30, seed=5, x0=(1.0, -0.5))
-        path = simulate_brownian(ss, [[0.0]], cfg)
-        a, _, c = ss_to_float(ss)
-        phi = expm(a * cfg.step_size)
-        x = np.array([1.0, -0.5])
-        for k in range(cfg.steps):
-            assert_allclose(path.outputs[k], c @ x, rtol=1e-10, atol=1e-14)
-            x = phi @ x
+        cfg = SimulationConfig(step_size=0.25, steps=30, seed=5)
+        path = simulate_brownian(ss, [[2.0]], cfg)
+        phi, sigma_h = gaussian_step_params(ss, [[2.0]], cfg.step_size)
+        w, v = np.linalg.eigh(sigma_h)
+        stream = np.random.SeedSequence(cfg.seed).spawn(4)[1]
+        normals = np.random.Generator(np.random.PCG64(stream)).standard_normal(
+            (cfg.steps - 1, ss.n))
+        xi = normals @ (v * np.sqrt(np.clip(w, 0.0, None))).T
+        x = np.zeros(ss.n)
+        states = [x]
+        for k in range(1, cfg.steps):
+            x = phi @ x + xi[k - 1]
+            states.append(x)
+        assert_array_equal(path.states, states)
+        assert_array_equal(path.outputs, np.array(states) @ ss_to_float(ss)[2].T)
         assert path.times[0] == 0.0
         assert_allclose(path.times[-1], 0.25 * 29)
 
@@ -251,12 +273,6 @@ class TestSimulateBrownian:
         ss = StateSpaceModel(a=[[1]], b=[[1]], c=[[1]])
         cfg = SimulationConfig(step_size=0.1, steps=10, seed=1, init="stationary")
         with pytest.raises(UnstableModel):
-            simulate_brownian(ss, [[1.0]], cfg)
-
-    def test_initial_state_dimension_checked(self):
-        ss = scalar_model(1.0)
-        cfg = SimulationConfig(step_size=0.1, steps=10, seed=1, x0=(1.0, 2.0))
-        with pytest.raises(DimensionMismatch):
             simulate_brownian(ss, [[1.0]], cfg)
 
 
@@ -320,14 +336,17 @@ class TestCompoundPoisson:
             expected = c * size * math.exp(-a * (t - tau)) if t >= tau else 0.0
             assert_allclose(y, expected, rtol=1e-12, atol=1e-14)
 
-    def test_no_jumps_is_deterministic_decay(self):
+    def test_jump_at_zero_gives_the_impulse_response(self):
+        # one jump of size s at t = 0 moves the zero start to B s, from where
+        # the state decays deterministically: y(t) = C e^{At} B s (C B = 0
+        # here, so row 0, recorded before the jump, fits as well)
         ss = StateSpaceModel(a=[[0, 1], [-2, -3]], b=[[0], [1]], c=[[1, 0]])
-        cfg = SimulationConfig(step_size=0.2, steps=25, seed=3, x0=(1.0, 1.0))
-        path = simulate_compound_poisson(ss, [], [], cfg)
-        a, _, c = ss_to_float(ss)
+        cfg = SimulationConfig(step_size=0.2, steps=25, seed=3)
+        s = np.array([1.5])
+        path = simulate_compound_poisson(ss, [0.0], [s], cfg)
+        a, b, c = ss_to_float(ss)
         for t, y in zip(path.times, path.outputs):
-            assert_allclose(y, c @ expm(a * t) @ np.array([1.0, 1.0]),
-                            rtol=1e-11, atol=1e-14)
+            assert_allclose(y, c @ expm(a * t) @ b @ s, rtol=1e-11, atol=1e-14)
 
     def test_jump_draw_determinism(self):
         driver = LevyDriverSpec.compound_poisson(
@@ -385,6 +404,13 @@ class TestCompoundPoisson:
             simulate_compound_poisson(scalar_model(1.0), [0.5, 0.2],
                                       [[1.0], [1.0]], cfg)
 
+    @pytest.mark.parametrize("a", [-3000, -1])
+    def test_negative_jump_times_rejected(self, a):
+        ss = StateSpaceModel(a=[[a]], b=[[1]], c=[[1]])
+        cfg = SimulationConfig(step_size=0.1, steps=3, seed=1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            simulate_compound_poisson(ss, [-0.3], [[1.0]], cfg)
+
     @pytest.mark.parametrize("times, sizes", [
         ([math.nan], [[1.0]]),
         ([0.05, math.inf], [[1.0], [1.0]]),
@@ -411,12 +437,13 @@ class TestCompoundPoisson:
         return sizes
 
     @staticmethod
-    def reference_path(ss, jump_times, jump_sizes, cfg, x0):
-        """Jump by jump: flow to each jump time in order, add B dL, then flow
-        to the grid time; jumps at t <= 0 fall in the first step."""
+    def reference_path(ss, jump_times, jump_sizes, cfg):
+        """Jump by jump from the zero state: flow to each jump time in order,
+        add B dL, then flow to the grid time; jumps at t = 0 fall in the
+        first step."""
         a, b, c = ss_to_float(ss)
         h = cfg.step_size
-        states = [np.asarray(x0, dtype=float)]
+        states = [np.zeros(ss.n)]
         x, t, j = states[0], 0.0, 0
         for k in range(1, cfg.steps):
             while j < len(jump_times) and jump_times[j] <= k * h:
@@ -438,11 +465,11 @@ class TestCompoundPoisson:
         [],                                       # no jumps
         [0.0],                                    # a jump at t = 0
         [0.0, 0.0, 5 * H, 5 * H, 6 * H, 14 * H],  # on k*h, several per step
-        [-0.01, 0.05, 0.12, 0.13, 0.14, 0.95, 1.1],  # off grid, before and past
+        [0.05, 0.12, 0.13, 0.14, 0.95, 1.1],      # off grid, and past the end
         # step 2 holds more flow intervals than a window of 4
         [0.06, 0.065, 0.07, 0.07, 0.08, 0.09, 2 * H],
-        # at and before t = 0, on k*h, and windows of 4 split inside steps
-        [-0.3, -0.0, 0.0, 0.01, H, 0.07, 0.08, 3 * H, 3 * H, 0.16, 0.17,
+        # at t = 0 with both signs, on k*h, and windows of 4 split inside steps
+        [-0.0, 0.0, 0.01, H, 0.07, 0.08, 3 * H, 3 * H, 0.16, 0.17,
          0.18, 10 * H, 0.51, 20 * H, 1.2],
     ], ids=["none", "at-zero", "on-grid", "off-grid", "crowded-step",
             "split-windows"])
@@ -454,18 +481,16 @@ class TestCompoundPoisson:
         sizes = np.random.default_rng(5).standard_normal((times.size, 2))
         for chunk in (simulate.PATH_CHUNK, 4):
             monkeypatch.setattr(simulate, "PATH_CHUNK", chunk)
-            for x0 in (None, (1.0, -0.5, 0.25)):
-                cfg = SimulationConfig(step_size=self.H, steps=21, seed=3, x0=x0)
-                path = simulate_compound_poisson(ss, times, sizes, cfg)
-                states, outputs = self.reference_path(
-                    ss, times, sizes, cfg, np.zeros(3) if x0 is None else x0)
-                assert_array_equal(path.states, states)
-                assert_array_equal(path.outputs, outputs)
+            cfg = SimulationConfig(step_size=self.H, steps=21, seed=3)
+            path = simulate_compound_poisson(ss, times, sizes, cfg)
+            states, outputs = self.reference_path(ss, times, sizes, cfg)
+            assert_array_equal(path.states, states)
+            assert_array_equal(path.outputs, outputs)
 
     def test_jump_free_path_takes_one_small_stack_per_window(self, expm_calls):
         ss = StateSpaceModel(a=[[0, 1], [-2, -3]], b=[[0], [1]], c=[[1, 0]])
         cfg = SimulationConfig(step_size=0.05, steps=10 * simulate.PATH_CHUNK,
-                               seed=3, x0=(1.0, 1.0))
+                               seed=3)
         simulate_compound_poisson(ss, [], [], cfg)
         # k*h - (k-1)*h rounds to about a dozen distinct gaps per window
         assert len(expm_calls) == 10
