@@ -31,7 +31,6 @@ from .errors import (
 from .exactalg import (
     Poly,
     PolyMatrix,
-    Rational,
     RationalFunction,
     RationalMatrix,
     TransferFunction,
@@ -89,7 +88,6 @@ __all__ = [
     "ZeroTransferFunction",
     "Poly",
     "PolyMatrix",
-    "Rational",
     "RationalFunction",
     "RationalMatrix",
     "TransferFunction",

@@ -36,7 +36,6 @@ from .errors import (
     DegenerateTransferFunction,
     DimensionMismatch,
     ModelFileError,
-    NotStrictlyProper,
     OutOfRange,
     PoleOnEvaluationAxis,
     UnstableModel,
@@ -123,8 +122,9 @@ def _int_field(obj: dict, name: str, label: str) -> int:
     return value
 
 
-def load_model(path: str):
-    """Parse a model file into a StateSpaceModel or McarmaSpec.
+def load_model(path: str) -> StateSpaceModel:
+    """Parse a model file into a StateSpaceModel; a coefficient spec is
+    assembled into its observer form.
 
     Structural problems (bad JSON, unknown fields, malformed rationals,
     invalid orders) raise ModelFileError; shape inconsistencies raise
@@ -154,21 +154,15 @@ def load_model(path: str):
         b_coeffs = tuple(_rational_rows(bj, f"{path}:B_coeffs[{k}]")
                          for k, bj in enumerate(obj["B_coeffs"]))
         try:
-            return McarmaSpec(p=p, q=q, d=d, m=m,
+            spec = McarmaSpec(p=p, q=q, d=d, m=m,
                               a_coeffs=a_coeffs, b_coeffs=b_coeffs)
         except DimensionMismatch:
             raise
         except ValueError as exc:
             raise ModelFileError(f"{path}: {exc}") from exc
+        return assemble_observer_ss(spec)
     raise ModelFileError(
         f"{path}: kind must be \"statespace\" or \"mcarma\", got {kind!r}")
-
-
-def model_to_ss(model) -> StateSpaceModel:
-    """Coefficient specs route through the observer assembly."""
-    if isinstance(model, McarmaSpec):
-        return assemble_observer_ss(model)
-    return model
 
 
 # ---------------------------------------------------------------------------
@@ -336,20 +330,20 @@ def _jump_json(jumps) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_tf(args) -> int:
-    h = transfer_function(model_to_ss(load_model(args.model)))
+    h = transfer_function(load_model(args.model))
     _emit_report(report_tf(h), args.out)
     return EXIT_OK
 
 
 def cmd_canonical(args) -> int:
-    h = transfer_function(model_to_ss(load_model(args.model)))
+    h = transfer_function(load_model(args.model))
     _emit_report(report_canonical(args.form, h), args.out)
     return EXIT_OK
 
 
 def cmd_check_equiv(args) -> int:
-    ss1 = model_to_ss(load_model(args.model1))
-    ss2 = model_to_ss(load_model(args.model2))
+    ss1 = load_model(args.model1)
+    ss2 = load_model(args.model2)
     equivalent = tf_equivalent(ss1, ss2)
     report = {"kind": "equivalence",
               "verdict": "EQUIVALENT" if equivalent else "DISTINCT"}
@@ -387,7 +381,7 @@ def cmd_simulate(args) -> int:
                            _require_path_values, draw_compound_poisson_jumps,
                            simulate_brownian, simulate_compound_poisson)
 
-    ss = model_to_ss(load_model(args.model))
+    ss = load_model(args.model)
     cfg = SimulationConfig(step_size=args.h, steps=args.steps, seed=args.seed,
                            init=args.init)
     if args.driver == "brownian":
@@ -420,7 +414,7 @@ def cmd_spectrum(args) -> int:
     import numpy as np
     from .simulate import spectral_density, write_csv
 
-    ss = model_to_ss(load_model(args.model))
+    ss = load_model(args.model)
     h = transfer_function(ss)
     sigma = _load_sigma(args.sigma, ss.m)
     d = ss.d
@@ -558,7 +552,6 @@ _EXIT_CODES = (
     (OSError, EXIT_PARSE),
     (DimensionMismatch, EXIT_DIMENSION),
     (DegenerateTransferFunction, EXIT_DEGENERATE),
-    (NotStrictlyProper, EXIT_DEGENERATE),
     (UnstableModel, EXIT_UNSTABLE),
     (PoleOnEvaluationAxis, EXIT_POLE),
 )

@@ -26,7 +26,7 @@ class OutOfRange(CarmakitError, ValueError):
 
 class DegenerateTransferFunction(CarmakitError):
     """The requested construction is undefined for this transfer function;
-    base of :class:`ZeroTransferFunction`, the case carmakit raises."""
+    base of :class:`ZeroTransferFunction` and :class:`NotStrictlyProper`."""
 
 
 class ZeroTransferFunction(DegenerateTransferFunction):
@@ -34,7 +34,7 @@ class ZeroTransferFunction(DegenerateTransferFunction):
     rejected; build a trivial model explicitly instead."""
 
 
-class NotStrictlyProper(CarmakitError):
+class NotStrictlyProper(DegenerateTransferFunction):
     """Some entry has numerator degree >= denominator degree, so no
     feedthrough-free realization exists."""
 

@@ -31,7 +31,6 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DimensionMismatch, NotStrictlyProper, OutOfRange
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 NEG_INFINITY = float("-inf")
@@ -244,7 +243,7 @@ class Poly:
         """Division that must be exact; raises ``ValueError`` on a remainder."""
         q, r = divmod(self, other)
         if not r.is_zero:
-            raise ValueError(f"{self} is not divisible by {other}")
+            raise ValueError(f"{self!r} is not divisible by {other!r}")
         return q
 
     def monic(self) -> "Poly":
@@ -262,30 +261,6 @@ class Poly:
             acc = acc * x + (c if isinstance(x, Fraction) else
                              c.numerator / c.denominator)
         return acc
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                term = format_rational(c)
-            else:
-                zk = "z" if k == 1 else f"z^{k}"
-                if c == 1:
-                    term = zk
-                elif c == -1:
-                    term = f"-{zk}"
-                else:
-                    term = f"{format_rational(c)}*{zk}"
-            parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
 
 
 # -- division, gcd and lcm over the rationals.  Every polynomial division in
@@ -660,11 +635,6 @@ class RationalFunction:
         w = 1 / x
         num, den = (Poly(p.coeffs[::-1]) for p in (self.num, self.den))
         return w ** gap * num.evaluate(w) / den.evaluate(w)
-
-    def __str__(self) -> str:
-        if self.den == Poly.one():
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
 
 
 @dataclass(frozen=True)

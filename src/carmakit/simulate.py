@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
@@ -187,11 +187,10 @@ class SimulationConfig:
 
 @dataclass
 class SamplePath:
-    """Output (and optionally state) trajectory on the sampling grid."""
+    """Output trajectory on the sampling grid."""
 
     times: np.ndarray
     outputs: np.ndarray
-    states: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -259,7 +258,9 @@ def _sym_eigh(mat: np.ndarray):
 
 
 def _psd_factor(mat: np.ndarray) -> np.ndarray:
-    """Symmetric factor L with L L^T = mat (eigenvalues clamped at zero)."""
+    """A factor L = V sqrt(max(W, 0)) with L L^T = mat (eigenvalues clamped at
+    zero), from the eigendecomposition V W V^T of mat's symmetric part; L is
+    not symmetric.  Seeded Gaussian draws go through this exact factor."""
     _, w, v = _sym_eigh(mat)
     return v * np.sqrt(np.clip(w, 0.0, None))
 
@@ -365,7 +366,7 @@ def theoretical_autocov(ss: StateSpaceModel, sigma_l, lags: Sequence[float]):
     a, _, c = ss_to_float(ss)
     out = []
     for tau in lags:
-        if tau < 0:
+        if not tau >= 0:
             raise ValueError("time lags must be nonnegative")
         out.append(c @ expm(a * float(tau)) @ s_inf @ c.T)
     return out
@@ -379,8 +380,9 @@ def empirical_autocov(path: SamplePath, maxlag: int):
     """
     y = path.outputs
     n = y.shape[0]
-    if maxlag >= n:
-        raise ValueError("maximum lag must be below the number of samples")
+    if not 0 <= maxlag < n:
+        raise ValueError("maximum lag must be nonnegative and below the number "
+                         "of samples")
     centered = y - y.mean(axis=0)
     return [centered[ell:].T @ centered[:n - ell] / n for ell in range(maxlag + 1)]
 
@@ -445,7 +447,7 @@ def _record_path(x0, cfg: SimulationConfig, advance, c) -> SamplePath:
                 states[k] = x
             _require_finite_outputs(times[lo:hi], states[lo:hi] @ c.T)
         outputs = states @ c.T
-    return SamplePath(times=times, outputs=outputs, states=states)
+    return SamplePath(times=times, outputs=outputs)
 
 
 def simulate_brownian(ss: StateSpaceModel, sigma_l,
@@ -555,9 +557,11 @@ def simulate_compound_poisson(ss: StateSpaceModel, jump_times, jump_sizes,
     out in path order, and their exponentials are evaluated in stacked
     windows of ``PATH_CHUNK`` intervals, one per distinct gap of a window,
     so a regular grid segment costs a few exponentials per window.  Jump
-    times must be sorted, nonnegative and finite, and jump sizes finite;
-    step k applies the jumps in (t_{k-1}, t_k], and step 1 also those at
-    t = 0.  The path starts from the zero state.
+    times must be sorted, nonnegative and finite, and jump sizes finite and
+    shaped (count, m), a 1-D list read as one column, so a jump-free path of
+    an m-input model takes ``np.empty((0, m))``.  Step k applies the jumps
+    in (t_{k-1}, t_k], and step 1 also those at t = 0.  The path starts from
+    the zero state.
     """
     if cfg.init == "stationary":
         raise ValueError(
@@ -568,7 +572,7 @@ def simulate_compound_poisson(ss: StateSpaceModel, jump_times, jump_sizes,
         jump_sizes = jump_sizes[:, None]
     if jump_sizes.ndim != 2 or jump_sizes.shape[0] != jump_times.size:
         raise DimensionMismatch("one jump size vector per jump time required")
-    if jump_times.size and jump_sizes.shape[1] != ss.m:
+    if jump_sizes.shape[1] != ss.m:
         raise DimensionMismatch("jump size dimension must match the model input")
     if not (np.all(np.isfinite(jump_times)) and np.all(np.isfinite(jump_sizes))):
         raise ValueError("jump times and sizes must be finite")
@@ -606,10 +610,13 @@ def simulate_compound_poisson_pair(ss1: StateSpaceModel, ss2: StateSpaceModel,
     pathwise equivalence witness.
     """
     _require_pair_input_dims(ss1, ss2)
+    if cfg.init != "zero":
+        raise ValueError(
+            "stationary initialization is not defined for compound Poisson runs")
+    if driver.jumps.dim != ss1.m:
+        raise DimensionMismatch("jump size dimension must match the model input")
     _require_path_values(cfg.steps * max(ss1.n, ss2.n))
     horizon = (cfg.steps - 1) * cfg.step_size
     times, sizes = draw_compound_poisson_jumps(driver, horizon, cfg)
-    if sizes.shape[1] != ss1.m:
-        raise DimensionMismatch("jump size dimension must match the model input")
     return (simulate_compound_poisson(ss1, times, sizes, cfg),
             simulate_compound_poisson(ss2, times, sizes, cfg))

@@ -31,7 +31,7 @@ from carmakit.exactalg import (
     format_rational,
     ratmat_equal,
 )
-from carmakit.realization import McarmaSpec, StateSpaceModel, transfer_function
+from carmakit.realization import StateSpaceModel, transfer_function
 
 
 def fmt_rows(rows):
@@ -115,8 +115,9 @@ class TestModelFiles:
     def test_mcarma_parses_and_derives_input_blocks(self, tmp_path):
         obj = mcarma_obj(2, 1, 1, 1, [[[3]], [[2]]], [[[1]], [[3]]])
         model = cli.load_model(write_model(tmp_path / "m.json", obj))
-        assert isinstance(model, McarmaSpec)
-        assert model.beta == (((Fraction(1),),), ((Fraction(0),),))
+        # the observer form: block companion A, the stacked beta blocks as B
+        assert model == StateSpaceModel(a=[[0, 1], [-2, -3]], b=[[1], [0]],
+                                        c=[[1, 0]])
 
     def test_integer_entries_accepted(self, tmp_path):
         path = tmp_path / "m.json"
@@ -465,6 +466,17 @@ class TestSimulateCommand:
                                           "probabilities": [1.0]}
         assert cli.canonical_dumps(meta) == meta_text
 
+    def test_gaussian_driver_sidecar(self, tmp_path, capsys):
+        path = write_model(tmp_path / "two.json", TWO_INPUTS)
+        out_path = tmp_path / "cp.csv"
+        code, _ = run(capsys, "simulate", path, "--driver", "cp", "--rate", "4",
+                      "--seed", "9", "--steps", "40", "--h", "0.25",
+                      "-o", str(out_path))
+        assert code == 0
+        meta = json.loads((tmp_path / "cp.csv.meta.json").read_text())
+        assert meta["driver"]["jump"] == {"kind": "gaussian", "mean": [0.0, 0.0],
+                                          "cov": [[1.0, 0.0], [0.0, 1.0]]}
+
     def test_bad_atom_probabilities_exit_2(self, tmp_path, capsys):
         path = write_model(tmp_path / "ou.json", OU)
         atoms_path = tmp_path / "atoms.json"
@@ -659,8 +671,10 @@ class TestFlagValidation:
         ["spectrum", "{m}", "--omegas", "0,inf", "-o", "{out}"],
         ["spectrum", "{m}", "--omegas", "1,-inf", "-o", "{out}"],
         ["spectrum", "{m}", "--omegas", "1e400", "-o", "{out}"],
+        ["spectrum", "{m}", "--omegas", "1,x", "-o", "{out}"],
     ], ids=["steps-0", "seed-negative", "h-nan", "h-negative", "rate-0",
-            "omega-nan", "omega-inf", "omega-minus-inf", "omega-overflow"])
+            "omega-nan", "omega-inf", "omega-minus-inf", "omega-overflow",
+            "omega-not-a-number"])
     def test_invalid_flag_exit_2(self, tmp_path, capsys, flags):
         path = write_model(tmp_path / "ou.json", OU)
         argv = [f.format(m=path, out=tmp_path / "x.csv") for f in flags]
@@ -1137,3 +1151,43 @@ class TestFuzz:
         if argv[0] == "spectrum" and any(w in argv[3] for w in ("nan", "inf",
                                                                 "e400")):
             assert code == 2, "a non-finite frequency is a usage error"
+
+
+# ---------------------------------------------------------------------------
+# Refusals the tests above do not reach
+# ---------------------------------------------------------------------------
+
+MCARMA = mcarma_obj(2, 1, 1, 1, [[[3]], [[2]]], [[[1]], [[3]]])
+CP_RUN = ["simulate", "{m}", "--driver", "cp", "--rate", "1", "--seed", "1",
+          "--steps", "10", "--h", "0.1", "-o", "{out}"]
+# model file, side file, argv, exit code, stderr fragment
+REFUSALS = {
+    "p-not-an-integer": ({**MCARMA, "p": True}, None, ["tf", "{m}"], 2,
+                         "m.json.p must be an integer"),
+    "top-level-array": ([], None, ["tf", "{m}"], 2,
+                        "top level must be a JSON object"),
+    "empty-matrix": ({**OU, "A": []}, None, ["tf", "{m}"], 2,
+                     "m.json:A must be a non-empty nested array"),
+    "coeffs-not-an-array": ({**MCARMA, "A_coeffs": {"1": "3"}}, None,
+                            ["tf", "{m}"], 2, "m.json.A_coeffs must be an array"),
+    "atom-file-fields": (OU, {"atoms": [[1.0]]}, [*CP_RUN, "--jump", "atoms:{side}"],
+                         2, "exactly the fields atoms, probabilities"),
+    "atom-probability-count": (
+        OU, {"atoms": [[1.0], [2.0]], "probabilities": [1.0]},
+        [*CP_RUN, "--jump", "atoms:{side}"], 3, "one probability per atom"),
+    "jump-law-unknown": (OU, None, [*CP_RUN, "--jump", "poisson"], 2,
+                         "jump distribution must be"),
+}
+
+
+@pytest.mark.parametrize("model, side, argv, code, message", REFUSALS.values(),
+                         ids=list(REFUSALS))
+def test_refusals(tmp_path, capsys, model, side, argv, code, message):
+    files = {"m": write_model(tmp_path / "m.json", model),
+             "side": write_model(tmp_path / "side.json", side),
+             "out": tmp_path / "x.csv"}
+    got = cli.main([arg.format(**files) for arg in argv])
+    err = capsys.readouterr().err
+    assert got == code
+    assert message in err and "Traceback" not in err
+    assert not files["out"].exists()

@@ -21,6 +21,7 @@ from carmakit.exactalg import (
     RationalFunction,
     RationalMatrix,
     _int_divrem,
+    as_rational,
     faddeev_leverrier,
     format_rational,
     markov_series,
@@ -310,6 +311,7 @@ class TestPolyGcdLcm:
 
     def test_gcd_with_one_zero_input(self):
         assert poly_gcd(Poly.zero(), Poly((2, 2))) == Poly((1, 1))
+        assert poly_gcd(Poly((2, 2)), Poly.zero()) == Poly((1, 1))
 
     def test_lcm_with_a_zero_input_is_zero(self):
         assert poly_lcm(Poly.zero(), Poly((2, 2))).is_zero
@@ -637,3 +639,48 @@ class TestMarkovAnnihilator:
         for degree in range(4):
             assert annihilated_terms(a, b, c, random_monic(rng, degree)) == [
                 (Fraction(0),) * 4] * degree
+
+
+# ---------------------------------------------------------------------------
+# Refusals the tests above do not reach
+# ---------------------------------------------------------------------------
+
+ONE = RationalFunction(Poly.one(), Poly.one())
+REFUSALS = {
+    "float-scalar": (lambda: as_rational(0.5), TypeError, "cannot interpret"),
+    "no-rows": (lambda: rational_matrix([]), DimensionMismatch,
+                "at least one row and one column"),
+    "empty-row": (lambda: rational_matrix([[]]), DimensionMismatch,
+                  "at least one row and one column"),
+    "ragged-rows": (lambda: rational_matrix([[1, 2], [3]]), DimensionMismatch,
+                    "ragged"),
+    "matrix-product-shapes": (
+        lambda: mat_mul(rational_matrix([[1, 2]]), rational_matrix([[1, 2]])),
+        DimensionMismatch, "cannot multiply 1x2 by 1x2"),
+    "zero-leading-coefficient": (lambda: Poly.zero().leading_coefficient,
+                                 ValueError, "no leading coefficient"),
+    "inexact-division": (  # the message shows both operands' reprs
+        lambda: Poly((1, 1)).exact_div(Poly((0, 1))), ValueError,
+        r"^Poly\(coeffs=\(Fraction\(1, 1\), Fraction\(1, 1\)\)\) is not "
+        r"divisible by Poly\(coeffs=\(Fraction\(0, 1\), Fraction\(1, 1\)\)\)$"),
+    "zero-to-monic": (lambda: Poly.zero().monic(), ValueError,
+                      "zero polynomial to monic"),
+    "empty-poly-matrix": (lambda: PolyMatrix(0, 1, ()), DimensionMismatch,
+                          "at least 1x1"),
+    "poly-matrix-entry-count": (lambda: PolyMatrix(1, 2, (Poly.one(),)),
+                                DimensionMismatch, "needs 2 entries, got 1"),
+    "poly-matrix-product-shapes": (
+        lambda: PolyMatrix.identity(2) @ PolyMatrix.identity(1),
+        DimensionMismatch, "cannot multiply 2x2 by 1x1"),
+    "empty-rational-matrix": (lambda: RationalMatrix(1, 0, ()),
+                              DimensionMismatch, "at least 1x1"),
+    "rational-matrix-entry-count": (lambda: RationalMatrix(2, 1, (ONE,)),
+                                    DimensionMismatch, "entry count"),
+}
+
+
+@pytest.mark.parametrize("call, error, match", REFUSALS.values(),
+                         ids=list(REFUSALS))
+def test_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

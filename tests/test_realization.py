@@ -966,3 +966,65 @@ class TestMarkovGuards:
         assert tf_match(no_output, zero_h)
         assert not tf_match(live, zero_h)
         assert h_terms_drawn == [0, 2, 2]
+
+
+# ---------------------------------------------------------------------------
+# Refusals the tests above do not reach
+# ---------------------------------------------------------------------------
+
+def spec(p=1, q=0, d=1, m=1, a_coeffs=([[1]],), b_coeffs=([[1]],)):
+    return McarmaSpec(p=p, q=q, d=d, m=m, a_coeffs=a_coeffs, b_coeffs=b_coeffs)
+
+
+Z_PLUS_1 = PolyMatrix.from_rows([[Poly((1, 1))]])
+REFUSALS = {
+    "a-not-square": (
+        lambda: StateSpaceModel(a=[[1, 2]], b=[[1]], c=[[1, 1]]),
+        DimensionMismatch, "A must be square"),
+    "c-columns": (
+        lambda: StateSpaceModel(a=[[1]], b=[[1]], c=[[1, 2]]),
+        DimensionMismatch, "C must have as many columns as A"),
+    "order-zero": (lambda: spec(p=0, a_coeffs=()), ValueError,
+                   "order p must be at least 1"),
+    "no-outputs": (lambda: spec(d=0), DimensionMismatch,
+                   "dimensions must be positive"),
+    "ar-count": (lambda: spec(p=2), DimensionMismatch,
+                 "expected 2 autoregressive coefficients"),
+    "zero-ma-with-blocks": (lambda: spec(q=None), ValueError,
+                            "admits no B coefficients"),
+    "ma-count": (lambda: spec(p=2, q=1, a_coeffs=([[1]], [[1]])),
+                 DimensionMismatch, "expected 2 moving-average coefficients"),
+    "ma-shape": (lambda: spec(b_coeffs=([[1, 2]],)), DimensionMismatch,
+                 "moving-average coefficients must be dxm"),
+    "beta-count": (
+        lambda: McarmaSpec.from_beta(([[1]],), ([[1]], [[0]]), d=1, m=1),
+        DimensionMismatch, "expected 1 stacked input blocks"),
+    "fraction-side": (lambda: MfdPair("top", Z_PLUS_1, Z_PLUS_1), ValueError,
+                      "side must be 'left' or 'right'"),
+    "fraction-den-not-square": (
+        lambda: MfdPair("left", PolyMatrix.from_rows([[Poly((1, 1)), Poly.one()]]),
+                        Z_PLUS_1),
+        DimensionMismatch, "denominator of a matrix fraction must be square"),
+    "fraction-not-strictly-proper": (
+        lambda: MfdPair("left", Z_PLUS_1, Z_PLUS_1), NotStrictlyProper,
+        "numerator degree must be below denominator degree"),
+    "unknown-canonical-form": (
+        lambda: cli.report_canonical("diagonal", transfer_function(
+            StateSpaceModel(a=[[-1]], b=[[1]], c=[[1]]))),
+        ValueError, "unknown canonical form: 'diagonal'"),
+}
+
+
+@pytest.mark.parametrize("call, error, match", REFUSALS.values(),
+                         ids=list(REFUSALS))
+def test_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_tf_match_refuses_a_shape_mismatch():
+    h = transfer_function(StateSpaceModel(a=[[-1]], b=[[1]], c=[[1]]))
+    two_outputs = StateSpaceModel(a=[[-1]], b=[[1]], c=[[1], [1]])
+    two_inputs = StateSpaceModel(a=[[-1]], b=[[1, 1]], c=[[1]])
+    assert not tf_match(two_outputs, h)
+    assert not tf_match(two_inputs, h)

@@ -245,7 +245,6 @@ class TestSimulateBrownian:
         for k in range(1, cfg.steps):
             x = phi @ x + xi[k - 1]
             states.append(x)
-        assert_array_equal(path.states, states)
         assert_array_equal(path.outputs, np.array(states) @ ss_to_float(ss)[2].T)
         assert path.times[0] == 0.0
         assert_allclose(path.times[-1], 0.25 * 29)
@@ -392,6 +391,25 @@ class TestCompoundPoisson:
         with pytest.raises(DimensionMismatch):
             simulate_compound_poisson_pair(ss, ss, driver, cfg)
 
+    def test_jump_width_checked_whatever_the_seed(self):
+        ss = scalar_model(1.0)
+        driver = LevyDriverSpec(0.3, GaussianJumps(mean=np.zeros(2),
+                                                   cov=np.eye(2)))
+        counts = []
+        for seed in range(8):
+            cfg = SimulationConfig(step_size=0.1, steps=20, seed=seed)
+            times, sizes = draw_compound_poisson_jumps(driver, 1.9, cfg)
+            counts.append(times.size)
+            with pytest.raises(DimensionMismatch, match="jump size dimension"):
+                simulate_compound_poisson(ss, times, sizes, cfg)
+        assert 0 in counts and max(counts) > 0
+        # a jump-free path of an m-input model takes sizes shaped (0, m)
+        two = StateSpaceModel(a=[[-1]], b=[[1, 1]], c=[[1]])
+        with pytest.raises(DimensionMismatch, match="jump size dimension"):
+            simulate_compound_poisson(two, [], [], cfg)
+        path = simulate_compound_poisson(two, [], np.empty((0, 2)), cfg)
+        assert_array_equal(path.outputs, np.zeros((20, 1)))
+
     def test_jump_sizes_must_be_vectors(self):
         cfg = SimulationConfig(step_size=0.1, steps=5, seed=1)
         with pytest.raises(DimensionMismatch, match="one jump size vector"):
@@ -438,9 +456,9 @@ class TestCompoundPoisson:
 
     @staticmethod
     def reference_path(ss, jump_times, jump_sizes, cfg):
-        """Jump by jump from the zero state: flow to each jump time in order,
-        add B dL, then flow to the grid time; jumps at t = 0 fall in the
-        first step."""
+        """The outputs, jump by jump from the zero state: flow to each jump
+        time in order, add B dL, then flow to the grid time; jumps at t = 0
+        fall in the first step."""
         a, b, c = ss_to_float(ss)
         h = cfg.step_size
         states = [np.zeros(ss.n)]
@@ -456,8 +474,7 @@ class TestCompoundPoisson:
                 x = expm(a * (k * h - t)) @ x
             t = k * h
             states.append(x)
-        states = np.array(states)
-        return states, states @ c.T
+        return np.array(states) @ c.T
 
     H = 0.05
 
@@ -483,9 +500,8 @@ class TestCompoundPoisson:
             monkeypatch.setattr(simulate, "PATH_CHUNK", chunk)
             cfg = SimulationConfig(step_size=self.H, steps=21, seed=3)
             path = simulate_compound_poisson(ss, times, sizes, cfg)
-            states, outputs = self.reference_path(ss, times, sizes, cfg)
-            assert_array_equal(path.states, states)
-            assert_array_equal(path.outputs, outputs)
+            assert_array_equal(path.outputs,
+                               self.reference_path(ss, times, sizes, cfg))
 
     def test_jump_free_path_takes_one_small_stack_per_window(self, expm_calls):
         ss = StateSpaceModel(a=[[0, 1], [-2, -3]], b=[[0], [1]], c=[[1, 0]])
@@ -553,8 +569,9 @@ class TestAutocovariance:
 
     def test_maxlag_bounds_checked(self):
         path = SamplePath(times=np.arange(4) * 1.0, outputs=np.zeros((4, 1)))
-        with pytest.raises(ValueError):
-            empirical_autocov(path, 4)
+        for maxlag in (4, -1):
+            with pytest.raises(ValueError, match="maximum lag"):
+                empirical_autocov(path, maxlag)
 
     def test_empirical_tracks_theoretical(self):
         ss = scalar_model(1.0)
@@ -702,15 +719,19 @@ class TestRecordPath:
             simulate_shared_brownian_pair(ss, ss, [[1.0]], cfg)
 
 
+@pytest.fixture
+def no_draw(monkeypatch):
+    """Fail any run that reaches its random streams."""
+    def streams(self):
+        raise AssertionError("drew random numbers before refusing the run")
+
+    monkeypatch.setattr(SimulationConfig, "streams", streams)
+
+
 class TestPathSizeCap:
     @pytest.fixture
-    def small_cap(self, monkeypatch):
+    def small_cap(self, monkeypatch, no_draw):
         monkeypatch.setattr(simulate, "MAX_PATH_VALUES", 1000)
-
-        def no_draw(self):
-            raise AssertionError("drew random numbers past the path cap")
-
-        monkeypatch.setattr(SimulationConfig, "streams", no_draw)
 
     def test_all_simulators_reject_before_drawing(self, small_cap):
         ss = StateSpaceModel(a=[[-1]], b=[[1]], c=[[1]])
@@ -727,12 +748,25 @@ class TestPathSizeCap:
         for run in runs:
             with pytest.raises(OutOfRange, match="MAX_PATH_VALUES = 1000"):
                 run()
-        with pytest.raises(AssertionError, match="past the path cap"):
+        with pytest.raises(AssertionError, match="before refusing the run"):
             simulate_shared_brownian_pair(ss, ss, [[1.0]], fine)
         with pytest.raises(OutOfRange, match="1010 values"):
             simulate_shared_brownian_pair(
                 ss, ss, [[1.0]], SimulationConfig(step_size=0.1, steps=102,
                                                   seed=1, euler_substeps=10))
+
+    @pytest.mark.parametrize("init, width, error", [
+        ("stationary", 1, ValueError),
+        ("zero", 2, DimensionMismatch),
+    ], ids=["stationary-start", "jump-width"])
+    def test_pair_refuses_before_drawing(self, no_draw, init, width, error):
+        # about 4.9 million jumps would be drawn before the refusal
+        ss = StateSpaceModel(a=[[-1]], b=[[1]], c=[[1]])
+        driver = LevyDriverSpec(1e5, GaussianJumps(mean=np.zeros(width),
+                                                   cov=np.eye(width)))
+        cfg = SimulationConfig(step_size=0.1, steps=491, seed=1, init=init)
+        with pytest.raises(error):
+            simulate_compound_poisson_pair(ss, ss, driver, cfg)
 
     def test_cap_counts_the_state_dimension(self, small_cap):
         ss = StateSpaceModel(a=[[-1, 0], [0, -1]], b=[[1], [1]], c=[[1, 1]])
@@ -779,3 +813,71 @@ class TestCsvOutput:
                            for line in lines[1:]])
         assert_array_equal(parsed[:, 0], times)
         assert_array_equal(parsed[:, 1:], outputs)
+
+
+# ---------------------------------------------------------------------------
+# Refusals the tests above do not reach
+# ---------------------------------------------------------------------------
+
+OU = StateSpaceModel(a=[[-1]], b=[[1]], c=[[1]])
+GRID = SimulationConfig(step_size=0.1, steps=10, seed=1)
+REFUSALS = {
+    "jump-mean-cov-sizes": (
+        lambda: GaussianJumps(mean=[0.0, 0.0], cov=[[1.0]]),
+        DimensionMismatch, "sizes disagree"),
+    "jump-cov-not-square": (
+        lambda: GaussianJumps(mean=[0.0], cov=[[1.0, 0.0]]),
+        DimensionMismatch, "jump covariance must be square"),
+    "atom-probability-count": (
+        lambda: FixedAtomJumps(atoms=[[1.0], [2.0]], probabilities=[1.0]),
+        DimensionMismatch, "one probability per atom"),
+    "atom-probability-negative": (
+        lambda: FixedAtomJumps(atoms=[[1.0], [2.0]], probabilities=[1.5, -0.5]),
+        ValueError, "nonnegative"),
+    "step-size-zero": (
+        lambda: SimulationConfig(step_size=0.0, steps=10, seed=1),
+        ValueError, "step size must be positive"),
+    "steps-zero": (
+        lambda: SimulationConfig(step_size=0.1, steps=0, seed=1),
+        ValueError, "at least one step"),
+    "steps-past-double-range": (  # the step count itself overflows a double
+        lambda: SimulationConfig(step_size=0.1, steps=10**400, seed=1),
+        OutOfRange, "ends past the double range"),
+    "init-unknown": (
+        lambda: SimulationConfig(step_size=0.1, steps=10, seed=1, init="warm"),
+        ValueError, "init must be"),
+    "euler-substeps-zero": (
+        lambda: SimulationConfig(step_size=0.1, steps=10, seed=1,
+                                 euler_substeps=0),
+        ValueError, "euler_substeps must be at least 1"),
+    "path-rows": (  # a 1-D output is one column
+        lambda: SamplePath(times=[0.0, 0.1], outputs=[1.0, 2.0, 3.0]),
+        DimensionMismatch, "one output row per grid time"),
+    "pair-input-dims": (
+        lambda: simulate_shared_brownian_pair(OU, TWO_INPUTS, [[1.0]], GRID),
+        DimensionMismatch, "same driving process dimension"),
+    "cp-stationary-start": (
+        lambda: simulate_compound_poisson(
+            OU, [], [], SimulationConfig(step_size=0.1, steps=10, seed=1,
+                                         init="stationary")),
+        ValueError, "stationary initialization"),
+    "autocov-lag-nan": (
+        lambda: theoretical_autocov(OU, [[1.0]], [0.0, math.nan]),
+        ValueError, "time lags must be nonnegative"),
+    "autocov-lag-negative": (
+        lambda: theoretical_autocov(OU, [[1.0]], [-0.1]),
+        ValueError, "time lags must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("call, error, match", REFUSALS.values(),
+                         ids=list(REFUSALS))
+def test_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_clamp_psd_zeroes_negative_eigenvalues():
+    # a covariance rounded slightly indefinite is projected onto the PSD cone
+    assert_array_equal(simulate._clamp_psd(np.diag([2.0, -1e-17])),
+                       np.diag([2.0, 0.0]))
