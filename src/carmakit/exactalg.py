@@ -267,7 +267,9 @@ class Poly:
 #    this module -- divmod, exact_div, the gcd's remainder sequence, and so
 #    the reduction of rational functions -- runs the one integer routine
 #    _int_divrem on primitive coefficient lists, which keeps coefficient
-#    growth polynomial and builds no Fraction until the result. -------------
+#    growth polynomial and builds no Fraction until the result.  The gcd
+#    first decides coprimality modulo one prime (below), and runs the exact
+#    remainder sequence only when that test cannot decide. ----------------
 
 def _int_primitive(p: Poly) -> tuple:
     """``(content, ints)``: ``p == content * ints`` with ``ints`` the
@@ -305,6 +307,39 @@ def _int_divrem(a: list, b: list) -> tuple:
     return q, r, scale
 
 
+# -- coprimality modulo one prime.  If the prime divides neither leading
+#    coefficient of two primitive integer polynomials, their gcd modulo the
+#    prime has at least the degree of their gcd over Q (the true gcd keeps
+#    its degree there and still divides both), so a constant gcd modulo the
+#    prime proves them coprime (Brown 1971; von zur Gathen & Gerhard, *Modern
+#    Computer Algebra*, ch. 6).  A nonconstant one decides nothing. --------
+
+_PRIME = (1 << 61) - 1
+
+
+def _gcd_mod_prime(x: list, y: list) -> Optional[list]:
+    """The gcd of the integer lists ``x`` and ``y`` (ascending, nonzero)
+    modulo ``_PRIME``, as a list of residues, or ``None`` when ``_PRIME``
+    divides a leading coefficient."""
+    u, v = ([c % _PRIME for c in w] for w in (x, y))
+    if u[-1] == 0 or v[-1] == 0:
+        return None
+    if len(u) < len(v):
+        u, v = v, u
+    while len(v) > 1:
+        inv = pow(v[-1], -1, _PRIME)
+        dv = len(v) - 1
+        while len(u) > dv:
+            f = u[-1] * inv % _PRIME
+            shift = len(u) - 1 - dv
+            for i, c in enumerate(v):
+                u[shift + i] = (u[shift + i] - f * c) % _PRIME
+            while u and u[-1] == 0:
+                u.pop()
+        u, v = v, u
+    return v or u
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor.  Raises if both inputs are zero."""
     if a.is_zero and b.is_zero:
@@ -314,6 +349,9 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if b.is_zero:
         return a.monic()
     x, y = _int_primitive(a)[1], _int_primitive(b)[1]
+    g = _gcd_mod_prime(x, y)
+    if g is not None and len(g) == 1:
+        return Poly.one()
     if len(x) < len(y):
         x, y = y, x
     while y:
@@ -401,10 +439,8 @@ class PolyMatrix:
                 out.append(acc)
         return PolyMatrix(self.rows, other.cols, tuple(out))
 
-    def scale(self, factor) -> "PolyMatrix":
-        """Multiply every entry by a Poly or rational scalar."""
-        if not isinstance(factor, Poly):
-            factor = Poly.constant(factor)
+    def scale(self, factor: Poly) -> "PolyMatrix":
+        """Multiply every entry by the polynomial ``factor``."""
         return PolyMatrix(self.rows, self.cols,
                           tuple(factor * e for e in self.entries))
 
@@ -660,10 +696,12 @@ class RationalMatrix:
         object.__setattr__(self, "entries", tuple(self.entries))
         den = Poly.one()
         for e in self.entries:
-            den = poly_lcm(den, e.den)
+            if e.den != den:
+                den = poly_lcm(den, e.den)
         num = PolyMatrix(
             self.rows, self.cols,
-            tuple(e.num * den.exact_div(e.den) for e in self.entries))
+            tuple(e.num if e.den == den else e.num * den.exact_div(e.den)
+                  for e in self.entries))
         object.__setattr__(self, "common_den", den)
         object.__setattr__(self, "common_num", num)
 

@@ -34,6 +34,7 @@ same output pathwise.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -380,9 +381,10 @@ def empirical_autocov(path: SamplePath, maxlag: int):
     """
     y = path.outputs
     n = y.shape[0]
-    if not 0 <= maxlag < n:
-        raise ValueError("maximum lag must be nonnegative and below the number "
-                         "of samples")
+    if (isinstance(maxlag, bool) or not isinstance(maxlag, numbers.Integral)
+            or not 0 <= maxlag < n):
+        raise ValueError("maximum lag must be an integer, nonnegative and below "
+                         "the number of samples")
     centered = y - y.mean(axis=0)
     return [centered[ell:].T @ centered[:n - ell] / n for ell in range(maxlag + 1)]
 

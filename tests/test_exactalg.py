@@ -289,6 +289,10 @@ def gcd_lcm(a: Poly, b: Poly) -> tuple:
     return poly_gcd(a, b), poly_lcm(a, b)
 
 
+# the prime modulo which poly_gcd first tests coprimality
+PRIME = 2**61 - 1
+
+
 class TestPolyGcdLcm:
     def test_identical_inputs(self):
         p = Poly((1, 1))
@@ -296,14 +300,26 @@ class TestPolyGcdLcm:
         assert g == p and l == p
 
     def test_coprime_linear_factors(self):
-        g, l = gcd_lcm(Poly((1, 1)), Poly((2, 1)))
-        assert g == Poly.one()
-        assert l == Poly((2, 3, 1))
+        for a, b in [
+            (Poly((1, 1)), Poly((2, 1))),
+            # coprime over Q, but both are z - 1 modulo the prime
+            (Poly((-1, 1)), Poly((-1 - PRIME, 1))),
+        ]:
+            g, l = gcd_lcm(a, b)
+            assert g == Poly.one()
+            assert l == a * b
 
     def test_shared_factor(self):
-        g, l = gcd_lcm(Poly((-1, 0, 1)), Poly((1, 1)))
-        assert g == Poly((1, 1))
-        assert l == Poly((-1, 0, 1))
+        for a, b, gcd in [
+            (Poly((-1, 0, 1)), Poly((1, 1)), Poly((1, 1))),
+            # the prime divides both leading coefficients; modulo the prime
+            # the inputs reduce to the coprime z + 2 and z + 3
+            (Poly((1, PRIME)) * Poly((2, 1)), Poly((1, PRIME)) * Poly((3, 1)),
+             Poly((Fraction(1, PRIME), 1))),
+        ]:
+            g, l = gcd_lcm(a, b)
+            assert g == gcd
+            assert l == (a * b.exact_div(gcd)).monic()
 
     def test_both_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -453,12 +469,39 @@ class TestRatmatReduce:
         with pytest.raises(ZeroDivisionError):
             ratmat_reduce(PolyMatrix.identity(1), Poly.zero())
 
+    @pytest.mark.parametrize("factor", [
+        Poly((1, 1)),
+        Poly((1, PRIME)),               # the prime divides its leading coefficient
+        Poly((-1 - PRIME, 1)),          # z - 1 modulo the prime, like entry (0, 1)
+    ])
+    def test_planted_factor_cancels(self, factor):
+        rest = Poly((6, 5, 1))          # (z + 2)(z + 3)
+        num = PolyMatrix.from_rows([[factor * Poly((5, 1)), Poly((-1, 1)), factor]])
+        h = ratmat_reduce(num, factor * rest)
+        assert (h[0, 0].num, h[0, 0].den) == (Poly((5, 1)), rest)
+        lead = factor.leading_coefficient
+        assert (h[0, 1].num, h[0, 1].den) == (Poly((-1, 1)) * (1 / lead),
+                                              (factor * rest).monic())
+        assert (h[0, 2].num, h[0, 2].den) == (Poly.one(), rest)
+
     def test_common_denominator_cache(self):
         # entries 1/(z+1) and 1/(z+2): common den is the monic lcm
         num = PolyMatrix.from_rows([[Poly((2, 1)), Poly((1, 1))]])
         h = ratmat_reduce(num, Poly((2, 3, 1)))
         assert h.common_den == Poly((2, 3, 1))
         assert h.common_num == num
+        # entry (0, 1) repeats the running lcm and entry (1, 0) is the
+        # common denominator itself, next to a zero entry
+        z1, z2, z12 = Poly((1, 1)), Poly((2, 1)), Poly((2, 3, 1))
+        h = RationalMatrix.from_rows([
+            [RationalFunction(a, b) for a, b in row] for row in [
+                [(Poly.one(), z1), (Poly.constant(2), z1), (Poly.one(), z2)],
+                [(Poly.variable(), z12), (Poly.zero(), z2), (Poly.one(), z1)]]])
+        assert h.common_den == z12
+        assert h.common_num == PolyMatrix.from_rows([
+            [Poly((2, 1)), Poly((4, 2)), Poly((1, 1))],
+            [Poly((0, 1)), Poly.zero(), Poly((2, 1))],
+        ])
 
     def test_idempotence(self):
         rng = random.Random(9)

@@ -569,9 +569,11 @@ class TestAutocovariance:
 
     def test_maxlag_bounds_checked(self):
         path = SamplePath(times=np.arange(4) * 1.0, outputs=np.zeros((4, 1)))
-        for maxlag in (4, -1):
+        for maxlag in (4, -1, 1.5, True):
             with pytest.raises(ValueError, match="maximum lag"):
                 empirical_autocov(path, maxlag)
+        for maxlag in (3, np.int64(3)):
+            assert len(empirical_autocov(path, maxlag)) == 4
 
     def test_empirical_tracks_theoretical(self):
         ss = scalar_model(1.0)
