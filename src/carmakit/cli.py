@@ -233,8 +233,58 @@ def report_canonical(form: str, h: TransferFunction) -> dict:
 
 def canonical_dumps(report: dict) -> str:
     """The one serialization used everywhere: sorted keys, 2-space indent,
-    trailing newline.  Dump-parse-dump is the identity."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    trailing newline.  Dump-parse-dump is the identity.
+
+    The bytes are exactly those of ``json.dumps(report, indent=2,
+    sort_keys=True) + "\n"``, whose indent forces json's pure-Python encoder;
+    a direct recursive emitter writes them instead.  Strings go through
+    json's own ``encode_basestring_ascii``, and any leaf but a string, bool,
+    None or int, a float say, through ``json.dumps``.  Dictionary keys must
+    be strings, as in every report: any other key raises ``TypeError``.
+    """
+    parts = []
+    _emit(report, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _emit(obj, newline: str, parts: list) -> None:
+    """Append the JSON text of ``obj`` to ``parts``; ``newline`` is the line
+    break and indent of the line ``obj`` starts on."""
+    if isinstance(obj, str):
+        parts.append(_encode_str(obj))
+    elif obj is None or obj is True or obj is False:
+        parts.append(_CONSTANTS[obj])
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in obj:
+            parts.append(separator)
+            _emit(item, inner, parts)
+            separator = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(obj):
+            parts.append(separator + _encode_str(key) + ": ")
+            _emit(obj[key], inner, parts)
+            separator = "," + inner
+        parts.append(newline + "}")
+    else:
+        parts.append(json.dumps(obj))
 
 
 def _emit_report(report: dict, out_path) -> None:

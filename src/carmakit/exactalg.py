@@ -27,6 +27,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DimensionMismatch, NotStrictlyProper, OutOfRange
@@ -694,8 +695,8 @@ class RationalMatrix:
         if len(self.entries) != self.rows * self.cols:
             raise DimensionMismatch("entry count does not match dimensions")
         object.__setattr__(self, "entries", tuple(self.entries))
-        den = Poly.one()
-        for e in self.entries:
+        den = self.entries[0].den
+        for e in self.entries[1:]:
             if e.den != den:
                 den = poly_lcm(den, e.den)
         num = PolyMatrix(
@@ -713,6 +714,19 @@ class RationalMatrix:
     def __getitem__(self, key) -> RationalFunction:
         i, j = key
         return self.entries[i * self.cols + j]
+
+    @cached_property
+    def markov_head(self) -> tuple:
+        """The first ``p = deg common_den`` terms of
+        :func:`ratmat_markov_series`, as ``(den, nums)`` pairs of a positive
+        integer and a tuple of integer numerators, row by row.  Computed on
+        first use and kept: a strictly proper ``H``'s later terms follow
+        from these by the recurrence with characteristic polynomial
+        ``common_den``."""
+        if not self.strictly_proper:
+            raise NotStrictlyProper("Markov parameters need a strictly proper matrix")
+        return tuple((den, tuple(nums)) for den, nums in itertools.islice(
+            _markov_terms(self, ()), len(self.common_den.coeffs) - 1))
 
     @property
     def is_zero(self) -> bool:
@@ -761,31 +775,37 @@ def ratmat_markov_series(h: RationalMatrix) -> Iterator[tuple]:
 
         h_j = N_(p-1-j) - sum_(i=1..min(j,p)) a_i h_(j-i).
 
-    The recurrence runs on integers: with ``D`` the lcm of the denominators
-    of the ``a_i`` and ``E`` that of the ``N_i``, ``g_j = E D^(j+1) h_j``
-    satisfies ``g_j = D^(j+1) E N_(p-1-j) - sum_i (D a_i) D^(i-1) g_(j-i)``.
-    Its sum is evaluated by Horner's rule in ``D``, so each product has a
-    factor no larger than a scaled coefficient.
+    The first ``p`` terms are ``h.markov_head``, computed once per ``H``;
+    the recurrence continues from them.
     """
-    if not h.strictly_proper:
-        raise NotStrictlyProper("Markov parameters need a strictly proper matrix")
+    head = h.markov_head
+    return itertools.chain(head, _markov_terms(h, head))
+
+
+def _markov_terms(h: RationalMatrix, head: tuple) -> Iterator[tuple]:
+    """The terms of ``h``'s Markov series after its first ``len(head)``,
+    which are ``head``.
+
+    The recurrence of :func:`ratmat_markov_series` runs on integers: with
+    ``D`` the lcm of the denominators of the ``a_i`` and ``E`` that of the
+    ``N_i``, ``g_j = E D^(j+1) h_j`` satisfies ``g_j = D^(j+1) E N_(p-1-j) -
+    sum_i (D a_i) D^(i-1) g_(j-i)``.  Its sum is evaluated by Horner's rule
+    in ``D``, so each product has a factor no larger than a scaled
+    coefficient.
+    """
     p = len(h.common_den.coeffs) - 1
     s_d, (alpha,) = integer_matrix((h.common_den.coeffs[::-1],))
     s_n, nu = integer_matrix(
         [e.coeffs + (Fraction(0),) * (p - len(e.coeffs))
          for e in h.common_num.entries])
-
-    def terms():
-        g = []
-        power = s_d                             # D^(j+1)
-        for j in itertools.count():
-            acc = [0] * len(nu)
-            for i in range(min(j, p), 0, -1):
-                acc = [s_d * x + alpha[i] * y for x, y in zip(acc, g[j - i])]
-            top = p - 1 - j
-            g.append([(row[top] * power if top >= 0 else 0) - x
-                      for row, x in zip(nu, acc)])
-            yield s_n * power, g[j]
-            power *= s_d
-
-    return terms()
+    g = [nums for _, nums in head]
+    power = s_d ** (len(g) + 1)                 # D^(j+1)
+    for j in itertools.count(len(g)):
+        acc = [0] * len(nu)
+        for i in range(min(j, p), 0, -1):
+            acc = [s_d * x + alpha[i] * y for x, y in zip(acc, g[j - i])]
+        top = p - 1 - j
+        g.append([(row[top] * power if top >= 0 else 0) - x
+                  for row, x in zip(nu, acc)])
+        yield s_n * power, g[j]
+        power *= s_d

@@ -7,7 +7,8 @@ between four equivalent descriptions of the same input/output behavior:
 * the raw matrix triple (A, B, C);
 * the observer canonical form: block-companion drift, input matrix built by
   stacking the blocks beta_1..beta_p of a recursion in the autoregressive
-  and moving-average coefficients, and C = (I, 0, ..., 0);
+  and moving-average coefficients (for the scalar denominator of a transfer
+  function, its first p Markov parameters), and C = (I, 0, ..., 0);
 * the controller canonical form: the dual block-companion drift with
   B = (0, ..., 0, I)^T and C holding the numerator coefficient blocks;
 * left/right matrix fraction descriptions H = P^{-1} Q = Qt Pt^{-1} whose
@@ -298,6 +299,14 @@ def _block_companion(coeffs, block: int) -> RationalMatrixData:
     return tuple(tuple(row) for row in rows)
 
 
+def _observer_ss(a_coeffs, b: RationalMatrixData, d: int) -> StateSpaceModel:
+    """The observer form with autoregressive d x d blocks ``a_coeffs`` and
+    stacked input blocks ``b``: C = (I_d, 0, ..., 0)."""
+    c = tuple(row + (Fraction(0),) * ((len(a_coeffs) - 1) * d)
+              for row in mat_identity(d))
+    return StateSpaceModel(a=_block_companion(a_coeffs, d), b=b, c=c)
+
+
 def assemble_observer_ss(spec: McarmaSpec) -> StateSpaceModel:
     """The p*d-dimensional model realizing a coefficient spec.
 
@@ -305,17 +314,15 @@ def assemble_observer_ss(spec: McarmaSpec) -> StateSpaceModel:
     multiples of the identity, so user-supplied full-matrix specs route
     through the same construction.
     """
-    p, d, m = spec.p, spec.d, spec.m
-    a = _block_companion(spec.a_coeffs, d)
-    b = tuple(row for blk in spec.beta for row in blk)
-    c = tuple(row + (Fraction(0),) * ((p - 1) * d) for row in mat_identity(d))
-    return StateSpaceModel(a=a, b=b, c=c)
+    return _observer_ss(spec.a_coeffs, tuple(row for blk in spec.beta for row in blk),
+                        spec.d)
 
 
-def _scalar_ar_blocks(h: TransferFunction, k: int) -> tuple:
+def _scalar_denominator(h: TransferFunction, k: int) -> tuple:
     """The k x k blocks a_1 I_k, ..., a_p I_k of H's monic common
     denominator d(z) = z^p + a_1 z^(p-1) + ... + a_p, the autoregressive
-    coefficients both canonical forms share."""
+    coefficients both canonical forms share, and the fraction denominator
+    d(z) I_k they come from."""
     if h.is_zero:
         raise ZeroTransferFunction(
             "cannot realize an identically zero transfer function")
@@ -323,27 +330,31 @@ def _scalar_ar_blocks(h: TransferFunction, k: int) -> tuple:
         raise NotStrictlyProper(
             "transfer function must be strictly proper (no feedthrough)")
     den = h.common_den
-    return tuple(
+    blocks = tuple(
         tuple(tuple(den.coefficient(j) if r == c else Fraction(0)
                     for c in range(k)) for r in range(k))
         for j in reversed(range(den.degree)))
+    zero = Poly.zero()
+    return blocks, PolyMatrix(k, k, tuple(den if r == c else zero
+                                          for r in range(k) for c in range(k)))
 
 
 def observer_realization(h: TransferFunction):
     """Observer canonical form plus the left matrix fraction it encodes.
 
     The scalar denominator d(z) = z^p + a_1 z^(p-1) + ... + a_p induces
-    A_i = a_i I_d; the numerator matrix N(z) = d(z) H(z) supplies B_0..B_q
-    with B_j the coefficient of z^(q-j), q = deg N.  Returns the realization
-    together with the left fraction (P, Q) = (d(z) I_d, N(z)) of their spec.
+    A_i = a_i I_d.  With P = d(z) I_d and Q = N(z) = d(z) H(z), P H = Q
+    makes the stacked input blocks beta_1..beta_p exactly H's first p
+    Markov parameters h_0..h_(p-1) (Kailath, *Linear Systems*, 6.3), which
+    are read from ``h.markov_head``.  Returns the realization together with
+    the left fraction (P, Q).
     """
-    a_coeffs, num = _scalar_ar_blocks(h, h.rows), h.common_num
-    q = num.degree
-    spec = McarmaSpec(p=len(a_coeffs), q=q, d=h.rows, m=h.cols, a_coeffs=a_coeffs,
-                      b_coeffs=tuple(num.coefficient_matrix(q - j)
-                                     for j in range(q + 1)))
-    mfd = spec.fraction()
-    return CanonicalRealization(assemble_observer_ss(spec), mfd), mfd
+    d, m = h.rows, h.cols
+    a_coeffs, den = _scalar_denominator(h, d)
+    b = tuple(tuple(Fraction(x, scale) for x in nums[r * m:(r + 1) * m])
+              for scale, nums in h.markov_head for r in range(d))
+    mfd = MfdPair("left", den, h.common_num)
+    return CanonicalRealization(_observer_ss(a_coeffs, b, d), mfd), mfd
 
 
 def controller_realization(h: TransferFunction):
@@ -355,13 +366,13 @@ def controller_realization(h: TransferFunction):
     ascending numerator coefficients.
     """
     d, m = h.rows, h.cols
-    atilde = _scalar_ar_blocks(h, m)
+    atilde, den = _scalar_denominator(h, m)
     p, num = len(atilde), h.common_num
     n_blocks = [num.coefficient_matrix(k) for k in range(p)]
     c = tuple(sum((blk[r] for blk in n_blocks), ()) for r in range(d))
     ss = StateSpaceModel(a=_block_companion(atilde, m),
                          b=mat_zeros((p - 1) * m, m) + mat_identity(m), c=c)
-    mfd = MfdPair("right", _poly_from_blocks((mat_identity(m), *atilde), m, m), num)
+    mfd = MfdPair("right", den, num)
     return CanonicalRealization(ss, mfd), mfd
 
 
@@ -382,7 +393,11 @@ def tf_match(ss: StateSpaceModel, h: TransferFunction) -> bool:
     path.  Otherwise the first ``N + p`` are compared, ``N`` the state
     dimension of ``ss``: the differences then satisfy the recurrence whose
     characteristic polynomial is ``det(zI - A) * pi``, of degree ``N + p``.
-    Either way, if the compared terms agree, all of them do.
+    Either way, if the compared terms agree, all of them do.  ``h``'s first
+    ``p`` terms are ``h.markov_head``, computed once however many models are
+    checked against ``h``; the observer form stacks the same terms into its
+    ``B``, so for it the certificate checks the assembly: the companion
+    drift, ``C`` and the order of the blocks.
     """
     if (ss.d, ss.m) != (h.rows, h.cols) or not h.strictly_proper:
         return False

@@ -841,6 +841,37 @@ class TestSpectrumCommand:
         assert code == 6
 
 
+JSON_TEXT = st.text() | st.sampled_from(
+    ("", "\u00e9\u4e2d\U0001f600", '"quoted"', "back\\slash", "\x00\x1f\n\t\x7f",
+     "\ud800"))
+JSON_LEAVES = (JSON_TEXT | st.booleans() | st.none() | st.integers()
+               | st.integers(2 ** 64, 2 ** 200).map(lambda v: v * (-1) ** (v % 2))
+               | st.floats() | st.sampled_from((-0.0, 1e-300, math.nan, math.inf,
+                                                -math.inf)))
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(JSON_TEXT, children)),
+    max_leaves=20)
+
+
+class TestCanonicalDumps:
+    @example([])
+    @example({})
+    @example({"": [[], {}, ()], "\u00e9\"\x01": {"b": [], "a": {}}})
+    @given(JSON_TREES)
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_equal_json_dumps(self, obj):
+        assert cli.canonical_dumps(obj) == json.dumps(obj, indent=2,
+                                                      sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("obj", [{"a": {1: 0}}, [Fraction(1, 2)], {"a": {1, 2}}],
+                             ids=["int-key", "fraction", "set"])
+    def test_refuses_a_value_no_report_holds(self, obj):
+        with pytest.raises(TypeError):
+            cli.canonical_dumps(obj)
+
+
 class TestReportRoundTrip:
 
     def test_canonical_serialization_identity_on_random_models(

@@ -9,6 +9,7 @@ import cmath
 import itertools
 import math
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -596,6 +597,20 @@ class TestMarkovParameters:
         h = ratmat_reduce(PolyMatrix.from_rows([[Poly((1, 1))]]), Poly((2, 1)))
         with pytest.raises(NotStrictlyProper):
             ratmat_markov_series(h)
+
+    def test_head_is_kept_on_the_matrix(self):
+        # (z + 2, 3) / (z^2 - z + 1/2): p = 2, so the head is h_0 and h_1
+        h = ratmat_reduce(PolyMatrix.from_rows([[Poly((2, 1)), Poly((3,))]]),
+                          Poly((Fraction(1, 2), -1, 1)))
+        head = h.markov_head
+        assert h.markov_head is head
+        assert fraction_terms(iter(head), 2) == [(1, 0), (3, 3)]
+        assert all(isinstance(nums, tuple) for _, nums in head)
+        # the series yields the head, then continues the recurrence from it
+        assert fraction_terms(ratmat_markov_series(h), 4) == [
+            (1, 0), (3, 3), (Fraction(5, 2), Fraction(3)), (1, Fraction(3, 2))]
+        with pytest.raises(FrozenInstanceError):
+            h.markov_head = ()
 
 
 class TestMarkovSeriesEqual:

@@ -268,6 +268,26 @@ def statespace_models(draw):
     return StateSpaceModel(a=a, b=b, c=c)
 
 
+def with_live_channel(ss: StateSpaceModel) -> StateSpaceModel:
+    """``ss`` if its transfer function is not zero; otherwise ``ss`` beside
+    the block 1/(z + 1) from its first input to its first output, whose
+    transfer function is that block's."""
+    if not transfer_function(ss).is_zero:
+        return ss
+    n = ss.n
+    a = [list(row) + [0] for row in ss.a] + [[0] * n + [-1]]
+    b = [list(row) for row in ss.b] + [[1] + [0] * (ss.m - 1)]
+    c = [list(row) + [int(i == 0)] for i, row in enumerate(ss.c)]
+    return StateSpaceModel(a=a, b=b, c=c)
+
+
+def nonzero_tf_models():
+    """The models of :func:`statespace_models`, none of whose transfer
+    functions is zero: a zero one is mapped, not filtered, so no draw is
+    rejected."""
+    return statespace_models().map(with_live_channel)
+
+
 class TestTransferFunctionOracle:
     @example(StateSpaceModel(a=[["-2/3"]], b=[["1/3", 0]], c=[["2/5"], [0]]))
     @example(StateSpaceModel(a=[[0, 0], [0, 0]], b=[["1/9"], ["-4/3"]],
@@ -410,7 +430,55 @@ class TestQRecovery:
 # Observer canonical form
 # ---------------------------------------------------------------------------
 
+@st.composite
+def transfer_functions(draw):
+    """Nonzero strictly proper H = N(z) / pi(z), reduced: pi monic of
+    degree 1..4, N d x m (d, m in 1..3) of degree q below it, with a nonzero
+    z^q coefficient in one drawn entry."""
+    p, d, m = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    q = draw(st.integers(0, p - 1))
+    pi = Poly((*draw(st.lists(fractions_over(A_DENS), min_size=p, max_size=p)), 1))
+    entries = [draw(st.lists(fractions_over(B_DENS), min_size=q + 1, max_size=q + 1))
+               for _ in range(d * m)]
+    entries[draw(st.integers(0, d * m - 1))][q] = draw(
+        st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from(B_DENS)))
+    return ratmat_reduce(PolyMatrix(d, m, tuple(map(Poly, entries))), pi)
+
+
+def scalar_spec(h, q: int) -> McarmaSpec:
+    """The spec of the left fraction (d(z) I, common_num) of ``h``, with
+    moving-average order ``q``: above the numerator's degree, its leading
+    blocks are zero."""
+    p, d = h.common_den.degree, h.rows
+    a = tuple(tuple(tuple(h.common_den.coefficient(p - i) * (r == c) for c in range(d))
+                    for r in range(d)) for i in range(1, p + 1))
+    return McarmaSpec(p=p, q=q, d=d, m=h.cols, a_coeffs=a,
+                      b_coeffs=tuple(h.common_num.coefficient_matrix(q - j)
+                                     for j in range(q + 1)))
+
+
 class TestObserverRealization:
+    # q = 0 < p - 1 = 2, so beta_1 = beta_2 = 0, with two outputs and one input
+    @example(h=ratmat_reduce(PolyMatrix.from_rows([[Poly((1,))], [Poly((-2,))]]),
+                             Poly((1, 1, 0, 1))))
+    # one output and three inputs, one input column zero
+    @example(h=ratmat_reduce(PolyMatrix.from_rows([[Poly((1, 2)), Poly.zero(),
+                                                    Poly((Fraction(1, 3),))]]),
+                             Poly((2, -1, 1))))
+    @given(transfer_functions())
+    @settings(max_examples=60, deadline=None)
+    def test_input_blocks_are_the_spec_recursion(self, h):
+        # B stacks H's first p Markov parameters; the spec's recursion in
+        # (A_i, B_j) must give the same blocks, whether its q is the
+        # numerator's degree or p - 1 with zero leading blocks
+        obs, mfd = observer_realization(h)
+        p, q = h.common_den.degree, h.common_num.degree
+        for spec_q in {q, p - 1}:
+            spec = scalar_spec(h, spec_q)
+            assert obs.statespace.b == tuple(row for blk in spec.beta for row in blk)
+            assert mfd == spec.fraction()
+        assert obs.statespace == assemble_observer_ss(scalar_spec(h, q))
+
     def test_scalar_first_order(self):
         h = ratmat_reduce(PolyMatrix.from_rows([[Poly.constant(5)]]), Poly((3, 1)))
         obs, mfd = observer_realization(h)
@@ -604,11 +672,10 @@ def json_blocks(pm: PolyMatrix, degrees) -> list:
 
 
 class TestCanonicalReport:
-    @given(statespace_models())
+    @given(nonzero_tf_models())
     @settings(max_examples=40, deadline=None)
     def test_report_reads_the_fraction(self, ss):
         h = transfer_function(ss)
-        assume(not h.is_zero)
         for form, realize in (("observer", observer_realization),
                               ("controller", controller_realization)):
             real, mfd = realize(h)
@@ -835,11 +902,10 @@ def reduced_verdict(ss1, ss2) -> bool:
 
 
 class TestMarkovVerdictOracle:
-    @given(statespace_models())
+    @given(nonzero_tf_models())
     @settings(max_examples=40, deadline=None)
     def test_equal_pairs(self, ss):
         h = transfer_function(ss)
-        assume(not h.is_zero)
         for realize in (observer_realization, controller_realization):
             form = realize(h)[0].statespace
             assert tf_equivalent(ss, form) is reduced_verdict(ss, form) is True
