@@ -37,7 +37,6 @@ from .exactalg import (
     format_rational,
     parse_rational,
     poly_gcd,
-    poly_lcm,
     ratmat_equal,
     ratmat_reduce,
     resolvent_numerator,
@@ -94,7 +93,6 @@ __all__ = [
     "format_rational",
     "parse_rational",
     "poly_gcd",
-    "poly_lcm",
     "ratmat_equal",
     "ratmat_reduce",
     "resolvent_numerator",

@@ -9,9 +9,10 @@ a decision procedure rather than a tolerance question.  Conventions:
   is the empty coefficient tuple and has degree ``-inf``;
 * rational functions are kept in canonical form: coprime numerator and
   denominator, denominator monic, the zero function is ``0/1``;
-* a rational matrix caches a common-denominator form ``H = common_num /
-  common_den`` where ``common_den`` is the monic LCM of the entry
-  denominators.
+* a rational matrix is stored as one fraction ``H = common_num /
+  common_den`` in lowest terms: ``common_den`` is monic and shares no
+  factor with all the entries of ``common_num``, so it is the monic lcm of
+  the reduced entry denominators.  A rational function is its 1 x 1 case.
 
 All values are immutable after construction and all operations are pure
 functions, so they are safe to share across threads.
@@ -25,10 +26,10 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import DimensionMismatch, NotStrictlyProper, OutOfRange
 
@@ -87,15 +88,18 @@ def as_rational(x: RationalLike) -> Fraction:
 
 RationalMatrixData = tuple
 
+def _rectangular(rows: tuple) -> tuple:
+    """``rows``, a tuple of tuples, once checked to be a nonempty rectangle."""
+    if not rows or not rows[0]:
+        raise DimensionMismatch("matrix must have at least one row and one column")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise DimensionMismatch("ragged matrix rows")
+    return rows
+
+
 def rational_matrix(rows: Sequence[Sequence[RationalLike]]) -> RationalMatrixData:
     """Convert nested sequences into a rectangular tuple-of-tuples of Fraction."""
-    out = tuple(tuple(as_rational(x) for x in row) for row in rows)
-    if not out or not out[0]:
-        raise DimensionMismatch("matrix must have at least one row and one column")
-    width = len(out[0])
-    if any(len(row) != width for row in out):
-        raise DimensionMismatch("ragged matrix rows")
-    return out
+    return _rectangular(tuple(tuple(as_rational(x) for x in row) for row in rows))
 
 
 def mat_identity(n: int) -> RationalMatrixData:
@@ -264,9 +268,9 @@ class Poly:
         return acc
 
 
-# -- division, gcd and lcm over the rationals.  Every polynomial division in
+# -- division and gcd over the rationals.  Every polynomial division in
 #    this module -- divmod, exact_div, the gcd's remainder sequence, and so
-#    the reduction of rational functions -- runs the one integer routine
+#    the reduction of rational matrices -- runs the one integer routine
 #    _int_divrem on primitive coefficient lists, which keeps coefficient
 #    growth polynomial and builds no Fraction until the result.  The gcd
 #    first decides coprimality modulo one prime (below), and runs the exact
@@ -362,13 +366,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return Poly(x).monic()
 
 
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    """Monic least common multiple; zero if either input is zero."""
-    if a.is_zero or b.is_zero:
-        return Poly.zero()
-    return (a * b.exact_div(poly_gcd(a, b))).monic()
-
-
 # ---------------------------------------------------------------------------
 # Polynomial matrices
 # ---------------------------------------------------------------------------
@@ -392,14 +389,13 @@ class PolyMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Poly]]) -> "PolyMatrix":
-        flat = tuple(e for row in rows for e in row)
-        return cls(len(rows), len(rows[0]), flat)
+        rows = _rectangular(tuple(map(tuple, rows)))
+        return cls(len(rows), len(rows[0]), tuple(itertools.chain(*rows)))
 
     @classmethod
     def from_scalar_matrix(cls, data: Sequence[Sequence[RationalLike]]) -> "PolyMatrix":
         """Embed a constant rational matrix as degree-0 polynomials."""
-        m = rational_matrix(data)
-        return cls.from_rows([[Poly.constant(x) for x in row] for row in m])
+        return cls.from_rows([[Poly.constant(x) for x in row] for row in data])
 
     @classmethod
     def identity(cls, n: int) -> "PolyMatrix":
@@ -622,6 +618,27 @@ def resolvent_numerator(matrix: Sequence[Sequence[RationalLike]]):
 # Rational functions and rational matrices
 # ---------------------------------------------------------------------------
 
+def _lowest_terms(nums: tuple, den: Poly) -> tuple:
+    """The fraction ``nums / den`` (entrywise) in lowest terms: ``den / g``
+    made monic, ``g = gcd(den, nums...)``, with ``nums`` scaled to match.
+    The chain stops once ``g`` is 1, which the gcd's modular test decides at
+    the first nonzero entry of a generic input; no nonzero entry gives 0/1."""
+    if den.is_zero:
+        raise ZeroDivisionError("fraction with zero denominator")
+    g = den
+    for e in nums:
+        if not e.is_zero:
+            g = poly_gcd(g, e)
+            if g.degree == 0:
+                break
+    if g.degree > 0:
+        nums, den = tuple(e.exact_div(g) for e in nums), den.exact_div(g)
+    lead = den.leading_coefficient
+    if lead != 1:
+        nums, den = tuple(e * (1 / lead) for e in nums), den.monic()
+    return nums, den
+
+
 @dataclass(frozen=True)
 class RationalFunction:
     """Quotient of two polynomials in canonical form.
@@ -635,19 +652,7 @@ class RationalFunction:
     den: Poly
 
     def __post_init__(self):
-        num, den = self.num, self.den
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            num, den = Poly.zero(), Poly.one()
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num.exact_div(g), den.exact_div(g)
-            lead = den.leading_coefficient
-            if lead != 1:
-                num = num * (Fraction(1) / lead)
-                den = den.monic()
+        (num,), den = _lowest_terms((self.num,), self.den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -676,40 +681,36 @@ class RationalFunction:
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Matrix of rational functions with a cached common-denominator form.
+    """Matrix of rational functions ``H = common_num / common_den``, stored
+    as that one fraction, which construction puts in lowest terms like a
+    :class:`RationalFunction`, so ``==`` is exact equality.  The entries are
+    read off it on demand."""
 
-    ``common_den`` is the monic LCM of the entry denominators and
-    ``common_num`` the polynomial matrix with ``H = common_num / common_den``
-    entrywise (the division used to build it is exact).
-    """
-
-    rows: int
-    cols: int
-    entries: tuple
-    common_den: Poly = field(init=False, compare=False)
-    common_num: PolyMatrix = field(init=False, compare=False)
+    common_num: PolyMatrix
+    common_den: Poly
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise DimensionMismatch("rational matrix must be at least 1x1")
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionMismatch("entry count does not match dimensions")
-        object.__setattr__(self, "entries", tuple(self.entries))
-        den = self.entries[0].den
-        for e in self.entries[1:]:
-            if e.den != den:
-                den = poly_lcm(den, e.den)
-        num = PolyMatrix(
-            self.rows, self.cols,
-            tuple(e.num if e.den == den else e.num * den.exact_div(e.den)
-                  for e in self.entries))
+        nums, den = _lowest_terms(self.common_num.entries, self.common_den)
+        object.__setattr__(self, "common_num", PolyMatrix(self.rows, self.cols, nums))
         object.__setattr__(self, "common_den", den)
-        object.__setattr__(self, "common_num", num)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[RationalFunction]]) -> "RationalMatrix":
-        flat = tuple(e for row in rows for e in row)
-        return cls(len(rows), len(rows[0]), flat)
+        """The entries' numerators over the product of their distinct
+        denominators, reduced."""
+        den = math.prod(dict.fromkeys(e.den for row in rows for e in row),
+                        start=Poly.one())
+        return cls(PolyMatrix.from_rows(
+            [[e.num * den.exact_div(e.den) for e in row] for row in rows]), den)
+
+    rows = property(lambda self: self.common_num.rows)
+    cols = property(lambda self: self.common_num.cols)
+
+    @cached_property
+    def entries(self) -> tuple:
+        """Each ``common_num[i, j] / common_den``, row by row; kept."""
+        return tuple(RationalFunction(e, self.common_den)
+                     for e in self.common_num.entries)
 
     def __getitem__(self, key) -> RationalFunction:
         i, j = key
@@ -730,11 +731,11 @@ class RationalMatrix:
 
     @property
     def is_zero(self) -> bool:
-        return all(e.is_zero for e in self.entries)
+        return all(e.is_zero for e in self.common_num.entries)
 
     @property
     def strictly_proper(self) -> bool:
-        return all(e.strictly_proper for e in self.entries)
+        return self.common_num.degree < self.common_den.degree
 
     def evaluate(self, x) -> list:
         """Entrywise evaluation at a float or complex point."""
@@ -746,20 +747,15 @@ TransferFunction = RationalMatrix
 
 
 def ratmat_reduce(num: PolyMatrix, den: Poly) -> RationalMatrix:
-    """Build the canonical rational matrix ``num / den`` (entrywise).
-
-    Each entry is reduced to lowest terms with a monic denominator; the
-    common-denominator cache is recomputed from the reduced entries.
-    """
-    if den.is_zero:
-        raise ZeroDivisionError("rational matrix with zero denominator")
-    entries = tuple(RationalFunction(e, den) for e in num.entries)
-    return RationalMatrix(num.rows, num.cols, entries)
+    """``RationalMatrix(num, den)``: ``num / den`` with ``den`` divided by
+    ``gcd(den, n_11, ..., n_dm)`` and made monic; no entry is reduced alone."""
+    return RationalMatrix(num, den)
 
 
 def ratmat_equal(h1: RationalMatrix, h2: RationalMatrix) -> bool:
-    """Exact, deterministic equality of rational matrices (no sampling)."""
-    return (h1.rows, h1.cols) == (h2.rows, h2.cols) and h1.entries == h2.entries
+    """Exact, deterministic equality of rational matrices (no sampling):
+    equality of their lowest-terms fractions."""
+    return h1 == h2
 
 
 def ratmat_markov_series(h: RationalMatrix) -> Iterator[tuple]:

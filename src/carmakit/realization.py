@@ -263,11 +263,11 @@ class CanonicalRealization:
 # ---------------------------------------------------------------------------
 
 def transfer_function(ss: StateSpaceModel) -> TransferFunction:
-    """H(z) = C (zI - A)^{-1} B, entrywise reduced.
+    """H(z) = C (zI - A)^{-1} B, in lowest terms.
 
     :func:`faddeev_leverrier` gives the numerator ``C adj(zI - A) B``, which
     it projects inside its integer iteration without building the N x N
-    adjugate, and ``det(zI - A)``; the quotient is then reduced entrywise.
+    adjugate, and ``det(zI - A)``; the quotient is then put in lowest terms.
     The result is exact and always strictly proper: the numerator has degree
     at most N - 1 against the degree-N characteristic polynomial, and
     reduction can only lower numerator degrees.

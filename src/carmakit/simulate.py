@@ -390,7 +390,10 @@ def empirical_autocov(path: SamplePath, maxlag: int):
 
 
 def spectral_density(h_tf: TransferFunction, sigma_l, omega: float) -> np.ndarray:
-    """f(omega) = H(i omega) Sigma H(i omega)^* / (2 pi), from exact coefficients."""
+    """f(omega) = H(i omega) Sigma H(i omega)^* / (2 pi), from exact
+    coefficients.  Raises ``ValueError`` for an infinite or nan ``omega``."""
+    if not math.isfinite(float(omega)):
+        raise ValueError(f"frequency must be finite, got {omega}")
     sigma_l = np.asarray(sigma_l, dtype=float)
     z = 1j * float(omega)
     try:

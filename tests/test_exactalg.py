@@ -6,6 +6,7 @@ recursive Laplace cofactor expansion over polynomial entries.
 """
 
 import cmath
+import functools
 import itertools
 import math
 import random
@@ -30,7 +31,6 @@ from carmakit.exactalg import (
     mat_mul,
     parse_rational,
     poly_gcd,
-    poly_lcm,
     ratmat_equal,
     ratmat_markov_series,
     ratmat_reduce,
@@ -286,8 +286,10 @@ class TestPolyArithmetic:
         assert p.evaluate(x) == expected
 
 
-def gcd_lcm(a: Poly, b: Poly) -> tuple:
-    return poly_gcd(a, b), poly_lcm(a, b)
+def lcm(a: Poly, b: Poly) -> Poly:
+    """Monic least common multiple of two nonzero polynomials: the oracle
+    for the common denominator of a rational matrix."""
+    return (a * b).exact_div(poly_gcd(a, b)).monic()
 
 
 # the prime modulo which poly_gcd first tests coprimality
@@ -297,8 +299,7 @@ PRIME = 2**61 - 1
 class TestPolyGcdLcm:
     def test_identical_inputs(self):
         p = Poly((1, 1))
-        g, l = gcd_lcm(p, p)
-        assert g == p and l == p
+        assert poly_gcd(p, p) == p
 
     def test_coprime_linear_factors(self):
         for a, b in [
@@ -306,9 +307,7 @@ class TestPolyGcdLcm:
             # coprime over Q, but both are z - 1 modulo the prime
             (Poly((-1, 1)), Poly((-1 - PRIME, 1))),
         ]:
-            g, l = gcd_lcm(a, b)
-            assert g == Poly.one()
-            assert l == a * b
+            assert poly_gcd(a, b) == Poly.one()
 
     def test_shared_factor(self):
         for a, b, gcd in [
@@ -318,9 +317,7 @@ class TestPolyGcdLcm:
             (Poly((1, PRIME)) * Poly((2, 1)), Poly((1, PRIME)) * Poly((3, 1)),
              Poly((Fraction(1, PRIME), 1))),
         ]:
-            g, l = gcd_lcm(a, b)
-            assert g == gcd
-            assert l == (a * b.exact_div(gcd)).monic()
+            assert poly_gcd(a, b) == gcd
 
     def test_both_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -330,21 +327,14 @@ class TestPolyGcdLcm:
         assert poly_gcd(Poly.zero(), Poly((2, 2))) == Poly((1, 1))
         assert poly_gcd(Poly((2, 2)), Poly.zero()) == Poly((1, 1))
 
-    def test_lcm_with_a_zero_input_is_zero(self):
-        assert poly_lcm(Poly.zero(), Poly((2, 2))).is_zero
-        assert poly_lcm(Poly((2, 2)), Poly.zero()).is_zero
-        assert poly_lcm(Poly.zero(), Poly.zero()).is_zero
-
     @given(nonzero_polys, nonzero_polys)
     @settings(max_examples=50, deadline=None)
     def test_divisibility(self, a, b):
-        g, l = gcd_lcm(a, b)
+        g = poly_gcd(a, b)
+        assert g.leading_coefficient == 1
         assert (a % g).is_zero and (b % g).is_zero
-        assert (l % a).is_zero and (l % b).is_zero
-        # gcd * lcm agrees with a*b up to a nonzero rational factor
-        prod = a * b
-        scaled = (g * l) * (prod.leading_coefficient)
-        assert scaled == prod
+        # no common factor is left once g is divided out
+        assert poly_gcd(a.exact_div(g), b.exact_div(g)) == Poly.one()
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +476,21 @@ class TestRatmatReduce:
         assert (h[0, 2].num, h[0, 2].den) == (Poly.one(), rest)
 
     def test_common_denominator_cache(self):
-        # entries 1/(z+1) and 1/(z+2): common den is the monic lcm
-        num = PolyMatrix.from_rows([[Poly((2, 1)), Poly((1, 1))]])
-        h = ratmat_reduce(num, Poly((2, 3, 1)))
-        assert h.common_den == Poly((2, 3, 1))
-        assert h.common_num == num
-        # entry (0, 1) repeats the running lcm and entry (1, 0) is the
-        # common denominator itself, next to a zero entry
+        # entries 1/(z+1) and 1/(z+2), as a row and as a column: gcd(det,
+        # z + 2) is z + 2, so the gcd chain reads the second entry before it
+        # keeps det = (z+1)(z+2), the monic lcm
+        for num in (PolyMatrix.from_rows([[Poly((2, 1)), Poly((1, 1))]]),
+                    PolyMatrix.from_rows([[Poly((2, 1))], [Poly((1, 1))]])):
+            h = ratmat_reduce(num, Poly((2, 3, 1)))
+            assert h.common_den == Poly((2, 3, 1))
+            assert h.common_num == num
+        # [1/(z+1), 2/(z+1)]: z + 2 divides every entry and cancels
+        h = ratmat_reduce(PolyMatrix.from_rows([[Poly((2, 1)), Poly((4, 2))]]),
+                          Poly((2, 3, 1)))
+        assert h.common_den == Poly((1, 1))
+        assert h.common_num == PolyMatrix.from_rows([[Poly.one(), Poly.constant(2)]])
+        # from_rows: entry (0, 1) repeats a denominator and entry (1, 0) has
+        # the common denominator itself, next to a zero entry
         z1, z2, z12 = Poly((1, 1)), Poly((2, 1)), Poly((2, 3, 1))
         h = RationalMatrix.from_rows([
             [RationalFunction(a, b) for a, b in row] for row in [
@@ -503,6 +501,24 @@ class TestRatmatReduce:
             [Poly((2, 1)), Poly((4, 2)), Poly((1, 1))],
             [Poly((0, 1)), Poly.zero(), Poly((2, 1))],
         ])
+
+    @given(st.integers(1, 3), st.integers(1, 3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_common_den_is_the_lcm_of_the_entries(self, d, m, data):
+        rows = [[RationalFunction(data.draw(polys), data.draw(nonzero_polys))
+                 for _ in range(m)] for _ in range(d)]
+        h = RationalMatrix.from_rows(rows)
+        assert h.common_den == functools.reduce(
+            lcm, (e.den for row in rows for e in row))
+        assert [[h[i, j] for j in range(m)] for i in range(d)] == rows
+
+    @given(st.integers(1, 3), st.integers(1, 3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_reduce_is_from_rows_of_the_reduced_entries(self, d, m, data):
+        num = PolyMatrix(d, m, tuple(data.draw(polys) for _ in range(d * m)))
+        den = data.draw(nonzero_polys)
+        assert ratmat_reduce(num, den) == RationalMatrix.from_rows(
+            [[RationalFunction(e, den) for e in num.row(i)] for i in range(d)])
 
     def test_idempotence(self):
         rng = random.Random(9)
@@ -730,10 +746,23 @@ REFUSALS = {
     "poly-matrix-product-shapes": (
         lambda: PolyMatrix.identity(2) @ PolyMatrix.identity(1),
         DimensionMismatch, "cannot multiply 2x2 by 1x1"),
-    "empty-rational-matrix": (lambda: RationalMatrix(1, 0, ()),
+    "poly-matrix-no-rows": (lambda: PolyMatrix.from_rows([]), DimensionMismatch,
+                            "at least one row and one column"),
+    "poly-matrix-empty-row": (lambda: PolyMatrix.from_rows([[]]),
+                              DimensionMismatch, "at least one row and one column"),
+    "poly-matrix-ragged-rows": (
+        lambda: PolyMatrix.from_rows([[Poly.one()], [Poly.one(), Poly.one()], []]),
+        DimensionMismatch, "ragged"),
+    "empty-rational-matrix": (lambda: RationalMatrix(PolyMatrix(1, 0, ()), Poly.one()),
                               DimensionMismatch, "at least 1x1"),
-    "rational-matrix-entry-count": (lambda: RationalMatrix(2, 1, (ONE,)),
-                                    DimensionMismatch, "entry count"),
+    "rational-matrix-zero-denominator": (
+        lambda: RationalMatrix(PolyMatrix.identity(1), Poly.zero()),
+        ZeroDivisionError, "zero denominator"),
+    "rational-matrix-no-rows": (lambda: RationalMatrix.from_rows([]),
+                                DimensionMismatch, "at least one row and one column"),
+    "rational-matrix-ragged-rows": (
+        lambda: RationalMatrix.from_rows([[ONE], [ONE, ONE], []]),
+        DimensionMismatch, "ragged"),
 }
 
 

@@ -953,6 +953,22 @@ class TestMarkovGuards:
         assert tf_equivalent(ss, obs.statespace)
         assert count_faddeev == [ss.n]
 
+    def test_no_rational_function_on_forms(self, monkeypatch):
+        built = []
+        post_init = RationalFunction.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(RationalFunction, "__post_init__", counting)
+        _, h = random_model_nonzero_tf(random.Random(33))
+        for form in ("observer", "controller"):
+            assert cli.report_canonical(form, h)["tf_match"] is True
+        assert built == []
+        h[0, 0]
+        assert len(built) == h.rows * h.cols
+
     def test_perturbed_drift_entry_fails_match(self):
         rng = random.Random(32)
         _, h = random_model_nonzero_tf(rng)

@@ -610,6 +610,12 @@ class TestSpectralDensity:
             with pytest.raises(PoleOnEvaluationAxis):
                 spectral_density(h, [[1.0]], omega)
 
+    def test_non_finite_frequency_rejected(self):
+        h = transfer_function(scalar_model(1.5))
+        for omega in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="frequency must be finite"):
+                spectral_density(h, [[1.0]], omega)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_covariance_out_of_range_not_pole(self):
         h = transfer_function(StateSpaceModel(a=[[-1]], b=[[5]], c=[[1]]))
