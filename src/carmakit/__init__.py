@@ -13,9 +13,11 @@ The package splits into four layers:
   statistics and spectral densities.
 * :mod:`carmakit.cli` -- the ``carmakit`` command-line tool and its JSON/CSV
   file formats.
-"""
 
-import importlib
+The package top level re-exports the exact layer only: ``import carmakit``
+and ``from carmakit import *`` need neither numpy nor scipy.  Simulation is
+imported from :mod:`carmakit.simulate`, which loads both.
+"""
 
 from .errors import (
     CarmakitError,
@@ -54,27 +56,6 @@ from .realization import (
     transfer_function,
 )
 
-# Names of carmakit.simulate, which imports numpy and scipy.  They load on
-# first access, so the exact layers and CLI commands start without either.
-_SIMULATE_NAMES = (
-    "FixedAtomJumps",
-    "GaussianJumps",
-    "LevyDriverSpec",
-    "SamplePath",
-    "SimulationConfig",
-    "draw_compound_poisson_jumps",
-    "empirical_autocov",
-    "gaussian_step_params",
-    "simulate_brownian",
-    "simulate_compound_poisson",
-    "simulate_compound_poisson_pair",
-    "simulate_shared_brownian_pair",
-    "spectral_density",
-    "stability_check",
-    "stationary_covariance",
-    "theoretical_autocov",
-)
-
 __all__ = [
     "CarmakitError",
     "DegenerateTransferFunction",
@@ -106,16 +87,7 @@ __all__ = [
     "tf_equivalent",
     "tf_match",
     "transfer_function",
-    *_SIMULATE_NAMES,
 ]
 
 __version__ = "0.1.0"
 
-
-def __getattr__(name):
-    """Import ``carmakit.simulate`` when one of its names is first used."""
-    if name != "simulate" and name not in _SIMULATE_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    simulate = importlib.import_module(".simulate", __name__)
-    globals().update((n, getattr(simulate, n)) for n in _SIMULATE_NAMES)
-    return globals()[name]

@@ -322,14 +322,12 @@ def _number_array(value, label: str) -> "numpy.ndarray":
 
 def _load_sigma(spec: str, m: int) -> "numpy.ndarray":
     import numpy as np
-    from .simulate import _require_psd
+    from .simulate import _driver_covariance, _require_psd
 
     if spec == "identity":
         return np.eye(m)
-    sigma = _number_array(_load_json(spec), f"{spec}: covariance")
-    if sigma.shape != (m, m):
-        raise DimensionMismatch(
-            f"covariance must be {m}x{m} to match the model input")
+    sigma = _driver_covariance(
+        _number_array(_load_json(spec), f"{spec}: covariance"), m)
     # The shape is checked above, so no DimensionMismatch can arise here.
     try:
         _require_psd(sigma, f"{spec}: covariance")
@@ -357,9 +355,6 @@ def _load_jumps(spec: str, m: int):
             raise
         except (TypeError, ValueError, OverflowError) as exc:
             raise ModelFileError(f"bad atom file: {exc}") from exc
-        if jumps.dim != m:
-            raise DimensionMismatch(
-                f"atoms must have {m} entries to match the model input")
         return jumps
     raise ModelFileError(
         f"jump distribution must be \"gaussian\" or \"atoms:<file>\", got {spec!r}")
@@ -428,8 +423,7 @@ def cmd_check_equiv(args) -> int:
 
 def cmd_simulate(args) -> int:
     from .simulate import (LevyDriverSpec, SimulationConfig,
-                           _require_path_values, draw_compound_poisson_jumps,
-                           simulate_brownian, simulate_compound_poisson)
+                           _compound_poisson_run, simulate_brownian)
 
     ss = load_model(args.model)
     cfg = SimulationConfig(step_size=args.h, steps=args.steps, seed=args.seed,
@@ -441,11 +435,7 @@ def cmd_simulate(args) -> int:
     else:
         jumps = _load_jumps(args.jump, ss.m)
         driver = LevyDriverSpec.compound_poisson(rate=args.rate, jumps=jumps)
-        horizon = (cfg.steps - 1) * cfg.step_size
-        # refuse an oversized path before paying for its jump draw
-        _require_path_values(cfg.steps * ss.n)
-        times, sizes = draw_compound_poisson_jumps(driver, horizon, cfg)
-        path = simulate_compound_poisson(ss, times, sizes, cfg)
+        path, = _compound_poisson_run((ss,), driver, cfg)
         driver_meta = {"kind": "compound_poisson", "rate": driver.rate,
                        "jump": _jump_json(jumps)}
     path.to_csv(args.out)

@@ -449,10 +449,7 @@ class PolyMatrix:
 def integer_matrix(matrix: Sequence[Sequence[Fraction]]) -> tuple:
     """``(s, ints)`` with ``s`` the least common multiple of the entry
     denominators and ``ints = s * matrix`` as lists of plain integers."""
-    s = 1
-    for row in matrix:
-        for x in row:
-            s = s * x.denominator // math.gcd(s, x.denominator)
+    s = math.lcm(*(x.denominator for row in matrix for x in row))
     return s, [[x.numerator * (s // x.denominator) for x in row] for row in matrix]
 
 

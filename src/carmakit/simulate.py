@@ -179,6 +179,9 @@ class SimulationConfig:
             raise ValueError("init must be 'zero' or 'stationary'")
         if self.euler_substeps < 1:
             raise ValueError("euler_substeps must be at least 1")
+        if (isinstance(self.seed, bool)
+                or not isinstance(self.seed, numbers.Integral) or self.seed < 0):
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def streams(self):
         """The four child generators in the documented order."""
@@ -277,6 +280,15 @@ def _clamp_psd(mat: np.ndarray) -> np.ndarray:
 # Stability and second-order structure
 # ---------------------------------------------------------------------------
 
+def _driver_covariance(sigma_l, m: int) -> np.ndarray:
+    """sigma_l as a float array; ``DimensionMismatch`` unless it is m x m."""
+    sigma_l = np.asarray(sigma_l, dtype=float)
+    if sigma_l.shape != (m, m):
+        raise DimensionMismatch(
+            f"driver covariance must be {m}x{m} to match the model input")
+    return sigma_l
+
+
 def _noise_covariance(b: np.ndarray, sigma_l) -> np.ndarray:
     """B Sigma B^T; raises ``OutOfRange`` if it overflows."""
     with _overflow_quiet():
@@ -294,6 +306,7 @@ def stability_check(ss: StateSpaceModel) -> bool:
 
 def stationary_covariance(ss: StateSpaceModel, sigma_l) -> np.ndarray:
     """Stationary state covariance: the solution of A S + S A^T = -B Sigma B^T."""
+    sigma_l = _driver_covariance(sigma_l, ss.m)
     if not stability_check(ss):
         raise UnstableModel("stationary covariance requires a stable drift")
     a, b, _ = ss_to_float(ss)
@@ -330,6 +343,7 @@ def gaussian_step_params(ss: StateSpaceModel, sigma_l, h: float):
     the same, ``OutOfRange`` is raised for a drift that :func:`stability_check`
     calls stable, and ``UnstableModel`` otherwise.
     """
+    sigma_l = _driver_covariance(sigma_l, ss.m)
     if not h > 0:
         raise ValueError("step size must be positive")
     a, b, _ = ss_to_float(ss)
@@ -392,9 +406,9 @@ def empirical_autocov(path: SamplePath, maxlag: int):
 def spectral_density(h_tf: TransferFunction, sigma_l, omega: float) -> np.ndarray:
     """f(omega) = H(i omega) Sigma H(i omega)^* / (2 pi), from exact
     coefficients.  Raises ``ValueError`` for an infinite or nan ``omega``."""
+    sigma_l = _driver_covariance(sigma_l, h_tf.cols)
     if not math.isfinite(float(omega)):
         raise ValueError(f"frequency must be finite, got {omega}")
-    sigma_l = np.asarray(sigma_l, dtype=float)
     z = 1j * float(omega)
     try:
         if h_tf.common_den.evaluate(z) == 0:
@@ -463,7 +477,7 @@ def simulate_brownian(ss: StateSpaceModel, sigma_l,
     time-discretization bias at the grid points.  X_0 is zero, or for
     ``init == "stationary"`` a draw from stream 0 of the stationary law.
     """
-    _require_psd(sigma_l, "driver covariance")
+    sigma_l = _require_psd(_driver_covariance(sigma_l, ss.m), "driver covariance")
     _require_path_values(cfg.steps * ss.n)
     rng_init, rng_gauss, _, _ = cfg.streams()
     phi, sigma_h = gaussian_step_params(ss, sigma_l, cfg.step_size)
@@ -495,9 +509,10 @@ def simulate_shared_brownian_pair(ss1: StateSpaceModel, ss2: StateSpaceModel,
     ``euler_substeps`` grows.  Both runs start from the zero state.
     """
     _require_pair_input_dims(ss1, ss2)
+    sigma_l = _driver_covariance(sigma_l, ss1.m)
     if cfg.init != "zero":
         raise ValueError("shared-path comparisons start from the zero state")
-    sigma_l = _require_psd(sigma_l, "driver covariance")
+    _require_psd(sigma_l, "driver covariance")
     sub = cfg.euler_substeps
     fine_steps = (cfg.steps - 1) * sub
     _require_path_values(max(cfg.steps * max(ss1.n, ss2.n), fine_steps * ss1.m))
@@ -615,13 +630,20 @@ def simulate_compound_poisson_pair(ss1: StateSpaceModel, ss2: StateSpaceModel,
     pathwise equivalence witness.
     """
     _require_pair_input_dims(ss1, ss2)
+    return _compound_poisson_run((ss1, ss2), driver, cfg)
+
+
+def _compound_poisson_run(models, driver: LevyDriverSpec,
+                          cfg: SimulationConfig) -> tuple:
+    """One jump path, drawn once, driven through each model in turn; the
+    run is refused before the draw if any model cannot take it."""
     if cfg.init != "zero":
         raise ValueError(
             "stationary initialization is not defined for compound Poisson runs")
-    if driver.jumps.dim != ss1.m:
+    if any(driver.jumps.dim != ss.m for ss in models):
         raise DimensionMismatch("jump size dimension must match the model input")
-    _require_path_values(cfg.steps * max(ss1.n, ss2.n))
+    _require_path_values(cfg.steps * max(ss.n for ss in models))
     horizon = (cfg.steps - 1) * cfg.step_size
     times, sizes = draw_compound_poisson_jumps(driver, horizon, cfg)
-    return (simulate_compound_poisson(ss1, times, sizes, cfg),
-            simulate_compound_poisson(ss2, times, sizes, cfg))
+    return tuple(simulate_compound_poisson(ss, times, sizes, cfg)
+                 for ss in models)

@@ -906,6 +906,18 @@ class TestStartup:
         other = write_model(tmp_path / "m.json", ss_obj([[-3]], [[1]], [[10]]))
         script = """if True:
             import sys
+
+            def assert_bare(what):
+                loaded = sorted({"numpy", "scipy"} & set(sys.modules))
+                assert not loaded, f"{what} imported {loaded}"
+
+            import carmakit
+            namespace = {}
+            exec("from carmakit import *", namespace)
+            missing = set(carmakit.__all__) - set(namespace)
+            assert not missing, f"star import lacks {sorted(missing)}"
+            assert_bare("the star import")
+
             from carmakit import cli
             model, other = sys.argv[1:]
             for argv in (["tf", model],
@@ -914,17 +926,13 @@ class TestStartup:
                          ["check-equiv", model, model],
                          ["check-equiv", model, other]):
                 assert cli.main(argv) in (0, 1), argv
-            loaded = sorted({"numpy", "scipy"} & set(sys.modules))
-            assert not loaded, f"exact commands imported {loaded}"
+            assert_bare("the exact commands")
 
-            import carmakit
             from carmakit import simulate
-            assert carmakit.simulate is simulate
-            assert carmakit.simulate_brownian is simulate.simulate_brownian
-            namespace = {}
-            exec("from carmakit import *", namespace)
-            missing = set(carmakit.__all__) - set(namespace)
-            assert not missing, f"star import lacks {sorted(missing)}"
+            defined = {name for name, value in vars(simulate).items()
+                       if getattr(value, "__module__", None) == simulate.__name__}
+            exported = sorted(defined & set(carmakit.__all__))
+            assert not exported, f"carmakit.__all__ lists {exported}"
             print("ok", file=sys.stderr)
         """
         env = dict(os.environ,

@@ -875,12 +875,40 @@ REFUSALS = {
     "autocov-lag-negative": (
         lambda: theoretical_autocov(OU, [[1.0]], [-0.1]),
         ValueError, "time lags must be nonnegative"),
+    "seed-negative": (
+        lambda: SimulationConfig(step_size=0.1, steps=10, seed=-1),
+        ValueError, "seed must be a nonnegative integer"),
+    "seed-fraction": (
+        lambda: SimulationConfig(step_size=0.1, steps=10, seed=1.5),
+        ValueError, "seed must be a nonnegative integer"),
+    "seed-bool": (  # True would otherwise run as seed 1
+        lambda: SimulationConfig(step_size=0.1, steps=10, seed=True),
+        ValueError, "seed must be a nonnegative integer"),
+    # a 2x2 driver covariance for the one-input OU model
+    "brownian-sigma-size": (
+        lambda: simulate_brownian(OU, np.eye(2), GRID),
+        DimensionMismatch, "driver covariance must be 1x1"),
+    "euler-pair-sigma-size": (
+        lambda: simulate_shared_brownian_pair(OU, OU, np.eye(2), GRID),
+        DimensionMismatch, "driver covariance must be 1x1"),
+    "stationary-covariance-sigma-size": (
+        lambda: stationary_covariance(OU, np.eye(2)),
+        DimensionMismatch, "driver covariance must be 1x1"),
+    "step-params-sigma-size": (
+        lambda: gaussian_step_params(OU, np.eye(2), 0.1),
+        DimensionMismatch, "driver covariance must be 1x1"),
+    "spectral-density-sigma-size": (
+        lambda: spectral_density(transfer_function(OU), np.eye(2), 1.0),
+        DimensionMismatch, "driver covariance must be 1x1"),
+    "autocov-sigma-size": (
+        lambda: theoretical_autocov(OU, np.eye(2), [0.0]),
+        DimensionMismatch, "driver covariance must be 1x1"),
 }
 
 
 @pytest.mark.parametrize("call, error, match", REFUSALS.values(),
                          ids=list(REFUSALS))
-def test_refusals(call, error, match):
+def test_refusals(call, error, match, no_draw):
     with pytest.raises(error, match=match):
         call()
 
