@@ -16,7 +16,8 @@ The package splits into four layers:
 
 The package top level re-exports the exact layer only: ``import carmakit``
 and ``from carmakit import *`` need neither numpy nor scipy.  Simulation is
-imported from :mod:`carmakit.simulate`, which loads both.
+imported from :mod:`carmakit.simulate`, which loads numpy, and scipy when a
+simulation first runs.
 """
 
 from .errors import (

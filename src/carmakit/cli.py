@@ -298,9 +298,9 @@ def _emit_report(report: dict, out_path) -> None:
 # ---------------------------------------------------------------------------
 # Driver flags
 #
-# Only the simulating commands reach these, so they import numpy and
-# carmakit.simulate (which imports scipy) where they run: the exact commands
-# start without either.
+# Only the floating-point commands reach these, so they import numpy and
+# carmakit.simulate where they run: the exact commands start without numpy,
+# and only a simulation loads scipy.
 # ---------------------------------------------------------------------------
 
 def _number_array(value, label: str) -> "numpy.ndarray":

@@ -29,6 +29,10 @@ covariance is the integrated noise response).  A compound Poisson path can
 be simulated exactly jump by jump, which makes it the sharp instrument for
 checking that two realizations of the same transfer function generate the
 same output pathwise.
+
+numpy is imported with the module; scipy only when a computation first
+needs its matrix exponential or Lyapunov solver, so spectral densities and
+CSV writing run on numpy alone.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .errors import (DimensionMismatch, OutOfRange, PoleOnEvaluationAxis,
                      UnstableModel)
@@ -66,6 +69,18 @@ def _as_float(matrix) -> np.ndarray:
 def ss_to_float(ss: StateSpaceModel):
     """The (A, B, C) triple as float arrays; the single exact-to-float boundary."""
     return _as_float(ss.a), _as_float(ss.b), _as_float(ss.c)
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """scipy's matrix exponential, of one matrix or of a stack of them;
+    scipy is imported on the first call."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(a)
+
+
+def _is_count(value) -> bool:
+    """True for an integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +181,8 @@ class SimulationConfig:
     def __post_init__(self):
         if not self.step_size > 0:
             raise ValueError("step size must be positive")
+        if not _is_count(self.steps):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError("need at least one step")
         try:
@@ -177,10 +194,12 @@ class SimulationConfig:
                              f"{self.step_size!r} ends past the double range")
         if self.init not in ("zero", "stationary"):
             raise ValueError("init must be 'zero' or 'stationary'")
+        if not _is_count(self.euler_substeps):
+            raise ValueError("euler_substeps must be an integer, "
+                             f"got {self.euler_substeps!r}")
         if self.euler_substeps < 1:
             raise ValueError("euler_substeps must be at least 1")
-        if (isinstance(self.seed, bool)
-                or not isinstance(self.seed, numbers.Integral) or self.seed < 0):
+        if not _is_count(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def streams(self):
@@ -309,6 +328,8 @@ def stationary_covariance(ss: StateSpaceModel, sigma_l) -> np.ndarray:
     sigma_l = _driver_covariance(sigma_l, ss.m)
     if not stability_check(ss):
         raise UnstableModel("stationary covariance requires a stable drift")
+    from scipy.linalg import solve_continuous_lyapunov
+
     a, b, _ = ss_to_float(ss)
     q = _noise_covariance(b, sigma_l)
     with warnings.catch_warnings():  # the residual check below is the guard
@@ -395,8 +416,7 @@ def empirical_autocov(path: SamplePath, maxlag: int):
     """
     y = path.outputs
     n = y.shape[0]
-    if (isinstance(maxlag, bool) or not isinstance(maxlag, numbers.Integral)
-            or not 0 <= maxlag < n):
+    if not _is_count(maxlag) or not 0 <= maxlag < n:
         raise ValueError("maximum lag must be an integer, nonnegative and below "
                          "the number of samples")
     centered = y - y.mean(axis=0)
@@ -434,6 +454,22 @@ def spectral_density(h_tf: TransferFunction, sigma_l, omega: float) -> np.ndarra
 def _overflow_quiet():
     """Silence numpy's overflow and invalid warnings around a checked result."""
     return np.errstate(over="ignore", invalid="ignore")
+
+
+def _matvec(rows: int):
+    """The product (M, v) -> M @ v, bit for bit, for matrices M of ``rows``
+    rows.  ``ndarray.dot`` reaches the same BLAS routine as ``@`` without its
+    gufunc dispatch, at about half the cost per call; only a 1x1 matrix it
+    multiplies as a scalar, which gives -0.0 where ``@`` gives +0.0, so a
+    one-row matrix keeps ``np.matmul``."""
+    return np.matmul if rows == 1 else np.ndarray.dot
+
+
+def _stacked_products(mat: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """The rows mat @ vectors[i], as one stack of matrix-vector products with
+    the bits of separate calls (``vectors @ mat.T`` is one matrix product,
+    which rounds differently)."""
+    return np.matmul(mat, vectors[:, :, None])[:, :, 0]
 
 
 def _require_finite_outputs(times: np.ndarray, outputs: np.ndarray) -> None:
@@ -488,7 +524,8 @@ def simulate_brownian(ss: StateSpaceModel, sigma_l,
     with _overflow_quiet():
         increments = (rng_gauss.standard_normal((cfg.steps - 1, ss.n))
                       @ _psd_factor(sigma_h).T)
-    return _record_path(x0, cfg, lambda k, x: phi @ x + increments[k - 1],
+    product = _matvec(ss.n)
+    return _record_path(x0, cfg, lambda k, x: product(phi, x) + increments[k - 1],
                         ss_to_float(ss)[2])
 
 
@@ -515,7 +552,8 @@ def simulate_shared_brownian_pair(ss1: StateSpaceModel, ss2: StateSpaceModel,
     _require_psd(sigma_l, "driver covariance")
     sub = cfg.euler_substeps
     fine_steps = (cfg.steps - 1) * sub
-    _require_path_values(max(cfg.steps * max(ss1.n, ss2.n), fine_steps * ss1.m))
+    _require_path_values(max(max(cfg.steps, fine_steps) * max(ss1.n, ss2.n),
+                             fine_steps * ss1.m))
     _, rng_gauss, _, _ = cfg.streams()
     dt = cfg.step_size / sub
     dl = rng_gauss.standard_normal((fine_steps, ss1.m)) @ _psd_factor(sigma_l).T
@@ -524,10 +562,13 @@ def simulate_shared_brownian_pair(ss1: StateSpaceModel, ss2: StateSpaceModel,
     paths = []
     for ss in (ss1, ss2):
         a, b, c = ss_to_float(ss)
+        product = _matvec(ss.n)
+        with _overflow_quiet():
+            b_dl = _stacked_products(b, dl)    # B dL_i of every fine step
 
         def advance(k, x):
-            for i in range((k - 1) * sub, k * sub):
-                x = x + dt * (a @ x) + b @ dl[i]
+            for b_dl_i in b_dl[(k - 1) * sub:k * sub]:
+                x = x + dt * product(a, x) + b_dl_i
             return x
 
         paths.append(_record_path(np.zeros(ss.n), cfg, advance, c))
@@ -609,13 +650,14 @@ def simulate_compound_poisson(ss: StateSpaceModel, jump_times, jump_sizes,
     step_of_jump = np.repeat(np.arange(1, cfg.steps), np.diff(bounds))
     points = np.insert(grid, step_of_jump, jump_times[:bounds[-1]])
     flows = _flow_exponentials(a, np.diff(points))
+    product = _matvec(ss.n)
 
     def advance(k, x):
         for j in range(bounds[k - 1], bounds[k]):
             e = next(flows)
-            x = (x if e is None else e @ x) + b @ jump_sizes[j]
+            x = (x if e is None else product(e, x)) + product(b, jump_sizes[j])
         e = next(flows)
-        return x if e is None else e @ x
+        return x if e is None else product(e, x)
 
     return _record_path(np.zeros(ss.n), cfg, advance, c)
 

@@ -943,6 +943,41 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.strip() == "ok"
 
+    def test_spectrum_runs_without_scipy(self, tmp_path):
+        # numpy alone serves the simulate module's import and the spectral
+        # density; scipy loads only when a simulation needs expm or a
+        # Lyapunov solve
+        path = write_model(tmp_path / "m.json",
+                           ss_obj([[0, 1], [-2, -3]], [[0], [1]], [[1, 0]]))
+        script = """if True:
+            import sys
+
+            def assert_no_scipy(what):
+                loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+                assert not loaded, f"{what} imported {loaded}"
+
+            import carmakit.simulate
+            assert_no_scipy("import carmakit.simulate")
+            from carmakit import cli
+            model, out = sys.argv[1:]
+            assert cli.main(["spectrum", model, "--omegas", "0,1.5",
+                             "-o", out]) == 0
+            assert_no_scipy("the spectrum command")
+            carmakit.simulate.gaussian_step_params(
+                cli.load_model(model), [[1.0]], 0.1)
+            assert "scipy.linalg" in sys.modules
+            print("ok", file=sys.stderr)
+        """
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", script, path,
+                               str(tmp_path / "s.csv")],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip() == "ok"
+        assert len((tmp_path / "s.csv").read_text().splitlines()) == 3
+
 
 class TestHelp:
 

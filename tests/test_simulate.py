@@ -77,6 +77,32 @@ def scalar_model(a, c=1.0):
                            b=[[1]], c=[[Fraction(c).limit_denominator(10**6)]])
 
 
+def stream(cfg, k):
+    """Child stream k of the run seed, in the documented order."""
+    child = np.random.SeedSequence(cfg.seed).spawn(4)[k]
+    return np.random.Generator(np.random.PCG64(child))
+
+
+def factor(mat):
+    """The documented Gaussian factor V sqrt(max(W, 0)) of a symmetric mat."""
+    w, v = np.linalg.eigh((mat + mat.T) / 2)
+    return v * np.sqrt(np.clip(w, 0.0, None))
+
+
+# Models for the bit-for-bit replays: one state, zero entries in B and C, two
+# inputs, and a stiff drift whose one-step parameters are doubled from h/2^s.
+REPLAY_MODELS = {
+    "scalar": StateSpaceModel(a=[[-2]], b=[[-1]], c=[["1/2"]]),
+    "companion": StateSpaceModel(a=[[0, 1], [-2, -3]], b=[[0], [1]],
+                                 c=[[1, 0]]),
+    "two-inputs": StateSpaceModel(
+        a=[[-1, "1/3", 0], [0, -2, 1], ["1/2", 0, -3]],
+        b=[[1, 0], [0, -1], [1, 1]], c=[[1, 0, 1], [0, 1, 0]]),
+    "stiff": StateSpaceModel(a=[[-90, 1], [0, -40]], b=[[1], [2]],
+                             c=[[1, 1]]),
+}
+
+
 # ---------------------------------------------------------------------------
 # Stability and stationary covariance
 # ---------------------------------------------------------------------------
@@ -227,27 +253,44 @@ class TestGaussianStepParams:
 # ---------------------------------------------------------------------------
 
 class TestSimulateBrownian:
-    def test_replays_the_increment_stream(self):
-        # From the zero start, x_k = Phi x_(k-1) + xi_k with xi_k the normals
-        # of child stream 1 scaled by a factor of Sigma_h: the recursion
-        # propagates non-zero states, and the draws follow the stream layout.
-        ss = StateSpaceModel(a=[[0, 1], [-2, -3]], b=[[0], [1]], c=[[1, 0]])
-        cfg = SimulationConfig(step_size=0.25, steps=30, seed=5)
-        path = simulate_brownian(ss, [[2.0]], cfg)
-        phi, sigma_h = gaussian_step_params(ss, [[2.0]], cfg.step_size)
-        w, v = np.linalg.eigh(sigma_h)
-        stream = np.random.SeedSequence(cfg.seed).spawn(4)[1]
-        normals = np.random.Generator(np.random.PCG64(stream)).standard_normal(
-            (cfg.steps - 1, ss.n))
-        xi = normals @ (v * np.sqrt(np.clip(w, 0.0, None))).T
+    @staticmethod
+    def reference_path(ss, sigma_l, cfg):
+        """The outputs, step by step: x_k = Phi x_(k-1) + xi_k with xi_k the
+        normals of child stream 1 scaled by the factor of Sigma_h, from zero
+        or, for a stationary start, from the factor of the stationary
+        covariance times the normals of child stream 0."""
+        phi, sigma_h = gaussian_step_params(ss, sigma_l, cfg.step_size)
+        xi = stream(cfg, 1).standard_normal((cfg.steps - 1, ss.n)) @ factor(sigma_h).T
         x = np.zeros(ss.n)
+        if cfg.init == "stationary":
+            x = (factor(stationary_covariance(ss, sigma_l))
+                 @ stream(cfg, 0).standard_normal(ss.n))
         states = [x]
         for k in range(1, cfg.steps):
             x = phi @ x + xi[k - 1]
             states.append(x)
-        assert_array_equal(path.outputs, np.array(states) @ ss_to_float(ss)[2].T)
+        return np.array(states) @ ss_to_float(ss)[2].T
+
+    def test_replays_the_increment_stream(self):
+        # the recursion propagates non-zero states, and the draws follow the
+        # stream layout
+        ss = REPLAY_MODELS["companion"]
+        cfg = SimulationConfig(step_size=0.25, steps=30, seed=5)
+        path = simulate_brownian(ss, [[2.0]], cfg)
+        assert_array_equal(path.outputs, self.reference_path(ss, [[2.0]], cfg))
         assert path.times[0] == 0.0
         assert_allclose(path.times[-1], 0.25 * 29)
+
+    @pytest.mark.parametrize("init", ["zero", "stationary"])
+    @pytest.mark.parametrize("name", list(REPLAY_MODELS))
+    def test_matches_reference_loop_bit_for_bit(self, name, init):
+        ss = REPLAY_MODELS[name]
+        sigma_l = np.eye(ss.m) + 0.5 * (1 - np.eye(ss.m))
+        cfg = SimulationConfig(step_size=0.2, steps=3 * simulate.PATH_CHUNK // 2,
+                               seed=13, init=init)
+        path = simulate_brownian(ss, sigma_l, cfg)
+        assert (path.outputs.tobytes()
+                == self.reference_path(ss, sigma_l, cfg).tobytes())
 
     def test_determinism_and_seed_sensitivity(self):
         ss = random_stable_model(random.Random(35))
@@ -276,6 +319,38 @@ class TestSimulateBrownian:
 
 
 class TestSharedBrownianPair:
+    @staticmethod
+    def reference_path(ss, sigma_l, cfg):
+        """The outputs, substep by substep from the zero state: x = x +
+        dt (A x) + B dL_i, with dL_i the normals of child stream 1 scaled by
+        the factor of Sigma and by sqrt(dt)."""
+        a, b, c = ss_to_float(ss)
+        sub = cfg.euler_substeps
+        dt = cfg.step_size / sub
+        dl = (stream(cfg, 1).standard_normal(((cfg.steps - 1) * sub, ss.m))
+              @ factor(np.asarray(sigma_l, dtype=float)).T)
+        dl *= math.sqrt(dt)
+        x = np.zeros(ss.n)
+        states = [x]
+        for k in range(1, cfg.steps):
+            for i in range((k - 1) * sub, k * sub):
+                x = x + dt * (a @ x) + b @ dl[i]
+            states.append(x)
+        return np.array(states) @ c.T
+
+    @pytest.mark.parametrize("sub", [1, 3])
+    @pytest.mark.parametrize("name", list(REPLAY_MODELS))
+    def test_matches_reference_loop_bit_for_bit(self, name, sub):
+        ss = REPLAY_MODELS[name]
+        obs, _ = observer_realization(transfer_function(ss))
+        sigma_l = np.eye(ss.m) + 0.5 * (1 - np.eye(ss.m))
+        cfg = SimulationConfig(step_size=0.01, steps=simulate.PATH_CHUNK + 50,
+                               seed=14, euler_substeps=sub)
+        paths = simulate_shared_brownian_pair(ss, obs.statespace, sigma_l, cfg)
+        for model, path in zip((ss, obs.statespace), paths):
+            assert (path.outputs.tobytes()
+                    == self.reference_path(model, sigma_l, cfg).tobytes())
+
     def test_same_model_gives_identical_paths(self):
         ss = random_stable_model(random.Random(36))
         cfg = SimulationConfig(step_size=0.1, steps=50, seed=9, euler_substeps=10)
@@ -500,8 +575,23 @@ class TestCompoundPoisson:
             monkeypatch.setattr(simulate, "PATH_CHUNK", chunk)
             cfg = SimulationConfig(step_size=self.H, steps=21, seed=3)
             path = simulate_compound_poisson(ss, times, sizes, cfg)
-            assert_array_equal(path.outputs,
-                               self.reference_path(ss, times, sizes, cfg))
+            assert (path.outputs.tobytes()
+                    == self.reference_path(ss, times, sizes, cfg).tobytes())
+
+    @pytest.mark.parametrize("name", list(REPLAY_MODELS))
+    def test_drawn_path_matches_reference_bit_for_bit(self, name):
+        # Gaussian jump sizes and atoms with zero entries, on each model
+        ss = REPLAY_MODELS[name]
+        cfg = SimulationConfig(step_size=0.1, steps=simulate.PATH_CHUNK + 50,
+                               seed=15)
+        atoms = np.vstack([np.zeros(ss.m), -np.ones(ss.m), np.eye(ss.m)])
+        for jumps in (GaussianJumps(mean=np.zeros(ss.m), cov=np.eye(ss.m)),
+                      FixedAtomJumps(atoms, np.full(len(atoms), 1 / len(atoms)))):
+            times, sizes = draw_compound_poisson_jumps(
+                LevyDriverSpec(3.0, jumps), (cfg.steps - 1) * cfg.step_size, cfg)
+            path = simulate_compound_poisson(ss, times, sizes, cfg)
+            assert (path.outputs.tobytes()
+                    == self.reference_path(ss, times, sizes, cfg).tobytes())
 
     def test_jump_free_path_takes_one_small_stack_per_window(self, expm_calls):
         ss = StateSpaceModel(a=[[0, 1], [-2, -3]], b=[[0], [1]], c=[[1, 0]])
@@ -533,6 +623,49 @@ class TestStackedExpm:
         stack = expm(a * gaps[:, None, None])
         for gap, e in zip(gaps, stack):
             assert e.tobytes() == expm(a * gap).tobytes()
+
+
+class TestMatrixVectorBits:
+    """The step loops form M @ v through ``simulate._matvec`` (``ndarray.dot``
+    for two or more rows) and the Euler pair's B dL_i through
+    ``simulate._stacked_products``, each relying on the bits of plain ``@``;
+    a numpy build that breaks that fails here rather than in the seeded
+    paths."""
+
+    @staticmethod
+    def operands(rng, rows, cols):
+        """Matrices of rows x cols at scales 1e-8..1e8, with zeros and a
+        negative zero, and vectors of length cols, some of them zero."""
+        for scale in (1e-8, 1.0, 1e8):
+            mat = rng.standard_normal((rows, cols)) * scale
+            mat[0, 0], mat[-1, -1] = 0.0, -0.0
+            for vec in (rng.standard_normal(cols), np.zeros(cols),
+                        -np.zeros(cols)):
+                yield mat, vec
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_square_products_equal_matmul(self, n):
+        rng = np.random.default_rng(n)
+        product = simulate._matvec(n)
+        for mat, vec in self.operands(rng, n, n):
+            # and the strided top-left block that gaussian_step_params
+            # returns when it does no squaring
+            block = np.zeros((2 * n, 2 * n))
+            block[:n, :n] = mat
+            for m in (mat, block[:n, :n]):
+                assert product(m, vec).tobytes() == (m @ vec).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_input_products_equal_matmul(self, n, m):
+        rng = np.random.default_rng(10 * n + m)
+        product = simulate._matvec(n)
+        for b, vec in self.operands(rng, n, m):
+            assert product(b, vec).tobytes() == (b @ vec).tobytes()
+            rows = np.vstack([rng.standard_normal((40, m)), np.zeros(m),
+                              -np.zeros(m), vec])
+            stacked = simulate._stacked_products(b, rows)
+            assert stacked.tobytes() == np.array([b @ r for r in rows]).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -781,6 +914,11 @@ class TestPathSizeCap:
         cfg = SimulationConfig(step_size=0.1, steps=501, seed=1)
         with pytest.raises(OutOfRange, match="1002 values"):
             simulate_brownian(ss, [[1.0]], cfg)
+        # the Euler pair holds B dL_i, one state vector per fine step
+        fine = SimulationConfig(step_size=0.1, steps=101, seed=1,
+                                euler_substeps=6)
+        with pytest.raises(OutOfRange, match="1200 values"):
+            simulate_shared_brownian_pair(ss, ss, [[1.0]], fine)
 
 
 class TestCsvOutput:
@@ -858,6 +996,16 @@ REFUSALS = {
         lambda: SimulationConfig(step_size=0.1, steps=10, seed=1,
                                  euler_substeps=0),
         ValueError, "euler_substeps must be at least 1"),
+    "steps-float": (
+        lambda: SimulationConfig(step_size=0.1, steps=10.5, seed=1),
+        ValueError, "steps must be an integer, got 10.5"),
+    "steps-bool": (
+        lambda: SimulationConfig(step_size=0.1, steps=True, seed=1),
+        ValueError, "steps must be an integer, got True"),
+    "euler-substeps-float": (
+        lambda: SimulationConfig(step_size=0.1, steps=10, seed=1,
+                                 euler_substeps=2.5),
+        ValueError, "euler_substeps must be an integer, got 2.5"),
     "path-rows": (  # a 1-D output is one column
         lambda: SamplePath(times=[0.0, 0.1], outputs=[1.0, 2.0, 3.0]),
         DimensionMismatch, "one output row per grid time"),
