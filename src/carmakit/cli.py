@@ -170,12 +170,12 @@ def load_model(path: str) -> StateSpaceModel:
 # ---------------------------------------------------------------------------
 
 def _rat_rows_json(mat) -> list:
-    return [[format_rational(v) for v in row] for row in mat]
+    return [list(map(format_rational, row)) for row in mat]
 
 
 def _poly_json(poly: Poly) -> list:
     # Ascending coefficients as rational strings; the zero polynomial is [].
-    return [format_rational(c) for c in poly.coeffs]
+    return list(map(format_rational, poly.coeffs))
 
 
 def _polymatrix_json(pm: PolyMatrix) -> list:
@@ -212,20 +212,21 @@ def report_canonical(form: str, h: TransferFunction) -> dict:
     real, mfd = realize(h)
     ss, p, q = real.statespace, mfd.p, mfd.q
     num = [_rat_rows_json(mfd.num.coefficient_matrix(k)) for k in range(p)]
+    statespace = _statespace_json(ss)
     report = {
         "kind": "canonical_form",
         "form": form,
         "p": p,
         "ar_coeffs": [_rat_rows_json(mfd.den.coefficient_matrix(p - i))
                       for i in range(1, p + 1)],
-        "statespace": _statespace_json(ss),
+        "statespace": statespace,
         "mfd": _mfd_json(mfd),
         "tf_match": tf_match(ss, h),
     }
     if form == "observer":
+        b = statespace["B"]
         report.update(q=q, ma_coeffs=num[q::-1],
-                      input_blocks=[_rat_rows_json(ss.b[k * ss.d:(k + 1) * ss.d])
-                                    for k in range(p)])
+                      input_blocks=[b[k * ss.d:(k + 1) * ss.d] for k in range(p)])
     else:
         report.update(q_tilde=q, num_coeffs_descending=num[q::-1], num_coeffs=num)
     return report

@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import DimensionMismatch, NotStrictlyProper, OutOfRange
 
@@ -38,6 +38,12 @@ RationalLike = Union[Fraction, int, str]
 NEG_INFINITY = float("-inf")
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+
+# The one zero and one every zero and identity block is built from: sharing
+# them saves an allocation per entry, and lets format_rational spell them
+# without a call.
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -58,14 +64,17 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    """Inverse of :func:`parse_rational`: ``"p"`` for integers, else ``"p/q"``.
+    """Inverse of :func:`parse_rational`: ``"p"`` for integers, else ``"p/q"``,
+    which is ``str(x)``; the shared zero and one are spelled out at once.
 
     Raises :class:`OutOfRange` if a part has more digits than the
     interpreter's limit for integer string conversion."""
+    if x is _ZERO:
+        return "0"
+    if x is _ONE:
+        return "1"
     try:
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+        return str(x)
     except ValueError as exc:
         raise OutOfRange(
             f"exact result has more than {sys.get_int_max_str_digits()} "
@@ -103,13 +112,11 @@ def rational_matrix(rows: Sequence[Sequence[RationalLike]]) -> RationalMatrixDat
 
 
 def mat_identity(n: int) -> RationalMatrixData:
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+    return tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n))
 
 
 def mat_zeros(rows: int, cols: int) -> RationalMatrixData:
-    zero = Fraction(0)
-    return tuple((zero,) * cols for _ in range(rows))
+    return tuple((_ZERO,) * cols for _ in range(rows))
 
 
 def mat_add(a: RationalMatrixData, b: RationalMatrixData) -> RationalMatrixData:
@@ -193,7 +200,7 @@ class Poly:
         return self.coeffs[-1]
 
     def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else _ZERO
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -412,8 +419,9 @@ class PolyMatrix:
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    @property
+    @cached_property
     def degree(self) -> Union[int, float]:
+        """The largest entry degree, ``-inf`` for the zero matrix; kept."""
         return max((e.degree for e in self.entries), default=NEG_INFINITY)
 
     def coefficient_matrix(self, k: int) -> RationalMatrixData:
@@ -448,14 +456,43 @@ class PolyMatrix:
 
 def integer_matrix(matrix: Sequence[Sequence[Fraction]]) -> tuple:
     """``(s, ints)`` with ``s`` the least common multiple of the entry
-    denominators and ``ints = s * matrix`` as lists of plain integers."""
+    denominators and ``ints = s * matrix`` as tuples of plain integers."""
     s = math.lcm(*(x.denominator for row in matrix for x in row))
-    return s, [[x.numerator * (s // x.denominator) for x in row] for row in matrix]
+    return s, tuple(tuple([x.numerator * (s // x.denominator) for x in row])
+                    for row in matrix)
 
 
-def nonzero_entries(rows) -> list:
-    """Each row as its ``(column, value)`` pairs with nonzero value."""
-    return [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+def nonzero_entries(rows) -> tuple:
+    """Each row as the tuple of its ``(column, value)`` pairs with nonzero
+    value."""
+    return tuple(tuple([(j, x) for j, x in enumerate(row) if x]) for row in rows)
+
+
+class IntegerForm(NamedTuple):
+    """A model ``(A, B, C)`` scaled to integers, the form the integer
+    kernels below read: ``s*A``, ``s_b*B`` and ``s_c*C``, each scale the lcm
+    of its matrix's entry denominators.  The rows of ``s*A`` and ``s_c*C``
+    are kept as their nonzero ``(column, value)`` pairs, since
+    block-companion matrices are mostly zero; ``s_b*B`` is kept dense, row by
+    row.  Every part is a tuple, so one form can be shared by every caller."""
+
+    s: int
+    a_rows: tuple
+    s_b: int
+    b: tuple
+    s_c: int
+    c_rows: tuple
+
+
+def integer_form(a: RationalMatrixData, b: RationalMatrixData,
+                 c: RationalMatrixData) -> IntegerForm:
+    """The :class:`IntegerForm` of ``(A, B, C)``, for ``A`` N x N, ``B`` N x m
+    and ``C`` d x N given as rows of ``Fraction``."""
+    s, a_ints = integer_matrix(a)
+    s_b, b_ints = integer_matrix(b)
+    s_c, c_ints = integer_matrix(c)
+    return IntegerForm(s, nonzero_entries(a_ints), s_b, b_ints,
+                       s_c, nonzero_entries(c_ints))
 
 
 def _row_combination(pairs: list, mk: list, n: int) -> list:
@@ -470,41 +507,33 @@ def _row_combination(pairs: list, mk: list, n: int) -> list:
             for col in zip(*[mk[t] for t, _ in pairs])]
 
 
-def faddeev_leverrier(a: RationalMatrixData, b: RationalMatrixData,
-                      c: RationalMatrixData) -> tuple:
+def faddeev_leverrier(form: IntegerForm) -> tuple:
     """``(num, charpoly)``: the d x m polynomial matrix ``num = C adj(z*I - A)
     B``, not reduced, and the monic degree-N ``charpoly = det(z*I - A)``, for
-    ``A`` N x N, ``B`` N x m and ``C`` d x N, by the Faddeev-LeVerrier
-    iteration.
+    ``A`` N x N, ``B`` N x m and ``C`` d x N given by their integer ``form``,
+    by the Faddeev-LeVerrier iteration.
 
-    ``A`` is scaled to the integer matrix ``s*A`` (``s`` the lcm of its
-    denominators), whose iterates are plain integers: ``M_1 = I``,
-    ``c_k = -tr(s*A M_k) / k`` (an exact division) and
-    ``M_(k+1) = s*A M_k + c_k I``.  Then ``det(z*I - A) = z^N +
-    sum_k c_k s^-k z^(N-k)`` and ``adj(z*I - A) = sum_k M_k s^-(k-1) z^(N-k)``
-    (Gantmacher, *Theory of Matrices* I, 4.5).
+    The iterates of the integer matrix ``s*A`` are plain integers: ``M_1 =
+    I``, ``c_k = -tr(s*A M_k) / k`` (an exact division) and ``M_(k+1) = s*A
+    M_k + c_k I``.  Then ``det(z*I - A) = z^N + sum_k c_k s^-k z^(N-k)`` and
+    ``adj(z*I - A) = sum_k M_k s^-(k-1) z^(N-k)`` (Gantmacher, *Theory of
+    Matrices* I, 4.5).
 
-    The N x N adjugate is never built.  With ``B`` and ``C`` scaled to
-    integers by their own denominators ``s_B`` and ``s_C``, each ``M_k`` is
-    multiplied by the nonzero entries of ``B``, in the rows that ``C`` reads
-    only, and then by the nonzero entries of ``C``; that d x m product over
-    ``s_C s_B s^(k-1)`` is the numerator's ``z^(N-k)`` coefficient.  Each row
-    of ``s*A`` is kept as its nonzero entries too, since block-companion
-    drifts are mostly zero, and the last step forms only the trace of
-    ``s*A M_N``.
+    The N x N adjugate is never built.  Each ``M_k`` is multiplied by the
+    nonzero entries of ``s_b*B``, in the rows that ``C`` reads only, and
+    then by the nonzero entries of ``s_c*C``; that d x m product over ``s_c
+    s_b s^(k-1)`` is the numerator's ``z^(N-k)`` coefficient.  The rows of
+    ``s*A`` are read as their nonzero entries, since block-companion drifts
+    are mostly zero, and the last step forms only the trace of ``s*A M_N``.
     """
-    n = len(a)
-    s, scaled = integer_matrix(a)
-    rows = nonzero_entries(scaled)
-    s_b, b_ints = integer_matrix(b)
-    s_c, c_ints = integer_matrix(c)
+    s, rows, s_b, b_ints, s_c, c_rows = form
+    n = len(rows)
     b_cols = nonzero_entries(zip(*b_ints))
-    c_rows = nonzero_entries(c_ints)
     d, m = len(c_rows), len(b_cols)
     # only the rows of M_k B that some row of C reads
     used = {t for pairs in c_rows for t, _ in pairs}
     num_coeffs = [[] for _ in range(d * m)]     # descending powers of z
-    char_coeffs = [Fraction(1)]                 # likewise: z^N, z^(N-1), ...
+    char_coeffs = [_ONE]                        # likewise: z^N, z^(N-1), ...
     mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         mb = {t: [sum(mk[t][r] * v for r, v in col) for col in b_cols]
@@ -531,23 +560,21 @@ def faddeev_leverrier(a: RationalMatrixData, b: RationalMatrixData,
     return num, Poly(char_coeffs[::-1])
 
 
-def markov_series(a: RationalMatrixData, b: RationalMatrixData,
-                  c: RationalMatrixData,
+def markov_series(form: IntegerForm,
                   annihilator: Optional[Poly] = None) -> Iterator[tuple]:
     """The Markov parameters ``C A^k B``, ``k = 0, 1, ...``, for ``A`` N x N,
-    ``B`` N x m and ``C`` d x N, as ``(den, nums)``: the d*m integer
-    numerators, row by row, over one positive denominator.
+    ``B`` N x m and ``C`` d x N given by their integer ``form``, as ``(den,
+    nums)``: the d*m integer numerators, row by row, over one positive
+    denominator.
 
-    ``A``, ``B`` and ``C`` are scaled to integers as in
-    :func:`faddeev_leverrier`, and the rows of ``s*A`` are kept as their
-    nonzero entries.  The integer N x m block ``X_k = (s*A)^k (s_B*B)`` is
-    iterated, never an N x N power, and ``C A^k B = (s_C*C) X_k / (s_C s_B
-    s^k)``.  No ``Fraction`` is built, and a term is computed only when it
-    is asked for.
+    The integer N x m block ``X_k = (s*A)^k (s_b*B)`` is iterated on the
+    nonzero entries of the rows of ``s*A``, never an N x N power, and ``C
+    A^k B = (s_c*C) X_k / (s_c s_b s^k)``.  No ``Fraction`` is built, and a
+    term is computed only when it is asked for.
 
     Given an ``annihilator`` ``pi = sum_i pi_i z^i`` of degree ``p``, the
     same iterates also decide whether ``pi(A) B = 0``.  With ``D`` the lcm
-    of the denominators of the ``pi_i``, ``D s^p s_B pi(A) B = sum_(i<=p)
+    of the denominators of the ``pi_i``, ``D s^p s_b pi(A) B = sum_(i<=p)
     (D pi_i) s^(p-i) X_i``, an integer block summed by Horner's rule in
     ``s`` as ``X_0, ..., X_p`` are formed.  If it is zero, the series ends
     after its first ``p`` terms: ``sum_i pi_i C A^(k+i) B = C A^k pi(A) B =
@@ -555,11 +582,7 @@ def markov_series(a: RationalMatrixData, b: RationalMatrixData,
     the recurrence with characteristic polynomial ``pi``.  Otherwise the
     series goes on without end, as it does with no annihilator.
     """
-    s, scaled = integer_matrix(a)
-    rows = nonzero_entries(scaled)
-    s_b, x = integer_matrix(b)
-    s_c, c_ints = integer_matrix(c)
-    c_rows = nonzero_entries(c_ints)
+    s, rows, s_b, x, s_c, c_rows = form
     m = len(x[0])
     den = s_c * s_b
     pi = [] if annihilator is None else integer_matrix((annihilator.coeffs,))[1][0]
@@ -608,7 +631,7 @@ def resolvent_numerator(matrix: Sequence[Sequence[RationalLike]]):
     if any(len(row) != n for row in a):
         raise DimensionMismatch("resolvent requires a square matrix")
     eye = mat_identity(n)
-    return faddeev_leverrier(a, eye, eye)
+    return faddeev_leverrier(integer_form(a, eye, eye))
 
 
 # ---------------------------------------------------------------------------

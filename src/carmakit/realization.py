@@ -27,6 +27,15 @@ companion(pi) in block form, and the first N + p otherwise.  Each count is
 the order of a linear recurrence that the difference of the two Markov
 sequences satisfies, so agreement there is agreement everywhere.
 
+Every model has one integer form, :class:`~carmakit.exactalg.IntegerForm`:
+``s*A``, ``s_b*B`` and ``s_c*C``, each scaled by the lcm of its matrix's
+denominators, which the Faddeev-LeVerrier and Markov kernels read.  A model
+built from rows computes it on first use and keeps it.  The two canonical
+forms are assembled with it filled in, by the loop that writes their
+``Fraction`` rows: their drift is the scalar companion ``companion(pi) (x)
+I``, written straight from the p coefficients of pi, so neither form is
+validated entry by entry or scaled to integers again.
+
 The constructions here favor transparency over minimality: the
 realized state dimension is p*d (observer) or p*m (controller), which may
 exceed the dimension of the model the transfer function came from.
@@ -34,8 +43,10 @@ exceed the dimension of the model the transfer function came from.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .errors import (
@@ -44,11 +55,16 @@ from .errors import (
     ZeroTransferFunction,
 )
 from .exactalg import (
+    _ONE,
+    _ZERO,
+    IntegerForm,
     Poly,
     PolyMatrix,
     RationalMatrixData,
     TransferFunction,
     faddeev_leverrier,
+    integer_form,
+    integer_matrix,
     markov_series,
     markov_series_equal,
     mat_add,
@@ -57,6 +73,7 @@ from .exactalg import (
     mat_mul,
     mat_sub,
     mat_zeros,
+    nonzero_entries,
     rational_matrix,
     ratmat_markov_series,
     ratmat_reduce,
@@ -89,6 +106,24 @@ class StateSpaceModel:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
+
+    @classmethod
+    def _assembled(cls, a: RationalMatrixData, b: RationalMatrixData,
+                   c: RationalMatrixData, form: IntegerForm) -> "StateSpaceModel":
+        """A model carmakit assembled itself: ``a``, ``b`` and ``c`` are
+        rectangular tuples of ``Fraction`` rows of matching shapes, and
+        ``form`` is their :class:`IntegerForm`, written by the same loop.
+        Neither is checked or computed again; model files never come here."""
+        ss = cls.__new__(cls)
+        ss.__dict__.update(a=a, b=b, c=c, integer_form=form)
+        return ss
+
+    @cached_property
+    def integer_form(self) -> IntegerForm:
+        """``(A, B, C)`` scaled to integers, as :func:`faddeev_leverrier` and
+        :func:`markov_series` read it; computed on first use and kept.  The
+        canonical forms are assembled with it already filled in."""
+        return integer_form(self.a, self.b, self.c)
 
     @property
     def n(self) -> int:
@@ -234,6 +269,15 @@ class MfdPair:
         if not self.num.degree < self.den.degree:
             raise NotStrictlyProper("numerator degree must be below denominator degree")
 
+    @classmethod
+    def _assembled(cls, side: str, den: PolyMatrix, num: PolyMatrix) -> "MfdPair":
+        """A fraction a canonical form is read from, which holds by
+        construction: ``den = pi * I`` for ``H``'s monic common denominator
+        ``pi`` and ``num = H``'s common numerator.  Nothing is checked."""
+        mfd = cls.__new__(cls)
+        mfd.__dict__.update(side=side, den=den, num=num)
+        return mfd
+
     @property
     def p(self) -> int:
         """The degree of the denominator."""
@@ -272,7 +316,7 @@ def transfer_function(ss: StateSpaceModel) -> TransferFunction:
     at most N - 1 against the degree-N characteristic polynomial, and
     reduction can only lower numerator degrees.
     """
-    return ratmat_reduce(*faddeev_leverrier(ss.a, ss.b, ss.c))
+    return ratmat_reduce(*faddeev_leverrier(ss.integer_form))
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +331,9 @@ def _block_companion(coeffs, block: int) -> RationalMatrixData:
     """
     p = len(coeffs)
     n = p * block
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[_ZERO] * n for _ in range(n)]
     for i in range(n - block):
-        rows[i][i + block] = Fraction(1)
+        rows[i][i + block] = _ONE
     base = n - block
     for j in range(p):
         blk = coeffs[p - 1 - j]
@@ -299,12 +343,9 @@ def _block_companion(coeffs, block: int) -> RationalMatrixData:
     return tuple(tuple(row) for row in rows)
 
 
-def _observer_ss(a_coeffs, b: RationalMatrixData, d: int) -> StateSpaceModel:
-    """The observer form with autoregressive d x d blocks ``a_coeffs`` and
-    stacked input blocks ``b``: C = (I_d, 0, ..., 0)."""
-    c = tuple(row + (Fraction(0),) * ((len(a_coeffs) - 1) * d)
-              for row in mat_identity(d))
-    return StateSpaceModel(a=_block_companion(a_coeffs, d), b=b, c=c)
+def _observer_c(p: int, d: int) -> RationalMatrixData:
+    """C = (I_d, 0, ..., 0) of a p-block observer form."""
+    return tuple(row + (_ZERO,) * ((p - 1) * d) for row in mat_identity(d))
 
 
 def assemble_observer_ss(spec: McarmaSpec) -> StateSpaceModel:
@@ -312,31 +353,54 @@ def assemble_observer_ss(spec: McarmaSpec) -> StateSpaceModel:
 
     Works for arbitrary matrix autoregressive coefficients, not only scalar
     multiples of the identity, so user-supplied full-matrix specs route
-    through the same construction.
+    through the same construction.  The model is validated like any other,
+    since its blocks come from a model file.
     """
-    return _observer_ss(spec.a_coeffs, tuple(row for blk in spec.beta for row in blk),
-                        spec.d)
+    return StateSpaceModel(a=_block_companion(spec.a_coeffs, spec.d),
+                           b=tuple(row for blk in spec.beta for row in blk),
+                           c=_observer_c(spec.p, spec.d))
 
 
-def _scalar_denominator(h: TransferFunction, k: int) -> tuple:
-    """The k x k blocks a_1 I_k, ..., a_p I_k of H's monic common
-    denominator d(z) = z^p + a_1 z^(p-1) + ... + a_p, the autoregressive
-    coefficients both canonical forms share, and the fraction denominator
-    d(z) I_k they come from."""
+def _scalar_companion(h: TransferFunction, k: int) -> tuple:
+    """The drift ``companion(pi) (x) I_k`` both canonical forms share, for H's
+    monic common denominator ``pi = z^p + a_1 z^(p-1) + ... + a_p``, and the
+    fraction denominator ``pi I_k`` it comes from.
+
+    Returns ``(p, rows, s, int_rows, den)``: the degree of ``pi``, the
+    drift's ``Fraction`` rows, ``s`` the lcm of the denominators of the
+    ``a_i``, and the rows of ``s`` times the drift as their nonzero
+    ``(column, value)`` pairs, all written in one loop from the ``p``
+    coefficients of ``pi``.  Row ``i < (p-1)k`` is the unit row
+    ``e_(i+k)``; row ``(p-1)k + r`` holds ``-a_(p-j)`` in column ``jk + r``.
+    """
     if h.is_zero:
         raise ZeroTransferFunction(
             "cannot realize an identically zero transfer function")
     if not h.strictly_proper:
         raise NotStrictlyProper(
             "transfer function must be strictly proper (no feedthrough)")
-    den = h.common_den
-    blocks = tuple(
-        tuple(tuple(den.coefficient(j) if r == c else Fraction(0)
-                    for c in range(k)) for r in range(k))
-        for j in reversed(range(den.degree)))
+    pi = h.common_den
+    low = pi.coeffs[:-1]                         # a_p, ..., a_1
+    p = len(low)
+    n = p * k
+    s = math.lcm(*(x.denominator for x in low))
+    last = [-x for x in low]
+    last_ints = [x.numerator * (s // x.denominator) for x in last]
+    rows, int_rows = [], []
+    for i in range(k, n):
+        row = [_ZERO] * n
+        row[i] = _ONE
+        rows.append(tuple(row))
+        int_rows.append(((i, s),))
+    for r in range(k):
+        row = [_ZERO] * n
+        row[r::k] = last
+        rows.append(tuple(row))
+        int_rows.append(tuple([(j * k + r, v) for j, v in enumerate(last_ints) if v]))
     zero = Poly.zero()
-    return blocks, PolyMatrix(k, k, tuple(den if r == c else zero
-                                          for r in range(k) for c in range(k)))
+    den = PolyMatrix(k, k, tuple(pi if r == c else zero
+                                 for r in range(k) for c in range(k)))
+    return p, tuple(rows), s, tuple(int_rows), den
 
 
 def observer_realization(h: TransferFunction):
@@ -350,11 +414,14 @@ def observer_realization(h: TransferFunction):
     the left fraction (P, Q).
     """
     d, m = h.rows, h.cols
-    a_coeffs, den = _scalar_denominator(h, d)
+    p, a, s, a_rows, den = _scalar_companion(h, d)
     b = tuple(tuple(Fraction(x, scale) for x in nums[r * m:(r + 1) * m])
               for scale, nums in h.markov_head for r in range(d))
-    mfd = MfdPair("left", den, h.common_num)
-    return CanonicalRealization(_observer_ss(a_coeffs, b, d), mfd), mfd
+    s_b, b_ints = integer_matrix(b)
+    form = IntegerForm(s, a_rows, s_b, b_ints, 1, tuple(((r, 1),) for r in range(d)))
+    ss = StateSpaceModel._assembled(a, b, _observer_c(p, d), form)
+    mfd = MfdPair._assembled("left", den, h.common_num)
+    return CanonicalRealization(ss, mfd), mfd
 
 
 def controller_realization(h: TransferFunction):
@@ -366,13 +433,17 @@ def controller_realization(h: TransferFunction):
     ascending numerator coefficients.
     """
     d, m = h.rows, h.cols
-    atilde, den = _scalar_denominator(h, m)
-    p, num = len(atilde), h.common_num
-    n_blocks = [num.coefficient_matrix(k) for k in range(p)]
-    c = tuple(sum((blk[r] for blk in n_blocks), ()) for r in range(d))
-    ss = StateSpaceModel(a=_block_companion(atilde, m),
-                         b=mat_zeros((p - 1) * m, m) + mat_identity(m), c=c)
-    mfd = MfdPair("right", den, num)
+    p, a, s, a_rows, den = _scalar_companion(h, m)
+    num = h.common_num
+    c = tuple(tuple(num[r, j].coefficient(k) for k in range(p) for j in range(m))
+              for r in range(d))
+    s_c, c_ints = integer_matrix(c)
+    b_ints = (((0,) * m,) * ((p - 1) * m)
+              + tuple(tuple(int(i == j) for j in range(m)) for i in range(m)))
+    form = IntegerForm(s, a_rows, 1, b_ints, s_c, nonzero_entries(c_ints))
+    ss = StateSpaceModel._assembled(a, mat_zeros((p - 1) * m, m) + mat_identity(m),
+                                    c, form)
+    mfd = MfdPair._assembled("right", den, num)
     return CanonicalRealization(ss, mfd), mfd
 
 
@@ -398,12 +469,17 @@ def tf_match(ss: StateSpaceModel, h: TransferFunction) -> bool:
     checked against ``h``; the observer form stacks the same terms into its
     ``B``, so for it the certificate checks the assembly: the companion
     drift, ``C`` and the order of the blocks.
+
+    The iterates run on ``ss.integer_form``.  For a canonical form those
+    are the integers its assembly wrote in the same loop as the ``Fraction``
+    rows a report prints, so the certificate reads the form's own ``(A, B,
+    C)``; for any other model they are scaled from its rows on first use.
     """
     if (ss.d, ss.m) != (h.rows, h.cols) or not h.strictly_proper:
         return False
     den = h.common_den
     count = ss.n + len(den.coeffs) - 1
-    return markov_series_equal(markov_series(ss.a, ss.b, ss.c, den),
+    return markov_series_equal(markov_series(ss.integer_form, den),
                                ratmat_markov_series(h), count)
 
 
@@ -424,5 +500,5 @@ def tf_equivalent(ss1: StateSpaceModel, ss2: StateSpaceModel) -> bool:
         raise DimensionMismatch(
             "models must share input and output dimensions to be compared")
     count = ss1.n + ss2.n
-    return markov_series_equal(markov_series(ss1.a, ss1.b, ss1.c),
-                               markov_series(ss2.a, ss2.b, ss2.c), count)
+    return markov_series_equal(markov_series(ss1.integer_form),
+                               markov_series(ss2.integer_form), count)

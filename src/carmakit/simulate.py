@@ -179,6 +179,10 @@ class SimulationConfig:
     euler_substeps: int = 1
 
     def __post_init__(self):
+        if (isinstance(self.step_size, bool)
+                or not isinstance(self.step_size, numbers.Real)):
+            raise ValueError(
+                f"step_size must be a real number, got {self.step_size!r}")
         if not self.step_size > 0:
             raise ValueError("step size must be positive")
         if not _is_count(self.steps):

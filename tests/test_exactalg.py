@@ -26,8 +26,10 @@ from carmakit.exactalg import (
     as_rational,
     faddeev_leverrier,
     format_rational,
+    integer_form,
     markov_series,
     markov_series_equal,
+    mat_identity,
     mat_mul,
     parse_rational,
     poly_gcd,
@@ -176,7 +178,7 @@ def fraction_terms(series, count: int) -> list:
 def annihilated_terms(a, b, c, pi: Poly) -> list:
     """The terms :func:`markov_series` yields with annihilator ``pi``, up
     to ``deg pi + 1`` of them: exactly ``deg pi`` iff ``pi(A) B = 0``."""
-    return fraction_terms(markov_series(a, b, c, pi), pi.degree + 1)
+    return fraction_terms(markov_series(integer_form(a, b, c), pi), pi.degree + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +206,18 @@ class TestRationalLiterals:
     @given(rationals)
     def test_format_parse_round_trip(self, x):
         assert parse_rational(format_rational(x)) == x
+
+    @given(rationals)
+    def test_format_spells_numerator_over_denominator(self, x):
+        spelled = (str(x.numerator) if x.denominator == 1
+                   else f"{x.numerator}/{x.denominator}")
+        assert format_rational(x) == spelled
+
+    def test_shared_zero_and_one_spell_like_fresh_ones(self):
+        shared = mat_identity(2)[0] + (Poly.one().coefficient(3),)
+        assert [format_rational(x) for x in shared] == ["1", "0", "0"]
+        assert [format_rational(Fraction(x)) for x in (1, 0)] == ["1", "0"]
+        assert Poly.zero().coefficient(0) is Poly.one().coefficient(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -574,11 +588,12 @@ class TestMarkovParameters:
             for _ in range(2 * n + 1):
                 expected.append(sum(mat_mul(c, ak_b), ()))
                 ak_b = mat_mul(a, ak_b)
-            assert fraction_terms(markov_series(a, b, c), 2 * n + 1) == expected
+            assert fraction_terms(markov_series(integer_form(a, b, c)),
+                                  2 * n + 1) == expected
 
     def test_zero_count_is_empty(self):
         one = ((Fraction(1),),)
-        assert fraction_terms(markov_series(one, one, one), 0) == []
+        assert fraction_terms(markov_series(integer_form(one, one, one)), 0) == []
 
     def test_series_of_simple_pole(self):
         # 2/(z - 3/2) = sum_j 2 (3/2)^j z^-(j+1)
@@ -595,7 +610,7 @@ class TestMarkovParameters:
         a = rational_matrix([[0, 1], [2, Fraction(-1, 3)]])
         b, c = rational_matrix([[0], [1]]), rational_matrix([[0, 1]])
         assert fraction_terms(ratmat_markov_series(h), 8) == fraction_terms(
-            markov_series(a, b, c), 8)
+            markov_series(integer_form(a, b, c)), 8)
 
     def test_series_of_zero_matrix(self):
         h = ratmat_reduce(PolyMatrix.zero(2, 3), Poly.one())
@@ -640,8 +655,9 @@ class TestMarkovSeriesEqual:
             c = random_rational_matrix(rng, d, n)
             b2 = tuple(tuple(x / 2 for x in row) for row in b)
             c2 = tuple(tuple(2 * x for x in row) for row in c)
-            assert markov_series_equal(markov_series(a, b, c),
-                                       markov_series(a, b2, c2), 2 * n)
+            assert markov_series_equal(markov_series(integer_form(a, b, c)),
+                                       markov_series(integer_form(a, b2, c2)),
+                                       2 * n)
 
     def test_only_first_count_terms_compared(self):
         # 2/(z - 3/2) has h_j = 2 (3/2)^j; A = [[1]], B = [[2]], C = [[1]]
@@ -650,9 +666,9 @@ class TestMarkovSeriesEqual:
                           Poly((Fraction(-3, 2), 1)))
         a, b, c = rational_matrix([[1]]), rational_matrix([[2]]), rational_matrix([[1]])
         assert markov_series_equal(ratmat_markov_series(h),
-                                   markov_series(a, b, c), 1)
+                                   markov_series(integer_form(a, b, c)), 1)
         assert not markov_series_equal(ratmat_markov_series(h),
-                                       markov_series(a, b, c), 2)
+                                       markov_series(integer_form(a, b, c)), 2)
 
     def test_no_term_past_count_is_computed(self):
         def one_term():
@@ -674,9 +690,9 @@ class TestMarkovAnnihilator:
             a = random_rational_matrix(rng, n, n)
             b = random_rational_matrix(rng, n, m)
             c = random_rational_matrix(rng, d, n)
-            _, chi = faddeev_leverrier(a, b, c)
+            _, chi = faddeev_leverrier(integer_form(a, b, c))
             assert annihilated_terms(a, b, c, chi) == fraction_terms(
-                markov_series(a, b, c), n)
+                markov_series(integer_form(a, b, c)), n)
 
     def test_scalar_denominator_annihilates_its_block_companion(self):
         rng = random.Random(5152)
@@ -694,7 +710,7 @@ class TestMarkovAnnihilator:
             b = unit_input(p, k)
             for factor in (f, g):
                 assert annihilated_terms(a, b, c, factor) == fraction_terms(
-                    markov_series(a, b, c), factor.degree + 1)
+                    markov_series(integer_form(a, b, c)), factor.degree + 1)
 
     def test_degree_zero_annihilates_only_zero_input(self):
         # pi = 1: pi(A) B = B

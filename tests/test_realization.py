@@ -25,6 +25,7 @@ from carmakit.exactalg import (
     RationalFunction,
     faddeev_leverrier,
     format_rational,
+    integer_form,
     mat_identity,
     mat_is_zero,
     mat_mul,
@@ -300,7 +301,7 @@ class TestTransferFunctionOracle:
         oracle = ratmat_reduce(num, det)
         assert (h.rows, h.cols) == (oracle.rows, oracle.cols)
         assert h.entries == oracle.entries
-        assert faddeev_leverrier(ss.a, ss.b, ss.c) == (num, det)
+        assert faddeev_leverrier(ss.integer_form) == (num, det)
 
 
 # ---------------------------------------------------------------------------
@@ -920,8 +921,8 @@ class TestMarkovVerdictOracle:
     def test_tight_distinct_pairs(self, pair):
         ss1, ss2 = pair
         count = ss1.n + ss2.n
-        m1 = fraction_terms(exactalg.markov_series(ss1.a, ss1.b, ss1.c), count)
-        m2 = fraction_terms(exactalg.markov_series(ss2.a, ss2.b, ss2.c), count)
+        m1 = fraction_terms(exactalg.markov_series(ss1.integer_form), count)
+        m2 = fraction_terms(exactalg.markov_series(ss2.integer_form), count)
         assert m1[:-1] == m2[:-1] and m1[-1] != m2[-1]
         h1, h2 = transfer_function(ss1), transfer_function(ss2)
         assert tf_equivalent(ss1, ss2) is reduced_verdict(ss1, ss2) is False
@@ -930,14 +931,67 @@ class TestMarkovVerdictOracle:
         assert tf_match(ss1, h1) and tf_match(ss2, h2)
 
 
+# ---------------------------------------------------------------------------
+# Integer forms of assembled models
+# ---------------------------------------------------------------------------
+
+# (z + 1)/(z^2 + z/2 + 1/3): the drift is scaled by s = 6
+NON_INTEGER_DEN = ratmat_reduce(PolyMatrix.from_rows([[Poly((1, 1))]]),
+                                Poly((Fraction(1, 3), Fraction(1, 2), 1)))
+
+
+class TestIntegerForm:
+    @example(h=NON_INTEGER_DEN)
+    @given(transfer_functions())
+    @settings(max_examples=60, deadline=None)
+    def test_canonical_forms_fill_in_their_scaled_rows(self, h):
+        forms = [realize(h)[0].statespace
+                 for realize in (observer_realization, controller_realization)]
+        copies = [StateSpaceModel(ss.a, ss.b, ss.c) for ss in forms]
+        # twice h differs from h in every nonzero Markov parameter
+        doubled = ratmat_reduce(h.common_num.scale(Poly((2,))), h.common_den)
+        for ss, copy in zip(forms, copies):
+            assert ss.integer_form == integer_form(ss.a, ss.b, ss.c)
+            assert ss == copy
+            assert faddeev_leverrier(ss.integer_form) == faddeev_leverrier(
+                copy.integer_form)
+            assert tf_match(ss, h) and tf_match(copy, h)
+            assert not tf_match(ss, doubled) and not tf_match(copy, doubled)
+        assert tf_equivalent(*forms) and tf_equivalent(*copies)
+        assert tf_equivalent(forms[0], copies[1]) and tf_equivalent(copies[0], forms[1])
+
+    def test_drift_scale_is_the_denominators_lcm(self):
+        obs = observer_realization(NON_INTEGER_DEN)[0].statespace
+        s, a_rows = obs.integer_form[:2]
+        assert s == 6
+        # the companion's last row (-1/3, -1/2), scaled by 6
+        assert a_rows == (((1, 6),), ((0, -2), (1, -3)))
+        assert obs.a[-1] == (Fraction(-1, 3), Fraction(-1, 2))
+
+    @given(transfer_functions(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_general_builder_scales_to_the_filled_in_form(self, h, data):
+        # assemble_observer_ss validates its rows and scales them on first
+        # use; on a scalar spec it must reach the integers observer_realization
+        # wrote
+        q = data.draw(st.integers(h.common_num.degree, h.common_den.degree - 1))
+        obs = observer_realization(h)[0].statespace
+        assert assemble_observer_ss(scalar_spec(h, q)).integer_form == obs.integer_form
+
+    def test_cached_on_the_model(self):
+        ss = StateSpaceModel(a=[["1/2"]], b=[["1/3"]], c=[["2/5"]])
+        assert ss.integer_form is ss.integer_form
+        assert ss.integer_form == (2, (((0, 1),),), 3, ((1,),), 5, (((0, 2),),))
+
+
 class TestMarkovGuards:
     @pytest.fixture
     def count_faddeev(self, monkeypatch):
         calls = []
 
-        def counting(*args):
-            calls.append(len(args[0]))
-            return faddeev_leverrier(*args)
+        def counting(form):
+            calls.append(len(form.a_rows))
+            return faddeev_leverrier(form)
 
         monkeypatch.setattr(realization, "faddeev_leverrier", counting)
         monkeypatch.setattr(exactalg, "faddeev_leverrier", counting)
@@ -1031,7 +1085,7 @@ class TestMarkovGuards:
                     (StateSpaceModel(a=obs.a, b=b, c=obs.c), p - 1),
                     (StateSpaceModel(a=ctrl.a, b=ctrl.b, c=c), p - 1)]
             for ss, k in bent:
-                got = fraction_terms(exactalg.markov_series(ss.a, ss.b, ss.c),
+                got = fraction_terms(exactalg.markov_series(ss.integer_form),
                                      k + 1)
                 assert got[:k] == want[:k] and got[k] != want[k]
                 assert not tf_match(ss, h)

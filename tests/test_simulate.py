@@ -983,6 +983,15 @@ REFUSALS = {
     "step-size-zero": (
         lambda: SimulationConfig(step_size=0.0, steps=10, seed=1),
         ValueError, "step size must be positive"),
+    "step-size-bool": (  # not a step of 1
+        lambda: SimulationConfig(step_size=True, steps=10, seed=1),
+        ValueError, "step_size must be a real number, got True"),
+    "step-size-string": (
+        lambda: SimulationConfig(step_size="0.1", steps=10, seed=1),
+        ValueError, "step_size must be a real number, got '0.1'"),
+    "step-size-complex": (
+        lambda: SimulationConfig(step_size=0.1j, steps=10, seed=1),
+        ValueError, "step_size must be a real number, got 0.1j"),
     "steps-zero": (
         lambda: SimulationConfig(step_size=0.1, steps=0, seed=1),
         ValueError, "at least one step"),
