@@ -175,7 +175,15 @@ def _rat_rows_json(mat) -> list:
 
 def _poly_json(poly: Poly) -> list:
     # Ascending coefficients as rational strings; the zero polynomial is [].
-    return list(map(format_rational, poly.coeffs))
+    return list(poly.literals)
+
+
+def _coefficient_json(pm: PolyMatrix, k: int) -> list:
+    """The ``z**k`` coefficient block of ``pm`` as rows of rational strings,
+    read from each entry's kept literals."""
+    return [[lits[k] if k < len(lits) else "0"
+             for lits in [e.literals for e in pm.row(i)]]
+            for i in range(pm.rows)]
 
 
 def _polymatrix_json(pm: PolyMatrix) -> list:
@@ -211,14 +219,13 @@ def report_canonical(form: str, h: TransferFunction) -> dict:
         raise ValueError(f"unknown canonical form: {form!r}")
     real, mfd = realize(h)
     ss, p, q = real.statespace, mfd.p, mfd.q
-    num = [_rat_rows_json(mfd.num.coefficient_matrix(k)) for k in range(p)]
+    num = [_coefficient_json(mfd.num, k) for k in range(p)]
     statespace = _statespace_json(ss)
     report = {
         "kind": "canonical_form",
         "form": form,
         "p": p,
-        "ar_coeffs": [_rat_rows_json(mfd.den.coefficient_matrix(p - i))
-                      for i in range(1, p + 1)],
+        "ar_coeffs": [_coefficient_json(mfd.den, p - i) for i in range(1, p + 1)],
         "statespace": statespace,
         "mfd": _mfd_json(mfd),
         "tf_match": tf_match(ss, h),

@@ -202,6 +202,25 @@ class Poly:
     def coefficient(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else _ZERO
 
+    # -- views, computed on first use and kept: both canonical forms, their
+    #    certificates and the reports of one transfer function read the
+    #    same polynomials, so they share one copy of each ----------------
+
+    @cached_property
+    def literals(self) -> tuple:
+        """Each coefficient as :func:`format_rational` spells it, ascending.
+        Raises :class:`OutOfRange` when read if a coefficient has too many
+        digits to print."""
+        return tuple(map(format_rational, self.coeffs))
+
+    @cached_property
+    def integer_scale(self) -> tuple:
+        """``(s, ints)``: ``s`` the lcm of the coefficient denominators and
+        ``ints = s * coeffs`` as a tuple of plain integers, ascending: the
+        one-row case of :func:`integer_matrix`."""
+        s, (ints,) = integer_matrix((self.coeffs,))
+        return s, ints
+
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -286,7 +305,7 @@ class Poly:
 def _int_primitive(p: Poly) -> tuple:
     """``(content, ints)``: ``p == content * ints`` with ``ints`` the
     primitive integer coefficient list of ``p`` (empty for zero)."""
-    s, (ints,) = integer_matrix((p.coeffs,))
+    s, ints = p.integer_scale
     g = math.gcd(*ints)
     return Fraction(g, s), [c // g for c in ints]
 
@@ -580,12 +599,15 @@ def markov_series(form: IntegerForm,
     after its first ``p`` terms: ``sum_i pi_i C A^(k+i) B = C A^k pi(A) B =
     0`` for every ``k``, so those ``p`` terms fix all the others through
     the recurrence with characteristic polynomial ``pi``.  Otherwise the
-    series goes on without end, as it does with no annihilator.
+    series goes on without end, as it does with no annihilator.  The
+    integers ``D pi_i`` are ``pi.integer_scale``, kept on ``pi``, so
+    certifying both canonical forms of one ``H`` against its common
+    denominator scales that denominator once.
     """
     s, rows, s_b, x, s_c, c_rows = form
     m = len(x[0])
     den = s_c * s_b
-    pi = [] if annihilator is None else integer_matrix((annihilator.coeffs,))[1][0]
+    pi = () if annihilator is None else annihilator.integer_scale[1]
     acc = [[0] * m for _ in x]
     for k in itertools.count():
         if k < len(pi):
@@ -593,8 +615,7 @@ def markov_series(form: IntegerForm,
                    for acc_row, x_row in zip(acc, x)]
             if k == len(pi) - 1 and not any(map(any, acc)):
                 return
-        yield den, [sum(v * x[t][j] for t, v in pairs)
-                    for pairs in c_rows for j in range(m)]
+        yield den, [y for pairs in c_rows for y in _row_combination(pairs, x, m)]
         x = [_row_combination(pairs, x, m) for pairs in rows]
         den *= s
 
@@ -807,13 +828,17 @@ def _markov_terms(h: RationalMatrix, head: tuple) -> Iterator[tuple]:
     ``N_i``, ``g_j = E D^(j+1) h_j`` satisfies ``g_j = D^(j+1) E N_(p-1-j) -
     sum_i (D a_i) D^(i-1) g_(j-i)``.  Its sum is evaluated by Horner's rule
     in ``D``, so each product has a factor no larger than a scaled
-    coefficient.
+    coefficient.  The integers ``D a_i`` are ``common_den.integer_scale``,
+    which both canonical forms of ``h`` and their certificates read too, and
+    ``E N_i`` is read from the ``integer_scale`` kept on each entry of
+    ``common_num``.
     """
     p = len(h.common_den.coeffs) - 1
-    s_d, (alpha,) = integer_matrix((h.common_den.coeffs[::-1],))
-    s_n, nu = integer_matrix(
-        [e.coeffs + (Fraction(0),) * (p - len(e.coeffs))
-         for e in h.common_num.entries])
+    s_d, den_ints = h.common_den.integer_scale
+    alpha = den_ints[::-1]
+    scales = [e.integer_scale for e in h.common_num.entries]
+    s_n = math.lcm(*(t for t, _ in scales))
+    nu = [[x * (s_n // t) for x in ints] for t, ints in scales]
     g = [nums for _, nums in head]
     power = s_d ** (len(g) + 1)                 # D^(j+1)
     for j in itertools.count(len(g)):
@@ -821,7 +846,7 @@ def _markov_terms(h: RationalMatrix, head: tuple) -> Iterator[tuple]:
         for i in range(min(j, p), 0, -1):
             acc = [s_d * x + alpha[i] * y for x, y in zip(acc, g[j - i])]
         top = p - 1 - j
-        g.append([(row[top] * power if top >= 0 else 0) - x
+        g.append([(row[top] * power if 0 <= top < len(row) else 0) - x
                   for row, x in zip(nu, acc)])
         yield s_n * power, g[j]
         power *= s_d

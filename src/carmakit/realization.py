@@ -43,7 +43,6 @@ exceed the dimension of the model the transfer function came from.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -370,7 +369,10 @@ def _scalar_companion(h: TransferFunction, k: int) -> tuple:
     drift's ``Fraction`` rows, ``s`` the lcm of the denominators of the
     ``a_i``, and the rows of ``s`` times the drift as their nonzero
     ``(column, value)`` pairs, all written in one loop from the ``p``
-    coefficients of ``pi``.  Row ``i < (p-1)k`` is the unit row
+    coefficients of ``pi``.  ``s`` and the integers ``s a_i`` are
+    ``pi.integer_scale``, kept on ``pi`` (its leading 1 leaves ``s``
+    unchanged), so the two forms, their certificates and ``h.markov_head``
+    scale ``pi`` once between them.  Row ``i < (p-1)k`` is the unit row
     ``e_(i+k)``; row ``(p-1)k + r`` holds ``-a_(p-j)`` in column ``jk + r``.
     """
     if h.is_zero:
@@ -380,12 +382,11 @@ def _scalar_companion(h: TransferFunction, k: int) -> tuple:
         raise NotStrictlyProper(
             "transfer function must be strictly proper (no feedthrough)")
     pi = h.common_den
-    low = pi.coeffs[:-1]                         # a_p, ..., a_1
-    p = len(low)
+    last = [-x for x in pi.coeffs[:-1]]          # -a_p, ..., -a_1
+    p = len(last)
     n = p * k
-    s = math.lcm(*(x.denominator for x in low))
-    last = [-x for x in low]
-    last_ints = [x.numerator * (s // x.denominator) for x in last]
+    s, ints = pi.integer_scale
+    last_ints = [-x for x in ints[:-1]]
     rows, int_rows = [], []
     for i in range(k, n):
         row = [_ZERO] * n

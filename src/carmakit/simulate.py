@@ -242,14 +242,15 @@ def write_csv(path, header: Sequence[str], *columns) -> None:
     """Write a header line, then one row per entry of the equally long
     float columns (1-D arrays, or 2-D arrays of several columns), every cell
     as ``%.17g``.  Rows are formatted and written ``PATH_CHUNK`` at a time,
-    so no more than one block of text is held."""
+    so no more than one block of text is held; each block is one ``%`` of
+    the row template, repeated once per row, on the block's values."""
     rows = len(columns[0])
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         row = ",".join(["%.17g"] * len(header)) + "\n"
         for lo in range(0, rows, PATH_CHUNK):
             block = np.column_stack([col[lo:lo + PATH_CHUNK] for col in columns])
-            fh.write("".join([row % tuple(r) for r in block.tolist()]))
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

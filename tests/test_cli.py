@@ -25,13 +25,19 @@ from hypothesis import example, given, settings, strategies as st
 from carmakit import cli, simulate
 from carmakit.exactalg import (
     Poly,
+    PolyMatrix,
     RationalFunction,
     RationalMatrix,
     as_rational,
     format_rational,
     ratmat_equal,
 )
-from carmakit.realization import StateSpaceModel, transfer_function
+from carmakit.realization import (
+    StateSpaceModel,
+    controller_realization,
+    observer_realization,
+    transfer_function,
+)
 
 
 def fmt_rows(rows):
@@ -328,6 +334,74 @@ class TestCanonicalCommand:
         path = write_model(tmp_path / "z.json", obj)
         code, _ = run(capsys, "canonical", path, "--form", "observer")
         assert code == 4
+
+
+@st.composite
+def wide_gap_transfer_functions(draw):
+    """Nonzero strictly proper H = N(z) / pi(z) with d != m and deg N <=
+    deg pi - 2: pi monic of degree 2..4 with rational coefficients, one
+    drawn entry of N with a nonzero top coefficient.  Reduction removes the
+    same degree from N and pi, so the gap survives it."""
+    p = draw(st.integers(2, 4))
+    q = draw(st.integers(0, p - 2))
+    d, m = draw(st.sampled_from([(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]))
+    fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    pi = Poly((*draw(st.lists(fractions, min_size=p, max_size=p)), 1))
+    entries = [draw(st.lists(fractions, min_size=q + 1, max_size=q + 1))
+               for _ in range(d * m)]
+    entries[draw(st.integers(0, d * m - 1))][q] = draw(
+        st.builds(Fraction, st.integers(1, 9), st.integers(1, 6)))
+    return RationalMatrix(PolyMatrix(d, m, tuple(map(Poly, entries))), pi)
+
+
+def reference_canonical_report(form: str, h) -> dict:
+    """What ``cli.report_canonical`` returns, built with no kept view: every
+    block entry formatted on its own from ``coefficient_matrix``, every
+    polynomial from its coefficients, every model entry from its row."""
+    realize = observer_realization if form == "observer" else controller_realization
+    real, mfd = realize(h)
+    ss, p, q = real.statespace, mfd.p, mfd.q
+    rows = lambda mat: [[format_rational(x) for x in row] for row in mat]
+    polys = lambda pm: [[[format_rational(c) for c in pm[i, j].coeffs]
+                         for j in range(pm.cols)] for i in range(pm.rows)]
+    num = [rows(mfd.num.coefficient_matrix(k)) for k in range(p)]
+    report = {
+        "kind": "canonical_form", "form": form, "p": p,
+        "ar_coeffs": [rows(mfd.den.coefficient_matrix(p - i)) for i in range(1, p + 1)],
+        "statespace": {"kind": "statespace", "A": rows(ss.a), "B": rows(ss.b),
+                       "C": rows(ss.c)},
+        "mfd": {"side": mfd.side, "p": p, "q": q, "den": polys(mfd.den),
+                "num": polys(mfd.num)},
+        "tf_match": True,
+    }
+    if form == "observer":
+        b = rows(ss.b)
+        report.update(q=q, ma_coeffs=num[q::-1],
+                      input_blocks=[b[k * h.rows:(k + 1) * h.rows] for k in range(p)])
+    else:
+        report.update(q_tilde=q, num_coeffs_descending=num[q::-1], num_coeffs=num)
+    return report
+
+
+class TestReportsReadKeptLiterals:
+    @given(wide_gap_transfer_functions())
+    @settings(max_examples=60, deadline=None)
+    def test_canonical_reports_equal_entrywise_formatting(self, h):
+        assert h.rows != h.cols and h.common_num.degree < h.common_den.degree - 1
+        # both reports of one H, as the CLI and the benchmark make them, share
+        # the literals and scales kept on its polynomials
+        reports = {form: cli.report_canonical(form, h)
+                   for form in ("observer", "controller")}
+        for form, report in reports.items():
+            reference = reference_canonical_report(form, h)
+            assert report == reference
+            assert cli.canonical_dumps(report) == cli.canonical_dumps(reference)
+        coeffs = lambda poly: [format_rational(c) for c in poly.coeffs]
+        assert cli.report_tf(h) == {
+            "kind": "transfer_function", "outputs": h.rows, "inputs": h.cols,
+            "common_den": coeffs(h.common_den),
+            "entries": [[{"num": coeffs(h[i, j].num), "den": coeffs(h[i, j].den)}
+                         for j in range(h.cols)] for i in range(h.rows)]}
 
 
 class TestCheckEquiv:

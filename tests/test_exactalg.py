@@ -10,13 +10,14 @@ import functools
 import itertools
 import math
 import random
+import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from carmakit.errors import DimensionMismatch, NotStrictlyProper
+from carmakit.errors import DimensionMismatch, NotStrictlyProper, OutOfRange
 from carmakit.exactalg import (
     Poly,
     PolyMatrix,
@@ -27,6 +28,7 @@ from carmakit.exactalg import (
     faddeev_leverrier,
     format_rational,
     integer_form,
+    integer_matrix,
     markov_series,
     markov_series_equal,
     mat_identity,
@@ -298,6 +300,34 @@ class TestPolyArithmetic:
         x = Fraction(3, 2)
         expected = sum((c * x ** k for k, c in enumerate(p.coeffs)), Fraction(0))
         assert p.evaluate(x) == expected
+
+
+class TestPolyViews:
+    """The two views a polynomial keeps: its coefficient literals and its
+    integer scale."""
+
+    @given(st.lists(rationals | st.integers(-10**30, 10**30), max_size=7).map(Poly))
+    @example(Poly.zero())
+    @example(Poly((3, -7, 12)))
+    @example(Poly((Fraction(1, 6), 0, Fraction(-5, 4))))
+    def test_views_equal_per_call_conversions(self, p):
+        assert p.literals == tuple(format_rational(c) for c in p.coeffs)
+        s, (ints,) = integer_matrix((p.coeffs,))
+        assert p.integer_scale == (s, ints)
+        # and, apart from integer_matrix, the least s clearing every denominator
+        assert s == math.lcm(*(c.denominator for c in p.coeffs))
+        assert tuple(Fraction(x, s) for x in ints) == p.coeffs
+        # each view is computed once and kept; neither changes equality
+        assert p.literals is p.literals and p.integer_scale is p.integer_scale
+        assert p == Poly(p.coeffs) and hash(p) == hash(Poly(p.coeffs))
+
+    def test_unprintable_coefficient_raises_when_the_literals_are_read(self):
+        limit = sys.get_int_max_str_digits()
+        huge = 10 ** limit                      # limit + 1 digits
+        p = Poly((Fraction(1, 2), huge))        # building converts no text
+        assert p.integer_scale == (2, (1, 2 * huge))
+        with pytest.raises(OutOfRange, match=f"more than {limit} digits"):
+            p.literals
 
 
 def lcm(a: Poly, b: Poly) -> Poly:
