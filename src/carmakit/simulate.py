@@ -31,8 +31,8 @@ checking that two realizations of the same transfer function generate the
 same output pathwise.
 
 numpy is imported with the module; scipy only when a computation first
-needs its matrix exponential or Lyapunov solver, so spectral densities and
-CSV writing run on numpy alone.
+needs its matrix exponential or Lyapunov solver, so spectral densities, the
+shared-increment Euler pair and CSV writing run on numpy alone.
 """
 
 from __future__ import annotations
@@ -463,7 +463,8 @@ def _overflow_quiet():
 
 def _matvec(rows: int):
     """The product (M, v) -> M @ v, bit for bit, for matrices M of ``rows``
-    rows.  ``ndarray.dot`` reaches the same BLAS routine as ``@`` without its
+    rows; (M, v, out) writes it into ``out``, a contiguous vector.
+    ``ndarray.dot`` reaches the same BLAS routine as ``@`` without its
     gufunc dispatch, at about half the cost per call; only a 1x1 matrix it
     multiplies as a scalar, which gives -0.0 where ``@`` gives +0.0, so a
     one-row matrix keeps ``np.matmul``."""
@@ -477,12 +478,20 @@ def _stacked_products(mat: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return np.matmul(mat, vectors[:, :, None])[:, :, 0]
 
 
-def _require_finite_outputs(times: np.ndarray, outputs: np.ndarray) -> None:
+def _overflow_error(times: np.ndarray, outputs: np.ndarray):
+    """The ``UnstableModel`` naming the first time with a non-finite output,
+    or None if every output is finite."""
     finite = np.isfinite(outputs).all(axis=1)
-    if not finite.all():
-        raise UnstableModel(
-            "sample path overflows: first non-finite output at "
-            f"t={times[np.argmin(finite)]:.17g}")
+    if finite.all():
+        return None
+    return UnstableModel("sample path overflows: first non-finite output at "
+                         f"t={times[np.argmin(finite)]:.17g}")
+
+
+def _require_finite_outputs(times: np.ndarray, outputs: np.ndarray) -> None:
+    error = _overflow_error(times, outputs)
+    if error is not None:
+        raise error
 
 
 def _require_path_values(count: int) -> None:
@@ -491,23 +500,54 @@ def _require_path_values(count: int) -> None:
                          f"MAX_PATH_VALUES = {MAX_PATH_VALUES}")
 
 
-def _record_path(x0, cfg: SimulationConfig, advance, c) -> SamplePath:
-    """The one step loop: states[0] = x0, states[k] = advance(k, states[k-1]).
-    The outputs C x are checked every ``PATH_CHUNK`` rows, and the path stops
-    at the end of the first chunk with a non-finite output."""
+def _record_path(x0, cfg: SimulationConfig, advance, cs) -> tuple:
+    """The one step loop, for one model or several stepped together: one
+    ``SamplePath`` per output matrix C in ``cs``.
+
+    ``advance(k, prev, out)`` writes the state at grid step k into ``out``,
+    from ``prev``, the state at step k - 1.  With one model, ``prev`` and
+    ``out`` are rows k - 1 and k of its states array, whose row 0 is x0.
+    With several, x0 is the concatenation of their states, and ``prev`` and
+    ``out`` are both x0 itself, stepped in place; after each step, each
+    model's part of it is copied into that model's own contiguous states
+    array.  Each model's outputs C x are checked every ``PATH_CHUNK`` rows.
+    The run stops at the end of the first chunk in which the first model
+    has a non-finite output.  A later model's first such chunk is noted and
+    the run goes on, and at the end the first noted error in model order is
+    raised, so each model fails as a run of it alone would, and the first
+    model's failure wins.
+    """
     n = cfg.steps
     times = np.arange(n) * cfg.step_size
-    states = np.empty((n, x0.size))
-    states[0] = x = x0
+    states = [np.empty((n, c.shape[1])) for c in cs]
+    parts = np.split(x0, np.cumsum([c.shape[1] for c in cs])[:-1])
+    for model_rows, part in zip(states, parts):
+        model_rows[0] = part
+    rows = states[0] if len(cs) == 1 else None
+    prev = states[0][0]
+    errors = [None] * len(cs)
     with _overflow_quiet():
         for lo in range(0, n, PATH_CHUNK):
             hi = min(lo + PATH_CHUNK, n)
             for k in range(max(lo, 1), hi):
-                x = advance(k, x)
-                states[k] = x
-            _require_finite_outputs(times[lo:hi], states[lo:hi] @ c.T)
-        outputs = states @ c.T
-    return SamplePath(times=times, outputs=outputs)
+                if rows is None:
+                    advance(k, x0, x0)
+                    for model_rows, part in zip(states, parts):
+                        model_rows[k] = part
+                else:
+                    out = rows[k]
+                    advance(k, prev, out)
+                    prev = out
+            errors = [_overflow_error(times[lo:hi], s[lo:hi] @ c.T)
+                      if e is None else e
+                      for e, s, c in zip(errors, states, cs)]
+            if errors[0] is not None:
+                break
+        for error in errors:
+            if error is not None:
+                raise error
+        outputs = [s @ c.T for s, c in zip(states, cs)]
+    return tuple(SamplePath(times=times.copy(), outputs=y) for y in outputs)
 
 
 def simulate_brownian(ss: StateSpaceModel, sigma_l,
@@ -530,8 +570,14 @@ def simulate_brownian(ss: StateSpaceModel, sigma_l,
         increments = (rng_gauss.standard_normal((cfg.steps - 1, ss.n))
                       @ _psd_factor(sigma_h).T)
     product = _matvec(ss.n)
-    return _record_path(x0, cfg, lambda k, x: product(phi, x) + increments[k - 1],
-                        ss_to_float(ss)[2])
+    t = np.empty(ss.n)
+
+    def advance(k, prev, out):
+        product(phi, prev, t)
+        np.add(t, increments[k - 1], out)
+
+    path, = _record_path(x0, cfg, advance, [ss_to_float(ss)[2]])
+    return path
 
 
 def _require_pair_input_dims(ss1: StateSpaceModel, ss2: StateSpaceModel) -> None:
@@ -545,10 +591,18 @@ def simulate_shared_brownian_pair(ss1: StateSpaceModel, ss2: StateSpaceModel,
     """Euler-Maruyama on a fine grid with one shared increment stream.
 
     The exact Gaussian step cannot be shared between realizations (its
-    increment distribution depends on B), so the pairwise comparison uses the
-    same fine-grid Brownian increments for both models and relies on
-    refinement: the output gap between equivalent models shrinks as
-    ``euler_substeps`` grows.  Both runs start from the zero state.
+    increment distribution depends on B), so the pairwise comparison feeds
+    the same fine-grid Brownian increments dL_i to both models, from the zero
+    state.  The Euler output is then a function of the Markov parameters
+    C A^k B alone, so equivalent models give equal paths in exact arithmetic
+    at every ``euler_substeps``, and a float gap at rounding level.
+
+    Each fine step is x = x + dt (A x) + B dL_i, and the two models take it
+    in lockstep on one state x = [x_1; x_2] (see ``_euler_paths``), with the
+    IEEE operations of a separate run of each, so each path has the bits of
+    that run.  If both paths overflow, model 1's error is raised; and if
+    model 2's entries are beyond the double range, model 1 runs alone first,
+    so that its overflow is still the error raised.
     """
     _require_pair_input_dims(ss1, ss2)
     sigma_l = _driver_covariance(sigma_l, ss1.m)
@@ -560,24 +614,58 @@ def simulate_shared_brownian_pair(ss1: StateSpaceModel, ss2: StateSpaceModel,
     _require_path_values(max(max(cfg.steps, fine_steps) * max(ss1.n, ss2.n),
                              fine_steps * ss1.m))
     _, rng_gauss, _, _ = cfg.streams()
-    dt = cfg.step_size / sub
-    dl = rng_gauss.standard_normal((fine_steps, ss1.m)) @ _psd_factor(sigma_l).T
-    dl *= math.sqrt(dt)
+    dl = (rng_gauss.standard_normal((fine_steps, ss1.m))
+          @ _psd_factor(sigma_l).T)
+    dl *= math.sqrt(cfg.step_size / sub)
+    first = ss_to_float(ss1)
+    try:
+        second = ss_to_float(ss2)
+    except OutOfRange:
+        _euler_paths([first, first], dl, cfg)  # model 1 alone, in effect
+        raise
+    return _euler_paths([first, second], dl, cfg)
 
-    paths = []
-    for ss in (ss1, ss2):
-        a, b, c = ss_to_float(ss)
-        product = _matvec(ss.n)
-        with _overflow_quiet():
-            b_dl = _stacked_products(b, dl)    # B dL_i of every fine step
 
-        def advance(k, x):
-            for b_dl_i in b_dl[(k - 1) * sub:k * sub]:
-                x = x + dt * product(a, x) + b_dl_i
-            return x
+def _input_rows(bs, dl: np.ndarray, sub: int):
+    """Yield, coarse step by coarse step, the ``sub`` rows [B_1 dL_i; B_2
+    dL_i; ...] of its fine steps.  The rows are formed ``PATH_CHUNK`` coarse
+    steps at a time, by one ``_stacked_products`` call per model, then
+    concatenated, so a window holds at most PATH_CHUNK * sub * (n_1 + n_2 +
+    ...) values, and never more than the models' whole-path stacks together."""
+    for lo in range(0, len(dl), PATH_CHUNK * sub):
+        window = dl[lo:lo + PATH_CHUNK * sub]
+        rows = np.concatenate([_stacked_products(b, window) for b in bs], axis=1)
+        yield from rows.reshape(-1, sub, rows.shape[1])
 
-        paths.append(_record_path(np.zeros(ss.n), cfg, advance, c))
-    return tuple(paths)
+
+def _euler_paths(models, dl: np.ndarray, cfg: SimulationConfig) -> tuple:
+    """Euler paths of several float models (A, B, C), stepped in lockstep on
+    one state x = [x_1; x_2; ...] with one scratch vector t = [t_1; t_2; ...].
+
+    Each fine step writes A_j x_j into t_j by ``_matvec``'s out form, one
+    call per model, then runs three in-place ufuncs over all the models at
+    once: t *= dt, x += t and x += [B_1 dL_i; B_2 dL_i; ...].  Every entry
+    goes through the operations of x + dt * (A x) + B dL_i, in that order,
+    so each model's path has the bits of a run of it alone."""
+    sub = cfg.euler_substeps
+    dt = np.array(cfg.step_size / sub)  # a 0-d array multiplies faster than a float
+    dims = [a.shape[0] for a, _, _ in models]
+    cuts = np.cumsum(dims)[:-1]
+    x = np.zeros(sum(dims))
+    t = np.empty_like(x)
+    drifts = [(_matvec(a.shape[0]), a, x_j, t_j) for (a, _, _), x_j, t_j
+              in zip(models, np.split(x, cuts), np.split(t, cuts))]
+    inputs = _input_rows([b for _, b, _ in models], dl, sub)
+
+    def advance(k, x, out):     # x is out: the shared state, stepped in place
+        for b_dl_i in next(inputs):
+            for product, a, x_j, t_j in drifts:
+                product(a, x_j, t_j)
+            np.multiply(t, dt, t)
+            x += t
+            x += b_dl_i
+
+    return _record_path(x, cfg, advance, [c for _, _, c in models])
 
 
 def draw_compound_poisson_jumps(driver: LevyDriverSpec, horizon: float,
@@ -657,14 +745,18 @@ def simulate_compound_poisson(ss: StateSpaceModel, jump_times, jump_sizes,
     flows = _flow_exponentials(a, np.diff(points))
     product = _matvec(ss.n)
 
-    def advance(k, x):
+    def advance(k, x, out):
         for j in range(bounds[k - 1], bounds[k]):
             e = next(flows)
             x = (x if e is None else product(e, x)) + product(b, jump_sizes[j])
         e = next(flows)
-        return x if e is None else product(e, x)
+        if e is None:
+            out[...] = x
+        else:
+            product(e, x, out)
 
-    return _record_path(np.zeros(ss.n), cfg, advance, c)
+    path, = _record_path(np.zeros(ss.n), cfg, advance, [c])
+    return path
 
 
 def simulate_compound_poisson_pair(ss1: StateSpaceModel, ss2: StateSpaceModel,

@@ -90,7 +90,8 @@ def factor(mat):
 
 
 # Models for the bit-for-bit replays: one state, zero entries in B and C, two
-# inputs, and a stiff drift whose one-step parameters are doubled from h/2^s.
+# inputs, a stiff drift whose one-step parameters are doubled from h/2^s, and
+# three states on one input, to pair with the one-state model.
 REPLAY_MODELS = {
     "scalar": StateSpaceModel(a=[[-2]], b=[[-1]], c=[["1/2"]]),
     "companion": StateSpaceModel(a=[[0, 1], [-2, -3]], b=[[0], [1]],
@@ -100,7 +101,18 @@ REPLAY_MODELS = {
         b=[[1, 0], [0, -1], [1, 1]], c=[[1, 0, 1], [0, 1, 0]]),
     "stiff": StateSpaceModel(a=[[-90, 1], [0, -40]], b=[[1], [2]],
                              c=[[1, 1]]),
+    "three-states": StateSpaceModel(
+        a=[[-1, "1/3", 0], [0, -2, 1], ["1/2", 0, -3]],
+        b=[[1], [0], [-1]], c=[[1, 0, "1/2"]]),
 }
+
+
+def replay_model(name):
+    """REPLAY_MODELS[name], or for "<name> observer" that model's observer
+    form."""
+    base, _, form = name.partition(" ")
+    ss = REPLAY_MODELS[base]
+    return observer_realization(transfer_function(ss))[0].statespace if form else ss
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +350,24 @@ class TestSharedBrownianPair:
             states.append(x)
         return np.array(states) @ c.T
 
-    @pytest.mark.parametrize("sub", [1, 3])
-    @pytest.mark.parametrize("name", list(REPLAY_MODELS))
-    def test_matches_reference_loop_bit_for_bit(self, name, sub):
-        ss = REPLAY_MODELS[name]
-        obs, _ = observer_realization(transfer_function(ss))
-        sigma_l = np.eye(ss.m) + 0.5 * (1 - np.eye(ss.m))
+    # each model with its observer form, then pairs of unequal dimension in
+    # both orders: the two models step in lockstep on one state vector
+    @pytest.mark.parametrize("sub", [1, 3, 10])
+    @pytest.mark.parametrize("first, second", [
+        *(pytest.param(name, f"{name} observer", id=name)
+          for name in REPLAY_MODELS),
+        pytest.param("two-inputs observer", "two-inputs", id="observer-first"),
+        pytest.param("scalar", "three-states", id="one-then-three-states"),
+        pytest.param("three-states", "scalar", id="three-then-one-state"),
+    ])
+    def test_matches_reference_loop_bit_for_bit(self, first, second, sub):
+        models = replay_model(first), replay_model(second)
+        m = models[0].m
+        sigma_l = np.eye(m) + 0.5 * (1 - np.eye(m))
         cfg = SimulationConfig(step_size=0.01, steps=simulate.PATH_CHUNK + 50,
                                seed=14, euler_substeps=sub)
-        paths = simulate_shared_brownian_pair(ss, obs.statespace, sigma_l, cfg)
-        for model, path in zip((ss, obs.statespace), paths):
+        paths = simulate_shared_brownian_pair(*models, sigma_l, cfg)
+        for model, path in zip(models, paths):
             assert (path.outputs.tobytes()
                     == self.reference_path(model, sigma_l, cfg).tobytes())
 
@@ -654,6 +674,16 @@ class TestMatrixVectorBits:
             block[:n, :n] = mat
             for m in (mat, block[:n, :n]):
                 assert product(m, vec).tobytes() == (m @ vec).tobytes()
+                # the out form, on contiguous views at offsets 0..8 of one
+                # state buffer and one scratch buffer, as the Euler pair
+                # steps each model on its part of both
+                state, scratch = np.zeros(n + 16), np.full(n + 16, np.nan)
+                for offset in range(9):
+                    v = state[offset:offset + n]
+                    v[:] = vec
+                    out = scratch[offset:offset + n]
+                    product(m, v, out)
+                    assert out.tobytes() == (m @ vec).tobytes()
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("n", range(1, 9))
@@ -837,14 +867,14 @@ class TestRecordPath:
     def test_stops_one_chunk_past_first_overflow(self):
         calls = []
 
-        def advance(k, x):
+        def advance(k, prev, out):
             calls.append(k)
-            return 10.0 * x
+            np.multiply(prev, 10.0, out)
 
         cfg = SimulationConfig(step_size=1.0, steps=50 * simulate.PATH_CHUNK,
                                seed=0)
         with pytest.raises(UnstableModel, match="output at t=309$"):
-            simulate._record_path(np.ones(1), cfg, advance, np.ones((1, 1)))
+            simulate._record_path(np.ones(1), cfg, advance, [np.ones((1, 1))])
         assert calls == list(range(1, len(calls) + 1))
         assert 309 <= len(calls) < 309 + simulate.PATH_CHUNK
 
@@ -858,6 +888,31 @@ class TestRecordPath:
             simulate_brownian(ss, [[1.0]], cfg)
         with pytest.raises(UnstableModel, match="output at t=513$"):  # ~4^t
             simulate_shared_brownian_pair(ss, ss, [[1.0]], cfg)
+
+    # The Euler pair steps its models in lockstep, so a pair reports what
+    # its models report run one after the other: model 1's first overflow
+    # if it has one, otherwise model 2's.
+    SLOW = StateSpaceModel(a=[["1/2"]], b=[[1]], c=[[1]])      # ~1.5^t
+    FAST = StateSpaceModel(a=[[3]], b=[[1]], c=[[1]])          # ~4^t
+    STABLE = StateSpaceModel(a=[[-1]], b=[[1]], c=[[1]])
+    HUGE = StateSpaceModel(a=[[-1]], b=[[10**400]], c=[[1]])   # no float B
+
+    def test_pair_reports_model_1_over_an_earlier_model_2(self):
+        cfg = SimulationConfig(step_size=1.0, steps=3000, seed=1)
+        assert 1750 // simulate.PATH_CHUNK > 513 // simulate.PATH_CHUNK
+        for second in (self.FAST, self.SLOW, self.STABLE):
+            with pytest.raises(UnstableModel, match="output at t=1750$"):
+                simulate_shared_brownian_pair(self.SLOW, second, [[1.0]], cfg)
+        # model 2's entries fail to convert only after model 1 has run
+        with pytest.raises(UnstableModel, match="output at t=1750$"):
+            simulate_shared_brownian_pair(self.SLOW, self.HUGE, [[1.0]], cfg)
+
+    def test_pair_reports_model_2_when_only_it_overflows(self):
+        cfg = SimulationConfig(step_size=1.0, steps=3000, seed=1)
+        with pytest.raises(UnstableModel, match="output at t=513$"):
+            simulate_shared_brownian_pair(self.STABLE, self.FAST, [[1.0]], cfg)
+        with pytest.raises(OutOfRange, match="model entry"):
+            simulate_shared_brownian_pair(self.STABLE, self.HUGE, [[1.0]], cfg)
 
 
 @pytest.fixture
