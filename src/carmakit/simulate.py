@@ -55,8 +55,9 @@ PSD_FLOOR = -1e-12
 LYAPUNOV_RTOL = 1e-10
 MAX_EXPECTED_JUMPS = 10**7     # jumps are drawn all at once, before the path
 MAX_PATH_VALUES = 10**8        # floats in any one path array, about 0.8 GB
-PATH_CHUNK = 1024              # rows per finiteness check and CSV block, and
-                               # flow intervals per stacked expm window
+PATH_CHUNK = 1024              # rows per recorded chunk and CSV block, flow
+                               # intervals per stacked expm window, and jumps
+                               # per stack of their B dL
 
 
 def _as_float(matrix) -> np.ndarray:
@@ -500,44 +501,32 @@ def _require_path_values(count: int) -> None:
                          f"MAX_PATH_VALUES = {MAX_PATH_VALUES}")
 
 
-def _record_path(x0, cfg: SimulationConfig, advance, cs) -> tuple:
-    """The one step loop, for one model or several stepped together: one
-    ``SamplePath`` per output matrix C in ``cs``.
+def _record_path(x0s, cfg: SimulationConfig, advance, cs) -> tuple:
+    """The one path recorder: one ``SamplePath`` per output matrix C in
+    ``cs``, the path of the model whose initial state is the same entry of
+    ``x0s``.
 
-    ``advance(k, prev, out)`` writes the state at grid step k into ``out``,
-    from ``prev``, the state at step k - 1.  With one model, ``prev`` and
-    ``out`` are rows k - 1 and k of its states array, whose row 0 is x0.
-    With several, x0 is the concatenation of their states, and ``prev`` and
-    ``out`` are both x0 itself, stepped in place; after each step, each
-    model's part of it is copied into that model's own contiguous states
-    array.  Each model's outputs C x are checked every ``PATH_CHUNK`` rows.
-    The run stops at the end of the first chunk in which the first model
-    has a non-finite output.  A later model's first such chunk is noted and
-    the run goes on, and at the end the first noted error in model order is
-    raised, so each model fails as a run of it alone would, and the first
-    model's failure wins.
+    Each model's states go into its own contiguous array, one row per grid
+    time, whose row 0 is its initial state.  The rows are filled one chunk
+    of ``PATH_CHUNK`` at a time by ``advance(lo, hi, states)``, which writes
+    rows lo..hi - 1 of every model's array, stepping from row lo - 1
+    (lo >= 1; the range is empty for a one-point grid).  After each chunk,
+    each model's outputs C x on it are checked.  The run stops at the end
+    of the first chunk in which the first model has a non-finite output.  A
+    later model's first such chunk is noted and the run goes on, and at the
+    end the first noted error in model order is raised, so each model fails
+    as a run of it alone would, and the first model's failure wins.
     """
     n = cfg.steps
     times = np.arange(n) * cfg.step_size
     states = [np.empty((n, c.shape[1])) for c in cs]
-    parts = np.split(x0, np.cumsum([c.shape[1] for c in cs])[:-1])
-    for model_rows, part in zip(states, parts):
-        model_rows[0] = part
-    rows = states[0] if len(cs) == 1 else None
-    prev = states[0][0]
+    for rows, x0 in zip(states, x0s):
+        rows[0] = x0
     errors = [None] * len(cs)
     with _overflow_quiet():
         for lo in range(0, n, PATH_CHUNK):
             hi = min(lo + PATH_CHUNK, n)
-            for k in range(max(lo, 1), hi):
-                if rows is None:
-                    advance(k, x0, x0)
-                    for model_rows, part in zip(states, parts):
-                        model_rows[k] = part
-                else:
-                    out = rows[k]
-                    advance(k, prev, out)
-                    prev = out
+            advance(max(lo, 1), hi, states)
             errors = [_overflow_error(times[lo:hi], s[lo:hi] @ c.T)
                       if e is None else e
                       for e, s, c in zip(errors, states, cs)]
@@ -572,11 +561,14 @@ def simulate_brownian(ss: StateSpaceModel, sigma_l,
     product = _matvec(ss.n)
     t = np.empty(ss.n)
 
-    def advance(k, prev, out):
-        product(phi, prev, t)
-        np.add(t, increments[k - 1], out)
+    def advance(lo, hi, states):
+        rows, = states
+        for prev, out, xi in zip(rows[lo - 1:hi - 1], rows[lo:hi],
+                                 increments[lo - 1:hi - 1]):
+            product(phi, prev, t)
+            np.add(t, xi, out)
 
-    path, = _record_path(x0, cfg, advance, [ss_to_float(ss)[2]])
+    path, = _record_path([x0], cfg, advance, [ss_to_float(ss)[2]])
     return path
 
 
@@ -611,8 +603,9 @@ def simulate_shared_brownian_pair(ss1: StateSpaceModel, ss2: StateSpaceModel,
     _require_psd(sigma_l, "driver covariance")
     sub = cfg.euler_substeps
     fine_steps = (cfg.steps - 1) * sub
-    _require_path_values(max(max(cfg.steps, fine_steps) * max(ss1.n, ss2.n),
-                             fine_steps * ss1.m))
+    # each model's states, the increments, and one chunk's B dL_i rows
+    _require_path_values(max(cfg.steps * max(ss1.n, ss2.n), fine_steps * ss1.m,
+                             min(fine_steps, PATH_CHUNK * sub) * (ss1.n + ss2.n)))
     _, rng_gauss, _, _ = cfg.streams()
     dl = (rng_gauss.standard_normal((fine_steps, ss1.m))
           @ _psd_factor(sigma_l).T)
@@ -621,51 +614,51 @@ def simulate_shared_brownian_pair(ss1: StateSpaceModel, ss2: StateSpaceModel,
     try:
         second = ss_to_float(ss2)
     except OutOfRange:
-        _euler_paths([first, first], dl, cfg)  # model 1 alone, in effect
+        _euler_paths(first, first, dl, cfg)  # model 1 alone, in effect
         raise
-    return _euler_paths([first, second], dl, cfg)
+    return _euler_paths(first, second, dl, cfg)
 
 
-def _input_rows(bs, dl: np.ndarray, sub: int):
-    """Yield, coarse step by coarse step, the ``sub`` rows [B_1 dL_i; B_2
-    dL_i; ...] of its fine steps.  The rows are formed ``PATH_CHUNK`` coarse
-    steps at a time, by one ``_stacked_products`` call per model, then
-    concatenated, so a window holds at most PATH_CHUNK * sub * (n_1 + n_2 +
-    ...) values, and never more than the models' whole-path stacks together."""
-    for lo in range(0, len(dl), PATH_CHUNK * sub):
-        window = dl[lo:lo + PATH_CHUNK * sub]
-        rows = np.concatenate([_stacked_products(b, window) for b in bs], axis=1)
-        yield from rows.reshape(-1, sub, rows.shape[1])
+def _euler_paths(first, second, dl: np.ndarray, cfg: SimulationConfig) -> tuple:
+    """The Euler paths of two float models (A, B, C), stepped in lockstep on
+    one state x = [x_1; x_2] with one scratch vector t = [t_1; t_2].
 
-
-def _euler_paths(models, dl: np.ndarray, cfg: SimulationConfig) -> tuple:
-    """Euler paths of several float models (A, B, C), stepped in lockstep on
-    one state x = [x_1; x_2; ...] with one scratch vector t = [t_1; t_2; ...].
-
-    Each fine step writes A_j x_j into t_j by ``_matvec``'s out form, one
-    call per model, then runs three in-place ufuncs over all the models at
-    once: t *= dt, x += t and x += [B_1 dL_i; B_2 dL_i; ...].  Every entry
-    goes through the operations of x + dt * (A x) + B dL_i, in that order,
-    so each model's path has the bits of a run of it alone."""
+    Each fine step writes A_1 x_1 into t_1 and A_2 x_2 into t_2 by
+    ``_matvec``'s out form, then runs three in-place ufuncs over both
+    models at once: t *= dt, x += t and x += [B_1 dL_i; B_2 dL_i].  Every
+    entry goes through the operations of x + dt * (A x) + B dL_i, in that
+    order, so each model's path has the bits of a run of it alone.  For
+    each chunk of grid rows that ``_record_path`` asks for, the rows [B_1
+    dL_i; B_2 dL_i] of the chunk's fine steps are formed at once, by one
+    ``_stacked_products`` call per model, and after each coarse step each
+    model's half of x is copied into its row."""
     sub = cfg.euler_substeps
     dt = np.array(cfg.step_size / sub)  # a 0-d array multiplies faster than a float
-    dims = [a.shape[0] for a, _, _ in models]
-    cuts = np.cumsum(dims)[:-1]
-    x = np.zeros(sum(dims))
+    (a1, b1, c1), (a2, b2, c2) = first, second
+    n1, n2 = a1.shape[0], a2.shape[0]
+    x = np.zeros(n1 + n2)
     t = np.empty_like(x)
-    drifts = [(_matvec(a.shape[0]), a, x_j, t_j) for (a, _, _), x_j, t_j
-              in zip(models, np.split(x, cuts), np.split(t, cuts))]
-    inputs = _input_rows([b for _, b, _ in models], dl, sub)
+    x1, x2, t1, t2 = x[:n1], x[n1:], t[:n1], t[n1:]
+    product1, product2 = _matvec(n1), _matvec(n2)
+    multiply, add = np.multiply, np.add
 
-    def advance(k, x, out):     # x is out: the shared state, stepped in place
-        for b_dl_i in next(inputs):
-            for product, a, x_j, t_j in drifts:
-                product(a, x_j, t_j)
-            np.multiply(t, dt, t)
-            x += t
-            x += b_dl_i
+    def advance(lo, hi, states):
+        rows1, rows2 = states
+        window = dl[(lo - 1) * sub:(hi - 1) * sub]
+        inputs = np.concatenate([_stacked_products(b1, window),
+                                 _stacked_products(b2, window)], axis=1)
+        for out1, out2, step_inputs in zip(rows1[lo:hi], rows2[lo:hi],
+                                           inputs.reshape(hi - lo, sub, n1 + n2)):
+            for b_dl_i in step_inputs:
+                product1(a1, x1, t1)
+                product2(a2, x2, t2)
+                multiply(t, dt, t)
+                add(x, t, x)
+                add(x, b_dl_i, x)
+            out1[...] = x1
+            out2[...] = x2
 
-    return _record_path(x, cfg, advance, [c for _, _, c in models])
+    return _record_path((x1, x2), cfg, advance, (c1, c2))
 
 
 def draw_compound_poisson_jumps(driver: LevyDriverSpec, horizon: float,
@@ -698,6 +691,13 @@ def _flow_exponentials(a: np.ndarray, gaps: np.ndarray):
         exps = expm(a * distinct[:, None, None])
         for gap, i in zip(window.tolist(), index.tolist()):
             yield None if gap == 0.0 else exps[i]
+
+
+def _input_products(b: np.ndarray, sizes: np.ndarray):
+    """Yield B dL for each jump size dL in order, formed ``PATH_CHUNK`` jumps
+    at a time by one ``_stacked_products`` call."""
+    for lo in range(0, len(sizes), PATH_CHUNK):
+        yield from _stacked_products(b, sizes[lo:lo + PATH_CHUNK])
 
 
 def simulate_compound_poisson(ss: StateSpaceModel, jump_times, jump_sizes,
@@ -743,19 +743,24 @@ def simulate_compound_poisson(ss: StateSpaceModel, jump_times, jump_sizes,
     step_of_jump = np.repeat(np.arange(1, cfg.steps), np.diff(bounds))
     points = np.insert(grid, step_of_jump, jump_times[:bounds[-1]])
     flows = _flow_exponentials(a, np.diff(points))
+    kicks = _input_products(b, jump_sizes[:bounds[-1]])
+    jump_counts = np.diff(bounds).tolist()
     product = _matvec(ss.n)
 
-    def advance(k, x, out):
-        for j in range(bounds[k - 1], bounds[k]):
+    def advance(lo, hi, states):
+        rows, = states
+        for x, out, count in zip(rows[lo - 1:hi - 1], rows[lo:hi],
+                                 jump_counts[lo - 1:hi - 1]):
+            for _ in range(count):
+                e = next(flows)
+                x = (x if e is None else product(e, x)) + next(kicks)
             e = next(flows)
-            x = (x if e is None else product(e, x)) + product(b, jump_sizes[j])
-        e = next(flows)
-        if e is None:
-            out[...] = x
-        else:
-            product(e, x, out)
+            if e is None:
+                out[...] = x
+            else:
+                product(e, x, out)
 
-    path, = _record_path(np.zeros(ss.n), cfg, advance, [c])
+    path, = _record_path([np.zeros(ss.n)], cfg, advance, [c])
     return path
 
 

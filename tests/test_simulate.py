@@ -295,14 +295,18 @@ class TestSimulateBrownian:
 
     @pytest.mark.parametrize("init", ["zero", "stationary"])
     @pytest.mark.parametrize("name", list(REPLAY_MODELS))
-    def test_matches_reference_loop_bit_for_bit(self, name, init):
+    def test_matches_reference_loop_bit_for_bit(self, name, init, monkeypatch):
         ss = REPLAY_MODELS[name]
         sigma_l = np.eye(ss.m) + 0.5 * (1 - np.eye(ss.m))
         cfg = SimulationConfig(step_size=0.2, steps=3 * simulate.PATH_CHUNK // 2,
                                seed=13, init=init)
-        path = simulate_brownian(ss, sigma_l, cfg)
-        assert (path.outputs.tobytes()
-                == self.reference_path(ss, sigma_l, cfg).tobytes())
+        reference = self.reference_path(ss, sigma_l, cfg).tobytes()
+        # and at chunks of 4 rows, so that a step lost or repeated at a
+        # chunk edge shows many times over
+        for chunk in (simulate.PATH_CHUNK, 4):
+            monkeypatch.setattr(simulate, "PATH_CHUNK", chunk)
+            path = simulate_brownian(ss, sigma_l, cfg)
+            assert path.outputs.tobytes() == reference
 
     def test_determinism_and_seed_sensitivity(self):
         ss = random_stable_model(random.Random(35))
@@ -360,16 +364,20 @@ class TestSharedBrownianPair:
         pytest.param("scalar", "three-states", id="one-then-three-states"),
         pytest.param("three-states", "scalar", id="three-then-one-state"),
     ])
-    def test_matches_reference_loop_bit_for_bit(self, first, second, sub):
+    def test_matches_reference_loop_bit_for_bit(self, first, second, sub,
+                                                monkeypatch):
         models = replay_model(first), replay_model(second)
         m = models[0].m
         sigma_l = np.eye(m) + 0.5 * (1 - np.eye(m))
         cfg = SimulationConfig(step_size=0.01, steps=simulate.PATH_CHUNK + 50,
                                seed=14, euler_substeps=sub)
-        paths = simulate_shared_brownian_pair(*models, sigma_l, cfg)
-        for model, path in zip(models, paths):
-            assert (path.outputs.tobytes()
-                    == self.reference_path(model, sigma_l, cfg).tobytes())
+        references = [self.reference_path(model, sigma_l, cfg).tobytes()
+                      for model in models]
+        # and at chunks of 4 rows, each forming its own B dL_i rows
+        for chunk in (simulate.PATH_CHUNK, 4):
+            monkeypatch.setattr(simulate, "PATH_CHUNK", chunk)
+            paths = simulate_shared_brownian_pair(*models, sigma_l, cfg)
+            assert [p.outputs.tobytes() for p in paths] == references
 
     def test_same_model_gives_identical_paths(self):
         ss = random_stable_model(random.Random(36))
@@ -865,18 +873,20 @@ class TestDriverValidation:
 
 class TestRecordPath:
     def test_stops_one_chunk_past_first_overflow(self):
-        calls = []
+        steps = []
 
-        def advance(k, prev, out):
-            calls.append(k)
-            np.multiply(prev, 10.0, out)
+        def advance(lo, hi, states):
+            rows, = states
+            for k in range(lo, hi):
+                steps.append(k)
+                np.multiply(rows[k - 1], 10.0, rows[k])
 
         cfg = SimulationConfig(step_size=1.0, steps=50 * simulate.PATH_CHUNK,
                                seed=0)
         with pytest.raises(UnstableModel, match="output at t=309$"):
-            simulate._record_path(np.ones(1), cfg, advance, [np.ones((1, 1))])
-        assert calls == list(range(1, len(calls) + 1))
-        assert 309 <= len(calls) < 309 + simulate.PATH_CHUNK
+            simulate._record_path([np.ones(1)], cfg, advance, [np.ones((1, 1))])
+        assert steps == list(range(1, len(steps) + 1))
+        assert 309 <= len(steps) < 309 + simulate.PATH_CHUNK
 
     def test_simulators_report_first_overflow(self):
         # y(t) = e^{3 (t - 1/2)} after a unit jump at 1/2 first overflows at 238.
@@ -932,8 +942,10 @@ class TestPathSizeCap:
     def test_all_simulators_reject_before_drawing(self, small_cap):
         ss = StateSpaceModel(a=[[-1]], b=[[1]], c=[[1]])
         over = SimulationConfig(step_size=0.1, steps=1001, seed=1)
-        fine = SimulationConfig(step_size=0.1, steps=101, seed=1,
-                                euler_substeps=10)  # 1000 fine increments
+        # the Euler pair's largest array is one chunk's B dL_i rows of both
+        # models: 500 fine steps of 1 + 1 states
+        fine = SimulationConfig(step_size=0.1, steps=51, seed=1,
+                                euler_substeps=10)
         runs = [
             lambda: simulate_brownian(ss, [[1.0]], over),
             lambda: simulate_compound_poisson(ss, [], [], over),
@@ -946,9 +958,9 @@ class TestPathSizeCap:
                 run()
         with pytest.raises(AssertionError, match="before refusing the run"):
             simulate_shared_brownian_pair(ss, ss, [[1.0]], fine)
-        with pytest.raises(OutOfRange, match="1010 values"):
+        with pytest.raises(OutOfRange, match="1020 values"):
             simulate_shared_brownian_pair(
-                ss, ss, [[1.0]], SimulationConfig(step_size=0.1, steps=102,
+                ss, ss, [[1.0]], SimulationConfig(step_size=0.1, steps=52,
                                                   seed=1, euler_substeps=10))
 
     @pytest.mark.parametrize("init, width, error", [
@@ -964,16 +976,25 @@ class TestPathSizeCap:
         with pytest.raises(error):
             simulate_compound_poisson_pair(ss, ss, driver, cfg)
 
-    def test_cap_counts_the_state_dimension(self, small_cap):
+    def test_cap_counts_the_state_dimension(self, small_cap, monkeypatch):
         ss = StateSpaceModel(a=[[-1, 0], [0, -1]], b=[[1], [1]], c=[[1, 1]])
         cfg = SimulationConfig(step_size=0.1, steps=501, seed=1)
         with pytest.raises(OutOfRange, match="1002 values"):
             simulate_brownian(ss, [[1.0]], cfg)
-        # the Euler pair holds B dL_i, one state vector per fine step
-        fine = SimulationConfig(step_size=0.1, steps=101, seed=1,
-                                euler_substeps=6)
-        with pytest.raises(OutOfRange, match="1200 values"):
-            simulate_shared_brownian_pair(ss, ss, [[1.0]], fine)
+        # the Euler pair forms B dL_i for each fine step of a chunk, 2 + 2
+        # values a step for the pair: 600 steps hold 2400 values, and 400
+        # hold 1600, though the fine increments (600 or 400 values) and each
+        # model's states (202) fit
+        fine = [SimulationConfig(step_size=0.1, steps=101, seed=1,
+                                 euler_substeps=sub) for sub in (6, 4)]
+        for cfg, count in zip(fine, (2400, 1600)):
+            with pytest.raises(OutOfRange, match=f"{count} values"):
+                simulate_shared_brownian_pair(ss, ss, [[1.0]], cfg)
+        # at chunks of 4 rows, the rows of 4 coarse steps of 6 fine steps
+        # (96 values) are formed at a time, and the run is not refused
+        monkeypatch.setattr(simulate, "PATH_CHUNK", 4)
+        with pytest.raises(AssertionError, match="before refusing the run"):
+            simulate_shared_brownian_pair(ss, ss, [[1.0]], fine[0])
 
 
 class TestCsvOutput:
