@@ -18,14 +18,15 @@ Each canonical form is a :class:`CanonicalRealization`: a state space model
 and the left (observer) or right (controller) fraction it is read from.
 
 All arithmetic is exact, so "the transfer functions agree" is decided, not
-estimated.  The decision reads Markov parameters, not reduced transfer
-functions: :func:`tf_equivalent` compares the first N1 + N2 of two models.
-:func:`tf_match` compares a model with the transfer function it should
+estimated.  There is one certificate, :func:`tf_match`, which compares the
+Markov parameters of a model with those of the transfer function it should
 realize, whose common denominator pi has degree p: the first p terms when
 pi(A) B = 0, which holds for both canonical forms since their drift is
 companion(pi) in block form, and the first N + p otherwise.  Each count is
 the order of a linear recurrence that the difference of the two Markov
 sequences satisfies, so agreement there is agreement everywhere.
+:func:`tf_equivalent` decides two models with it: the smaller model's
+transfer function, which is exact, is matched against the larger model.
 
 Every model has one integer form, :class:`~carmakit.exactalg.IntegerForm`:
 ``s*A``, ``s_b*B`` and ``s_c*C``, each scaled by the lcm of its matrix's
@@ -488,18 +489,21 @@ def tf_equivalent(ss1: StateSpaceModel, ss2: StateSpaceModel) -> bool:
     """Exact transfer-function equality: the certificate that two models
     driven by the same process produce the same output process.
 
-    Decided by the first ``N1 + N2`` Markov parameters ``C A^k B`` of the
-    two models, with ``N1`` and ``N2`` their state dimensions (Kailath,
-    *Linear Systems*, 6.3; Ho and Kalman 1966).  The difference of the two
-    transfer functions is realized by the block-diagonal model of dimension
-    ``N1 + N2``, so by Cayley-Hamilton its Markov parameters satisfy a linear
-    recurrence of order ``N1 + N2``; if the first ``N1 + N2`` of them vanish,
-    every one does, and the difference, a strictly proper function with
-    vanishing expansion at infinity, is zero.
+    A pair whose first Markov parameters ``C B`` differ is distinct, and is
+    decided without a transfer function.  Otherwise the smaller model, by
+    state dimension and ``ss1`` on a tie, gives its transfer function ``H``
+    exactly, and :func:`tf_match` decides whether the larger one realizes
+    ``H``.  That is exact in both steps: :func:`transfer_function` gives
+    ``H`` without rounding, and ``tf_match`` compares the first ``p`` or
+    ``N + p`` Markov parameters of the larger model, of dimension ``N``,
+    with ``H``'s, where ``p``, the degree of ``H``'s common denominator, is
+    at most the smaller model's dimension.
     """
     if (ss1.d, ss1.m) != (ss2.d, ss2.m):
         raise DimensionMismatch(
             "models must share input and output dimensions to be compared")
-    count = ss1.n + ss2.n
-    return markov_series_equal(markov_series(ss1.integer_form),
-                               markov_series(ss2.integer_form), count)
+    if not markov_series_equal(markov_series(ss1.integer_form),
+                               markov_series(ss2.integer_form), 1):
+        return False
+    smaller, larger = (ss1, ss2) if ss1.n <= ss2.n else (ss2, ss1)
+    return tf_match(larger, transfer_function(smaller))

@@ -269,17 +269,25 @@ def statespace_models(draw):
     return StateSpaceModel(a=a, b=b, c=c)
 
 
+def beside(ss: StateSpaceModel, a, b, c) -> StateSpaceModel:
+    """``ss`` in parallel with the block ``(a, b, c)`` of the same input and
+    output dimensions: drift ``diag(ss.a, a)``, input ``[ss.b; b]`` and
+    output ``[ss.c, c]``."""
+    n, k = ss.n, len(a)
+    return StateSpaceModel(
+        a=[list(row) + [0] * k for row in ss.a] + [[0] * n + list(row) for row in a],
+        b=[list(row) for row in ss.b] + [list(row) for row in b],
+        c=[list(row) + list(extra) for row, extra in zip(ss.c, c)])
+
+
 def with_live_channel(ss: StateSpaceModel) -> StateSpaceModel:
     """``ss`` if its transfer function is not zero; otherwise ``ss`` beside
     the block 1/(z + 1) from its first input to its first output, whose
     transfer function is that block's."""
     if not transfer_function(ss).is_zero:
         return ss
-    n = ss.n
-    a = [list(row) + [0] for row in ss.a] + [[0] * n + [-1]]
-    b = [list(row) for row in ss.b] + [[1] + [0] * (ss.m - 1)]
-    c = [list(row) + [int(i == 0)] for i, row in enumerate(ss.c)]
-    return StateSpaceModel(a=a, b=b, c=c)
+    return beside(ss, [[-1]], [[1] + [0] * (ss.m - 1)],
+                  [[int(i == 0)] for i in range(ss.d)])
 
 
 def nonzero_tf_models():
@@ -879,16 +887,11 @@ def with_delayed_impulse(ss: StateSpaceModel, lag: int, eps) -> StateSpaceModel:
     """``ss`` in parallel with a nilpotent chain of ``lag + 1`` states that
     adds ``eps z^-(lag+1)`` to entry (0, 0) of its transfer function: Markov
     parameter ``lag`` changes by ``eps`` and no other one does."""
-    n, k, zero = ss.n, lag + 1, Fraction(0)
-    a = [list(row) + [zero] * k for row in ss.a]
-    a += [[zero] * n + [Fraction(int(j == i + 1)) for j in range(k)]
-          for i in range(k)]
-    b = [list(row) for row in ss.b]
-    b += [[eps if i == k - 1 and j == 0 else zero for j in range(ss.m)]
-          for i in range(k)]
-    c = [list(row) + [Fraction(int(r == 0 and j == 0)) for j in range(k)]
-         for r, row in enumerate(ss.c)]
-    return StateSpaceModel(a=a, b=b, c=c)
+    k = lag + 1
+    return beside(ss, [[int(j == i + 1) for j in range(k)] for i in range(k)],
+                  [[eps if i == k - 1 and j == 0 else 0 for j in range(ss.m)]
+                   for i in range(k)],
+                  [[int(r == 0 and j == 0) for j in range(k)] for r in range(ss.d)])
 
 
 def fraction_terms(series, count: int) -> list:
@@ -900,6 +903,34 @@ def fraction_terms(series, count: int) -> list:
 
 def reduced_verdict(ss1, ss2) -> bool:
     return ratmat_equal(transfer_function(ss1), transfer_function(ss2))
+
+
+@st.composite
+def verdict_pairs(draw):
+    """A model and a second one of the same input and output dimensions:
+    the model beside an unreachable block or beside a reachable,
+    unobservable one (whose pi(A) B is not zero, so :func:`tf_match` takes
+    its N + p path), a model whose transfer function is zero, or an
+    independent model of another state dimension."""
+    ss = draw(statespace_models())
+    kind = draw(st.sampled_from(
+        ("unreachable", "unobservable", "zero", "independent")))
+    k = draw(st.integers(1, 3))
+    if kind == "independent" and k >= ss.n:
+        k += 1
+    a = draw(matrices(k, k, A_DENS))
+    b = draw(matrices(k, ss.m, B_DENS))
+    c = draw(matrices(ss.d, k, C_DENS))
+    if kind == "unreachable" or (kind == "zero" and draw(st.booleans())):
+        b = [[0] * ss.m for _ in range(k)]
+    elif kind != "independent":
+        c = [[0] * k for _ in range(ss.d)]
+    if kind in ("zero", "independent"):
+        return ss, StateSpaceModel(a=a, b=b, c=c)
+    return ss, beside(ss, a, b, c)
+
+
+ONE_POLE = StateSpaceModel(a=[[-1]], b=[[1]], c=[[1]])
 
 
 class TestMarkovVerdictOracle:
@@ -929,6 +960,20 @@ class TestMarkovVerdictOracle:
         assert tf_match(ss1, h2) is ratmat_equal(h1, h2) is False
         assert tf_match(ss2, h1) is False
         assert tf_match(ss1, h1) and tf_match(ss2, h2)
+
+    # 1/(z + 1) beside the reachable, unobservable mode at -2
+    @example(pair=(ONE_POLE, beside(ONE_POLE, [[-2]], [[1]], [[0]])))
+    # 1/(z + 1) against 1/(z + 1) + 1/(z + 2)^2: equal in the first Markov
+    # parameter, which is all that the smaller model's p = 1 would compare
+    @example(pair=(ONE_POLE, beside(ONE_POLE, [[-2, 1], [0, -2]], [[0], [1]],
+                                    [[1, 0]])))
+    @given(verdict_pairs())
+    @settings(max_examples=80, deadline=None)
+    def test_joined_zero_and_independent_pairs(self, pair):
+        ss1, ss2 = pair
+        verdict = reduced_verdict(ss1, ss2)
+        assert tf_equivalent(ss1, ss2) is verdict
+        assert tf_equivalent(ss2, ss1) is verdict
 
 
 # ---------------------------------------------------------------------------
@@ -1005,7 +1050,20 @@ class TestMarkovGuards:
             assert cli.report_canonical(form, h)["tf_match"] is True
         obs, _ = observer_realization(h)
         assert tf_equivalent(ss, obs.statespace)
-        assert count_faddeev == [ss.n]
+        # one run on the smaller model, ss by the tie rule, none on a form
+        assert count_faddeev == [ss.n, ss.n]
+
+    def test_no_faddeev_on_a_first_term_refutation(self, count_faddeev):
+        # the C-scaled pair of test_output_scaling_breaks_equivalence:
+        # its first Markov parameters C B differ
+        ss, _ = random_model_nonzero_tf(random.Random(19))
+        scaled = StateSpaceModel(
+            a=ss.a, b=ss.b,
+            c=tuple(tuple(2 * x for x in row) for row in ss.c))
+        del count_faddeev[:]
+        assert not tf_equivalent(ss, scaled)
+        assert not tf_equivalent(scaled, ss)
+        assert count_faddeev == []
 
     def test_no_rational_function_on_forms(self, monkeypatch):
         built = []
@@ -1080,15 +1138,19 @@ class TestMarkovGuards:
             b[-1][0] += eps
             c = [list(row) for row in ctrl.c]
             c[0][0] += eps
-            bent = [(with_delayed_impulse(obs, p, eps), p),
-                    (with_delayed_impulse(ctrl, p, eps), p),
-                    (StateSpaceModel(a=obs.a, b=b, c=obs.c), p - 1),
-                    (StateSpaceModel(a=ctrl.a, b=ctrl.b, c=c), p - 1)]
-            for ss, k in bent:
+            bent = [(with_delayed_impulse(obs, p, eps), p, obs),
+                    (with_delayed_impulse(ctrl, p, eps), p, ctrl),
+                    (StateSpaceModel(a=obs.a, b=b, c=obs.c), p - 1, obs),
+                    (StateSpaceModel(a=ctrl.a, b=ctrl.b, c=c), p - 1, ctrl)]
+            for ss, k, form in bent:
                 got = fraction_terms(exactalg.markov_series(ss.integer_form),
                                      k + 1)
                 assert got[:k] == want[:k] and got[k] != want[k]
                 assert not tf_match(ss, h)
+                # check-equiv's entry point: the form is the smaller model
+                # (or ties with the bent one), so its H is matched on ss
+                assert not tf_equivalent(ss, form)
+                assert not tf_equivalent(form, ss)
 
     def test_zero_transfer_function(self, h_terms_drawn):
         # p = 0: pi = 1 annihilates B = 0 before any term; with B != 0 the
