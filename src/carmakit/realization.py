@@ -26,7 +26,9 @@ companion(pi) in block form, and the first N + p otherwise.  Each count is
 the order of a linear recurrence that the difference of the two Markov
 sequences satisfies, so agreement there is agreement everywhere.
 :func:`tf_equivalent` decides two models with it: the smaller model's
-transfer function, which is exact, is matched against the larger model.
+transfer function, which is exact, is matched against the larger model,
+once the first min(N1, N2) Markov parameters of the two have been found
+equal.
 
 Every model has one integer form, :class:`~carmakit.exactalg.IntegerForm`:
 ``s*A``, ``s_b*B`` and ``s_c*C``, each scaled by the lcm of its matrix's
@@ -489,8 +491,14 @@ def tf_equivalent(ss1: StateSpaceModel, ss2: StateSpaceModel) -> bool:
     """Exact transfer-function equality: the certificate that two models
     driven by the same process produce the same output process.
 
-    A pair whose first Markov parameters ``C B`` differ is distinct, and is
-    decided without a transfer function.  Otherwise the smaller model, by
+    The first ``min(N1, N2)`` Markov parameters ``C A^k B`` of the two
+    models, ``N1`` and ``N2`` their state dimensions, are compared first, and
+    the comparison stops at the first that differs: a pair that differs
+    there is distinct, and is decided without a transfer function.  This
+    refutes models that differ only in ``A`` (at ``C A B``) or whose first
+    terms vanish, as those of a CARMA(p, q) model do below ``p - q - 1``,
+    as cheaply as a term-by-term comparison; an equivalent pair pays for
+    the prefix on top of the certificate.  Otherwise the smaller model, by
     state dimension and ``ss1`` on a tie, gives its transfer function ``H``
     exactly, and :func:`tf_match` decides whether the larger one realizes
     ``H``.  That is exact in both steps: :func:`transfer_function` gives
@@ -503,7 +511,8 @@ def tf_equivalent(ss1: StateSpaceModel, ss2: StateSpaceModel) -> bool:
         raise DimensionMismatch(
             "models must share input and output dimensions to be compared")
     if not markov_series_equal(markov_series(ss1.integer_form),
-                               markov_series(ss2.integer_form), 1):
+                               markov_series(ss2.integer_form),
+                               min(ss1.n, ss2.n)):
         return False
     smaller, larger = (ss1, ss2) if ss1.n <= ss2.n else (ss2, ss1)
     return tf_match(larger, transfer_function(smaller))

@@ -1053,17 +1053,28 @@ class TestMarkovGuards:
         # one run on the smaller model, ss by the tie rule, none on a form
         assert count_faddeev == [ss.n, ss.n]
 
-    def test_no_faddeev_on_a_first_term_refutation(self, count_faddeev):
-        # the C-scaled pair of test_output_scaling_breaks_equivalence:
-        # its first Markov parameters C B differ
-        ss, _ = random_model_nonzero_tf(random.Random(19))
+    def test_no_faddeev_on_a_prefix_refutation(self, count_faddeev):
+        # pairs that first differ at Markov parameter k < min(N1, N2) = 3:
+        # C doubled (k = 0, as in test_output_scaling_breaks_equivalence),
+        # one entry of A moved (k = 1, C B is unchanged) and the model
+        # beside a delayed impulse of lag 2 (k = 2)
+        ss, _ = random_model_nonzero_tf(random.Random(16))
         scaled = StateSpaceModel(
             a=ss.a, b=ss.b,
             c=tuple(tuple(2 * x for x in row) for row in ss.c))
-        del count_faddeev[:]
-        assert not tf_equivalent(ss, scaled)
-        assert not tf_equivalent(scaled, ss)
-        assert count_faddeev == []
+        a = [list(row) for row in ss.a]
+        a[0][0] += 1
+        moved = StateSpaceModel(a=a, b=ss.b, c=ss.c)
+        want = fraction_terms(exactalg.markov_series(ss.integer_form), ss.n)
+        for other, k in ((scaled, 0), (moved, 1),
+                         (with_delayed_impulse(ss, 2, 1), 2)):
+            got = fraction_terms(exactalg.markov_series(other.integer_form),
+                                 k + 1)
+            assert got[:k] == want[:k] and got[k] != want[k]
+            del count_faddeev[:]
+            assert not tf_equivalent(ss, other)
+            assert not tf_equivalent(other, ss)
+            assert count_faddeev == []
 
     def test_no_rational_function_on_forms(self, monkeypatch):
         built = []
@@ -1148,7 +1159,9 @@ class TestMarkovGuards:
                 assert got[:k] == want[:k] and got[k] != want[k]
                 assert not tf_match(ss, h)
                 # check-equiv's entry point: the form is the smaller model
-                # (or ties with the bent one), so its H is matched on ss
+                # (or ties with the bent one), so the bent model is refuted
+                # by the first N_form terms or, when k = p = N_form, by
+                # matching the form's H on it
                 assert not tf_equivalent(ss, form)
                 assert not tf_equivalent(form, ss)
 
