@@ -37,6 +37,7 @@ shared-increment Euler pair and CSV writing run on numpy alone.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import warnings
@@ -73,10 +74,85 @@ def ss_to_float(ss: StateSpaceModel):
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """scipy's matrix exponential, of one matrix or of a stack of them;
-    scipy is imported on the first call."""
+    """The matrix exponential of one matrix or of a stack of them, each slice
+    with the bits of a separate ``scipy.linalg.expm`` call; scipy is imported
+    on the first call.
+
+    ``scipy.linalg.expm`` loops over the slices in Python and checks each
+    one's bandwidth through its batch wrapper.  Here each generic float
+    slice, one with a nonzero entry both below and above the diagonal, runs
+    straight through scipy's own Pade kernels, as ``scipy.linalg.expm`` runs
+    them, once a one-time probe (:func:`_pade_kernels`) has found that they
+    reproduce it; all other slices (diagonal, triangular or zero) go to
+    ``scipy.linalg.expm`` in one stacked call.  Without the kernels, the
+    whole array does."""
     from scipy.linalg import expm as scipy_expm
-    return scipy_expm(a)
+    kernels = _pade_kernels()
+    a = np.asarray(a)
+    if (kernels is None or a.dtype != np.float64 or a.ndim < 2 or a.size == 0
+            or a.shape[-1] != a.shape[-2]):
+        return scipy_expm(a)
+    stack = a.reshape(-1, *a.shape[-2:])
+    generic = (np.tril(stack, -1).any(axis=(1, 2))
+               & np.triu(stack, 1).any(axis=(1, 2)))
+    if not generic.any():
+        return scipy_expm(a)
+    out = np.empty(stack.shape)
+    if not generic.all():
+        out[~generic] = scipy_expm(stack[~generic])
+    for i in _pade_exponentials(kernels, stack, out,
+                                np.flatnonzero(generic).tolist()):
+        out[i] = scipy_expm(stack[i])   # raises scipy's own error
+    return out.reshape(a.shape)
+
+
+# A generic matrix whose exponential takes six squarings after the Pade step.
+_PADE_PROBE = ((-50.0, 400.0, 3.0), (1.0, -20.0, 900.0), (2.0, 0.5, -5.0))
+
+
+@functools.cache
+def _pade_kernels():
+    """scipy's Pade kernels ``(pick_pade_structure, pade_UV_calc)`` if they
+    reproduce ``scipy.linalg.expm`` bit for bit on ``_PADE_PROBE``, else None;
+    decided once per process.
+
+    They live in the private module ``scipy.linalg._matfuncs_expm``.  A
+    release without them, with other signatures, or that scales the matrix
+    outside ``pick_pade_structure`` fails the probe, and :func:`expm` then
+    leaves every slice to ``scipy.linalg.expm``."""
+    from scipy.linalg import expm as scipy_expm
+    try:
+        from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
+        kernels = (pick_pade_structure, pade_UV_calc)
+        probe = np.array([_PADE_PROBE])
+        out = np.zeros_like(probe)
+        if (not _pade_exponentials(kernels, probe, out, [0])
+                and out[0].tobytes() == scipy_expm(probe[0]).tobytes()):
+            return kernels
+    except (ImportError, TypeError):
+        pass
+    return None
+
+
+def _pade_exponentials(kernels, stack: np.ndarray, out: np.ndarray, indices):
+    """Write e^{stack[i]} to out[i] for each index, the way scipy 1.17's
+    ``expm`` treats a generic slice: the Pade approximant of the scaled
+    matrix in one reused (5, n, n) work array, then s squarings ``e @ e``.
+    Returns the indices at which a kernel reports an error."""
+    pick_pade_structure, pade_uv_calc = kernels
+    work = np.empty((5, *stack.shape[1:]))
+    failed = []
+    for i in indices:
+        work[0] = stack[i]
+        m, s = pick_pade_structure(work)
+        if m < 0 or pade_uv_calc(work, m) != 0:
+            failed.append(i)
+            continue
+        e = work[0]
+        for _ in range(s):
+            e = e @ e
+        out[i] = e
+    return failed
 
 
 def _is_count(value) -> bool:
@@ -406,12 +482,13 @@ def theoretical_autocov(ss: StateSpaceModel, sigma_l, lags: Sequence[float]):
     requested nonnegative time lags."""
     s_inf = stationary_covariance(ss, sigma_l)
     a, _, c = ss_to_float(ss)
-    out = []
+    taus = []
     for tau in lags:
         if not tau >= 0:
             raise ValueError("time lags must be nonnegative")
-        out.append(c @ expm(a * float(tau)) @ s_inf @ c.T)
-    return out
+        taus.append(float(tau))
+    exps = expm(a * np.array(taus)[:, None, None])
+    return [c @ e @ s_inf @ c.T for e in exps]
 
 
 def empirical_autocov(path: SamplePath, maxlag: int):
@@ -683,8 +760,10 @@ def _flow_exponentials(a: np.ndarray, gaps: np.ndarray):
     """Yield e^{A gap} for each gap in order, or None for a zero gap.
 
     The gaps are taken ``PATH_CHUNK`` at a time; the distinct gaps of each
-    window are exponentiated in one stacked ``expm`` call, whose slices
-    equal separate calls bit for bit."""
+    window are exponentiated in one stacked :func:`expm` call, whose slices
+    equal separate ``scipy.linalg.expm`` calls bit for bit: generic slices
+    run through scipy's own Pade kernels once a one-time probe has passed,
+    and all other slices through ``scipy.linalg.expm``."""
     for lo in range(0, gaps.size, PATH_CHUNK):
         window = gaps[lo:lo + PATH_CHUNK]
         distinct, index = np.unique(window, return_inverse=True)

@@ -632,25 +632,129 @@ class TestCompoundPoisson:
 
 
 class TestStackedExpm:
-    """The compound Poisson simulator relies on scipy's stacked ``expm``
-    giving each slice the bits of a separate call; a scipy whose batch path
-    breaks that fails here rather than in the seeded paths."""
+    """The simulators rely on ``simulate.expm`` giving each slice of a stack
+    the bits of a separate ``scipy.linalg.expm`` call, whether the slice runs
+    through scipy's Pade kernels directly (generic slices, once the probe has
+    passed) or through ``scipy.linalg.expm`` itself (all other slices, or
+    every slice without the kernels); a scipy that breaks that fails here
+    rather than in the seeded paths."""
 
-    @pytest.mark.parametrize("a", [
+    MATRICES = [
         [[-1.3]],
         [[-0.5, 2.0], [-1.0, -0.25]],
         np.diag([-1.0, -2.5, 0.75]),
         [[-1.0, 1 / 3, 0.0], [0.2, -2.0, 1.0], [0.5, -0.7, -3.0]],
         np.random.default_rng(6).standard_normal((6, 6)),
         [[-50.0, 400.0, 3.0], [0.0, -20.0, 900.0], [0.0, 0.0, -5.0]],
-    ], ids=["1x1", "2x2", "diagonal", "dense-3x3", "dense-6x6",
-            "triangular-squaring"])
+    ]
+    IDS = ["1x1", "2x2", "diagonal", "dense-3x3", "dense-6x6",
+           "triangular-squaring"]
+    GAPS = np.array([0.05, 0.05 + 2 ** -40, 1.7, 0.0, -0.0, -0.3, -1e-9])
+
+    @staticmethod
+    def assert_slices_equal_scipy(stack):
+        result = simulate.expm(stack)
+        assert result.shape == stack.shape
+        for a, e in zip(stack, result):
+            assert e.tobytes() == expm(a).tobytes()
+
+    @pytest.mark.parametrize("a", MATRICES, ids=IDS)
     def test_slices_equal_separate_calls(self, a):
         a = np.asarray(a, dtype=float)
-        gaps = np.array([0.05, 0.05 + 2 ** -40, 1.7, 0.0, -0.0, -0.3, -1e-9])
-        stack = expm(a * gaps[:, None, None])
-        for gap, e in zip(gaps, stack):
-            assert e.tobytes() == expm(a * gap).tobytes()
+        self.assert_slices_equal_scipy(a * self.GAPS[:, None, None])
+
+    def test_mixed_stack(self):
+        # generic, lower and upper triangular, diagonal and zero-gap slices,
+        # interleaved, with large gaps that take squarings on every kind
+        dense = np.array([[-1.0, 1 / 3, 0.0], [0.2, -2.0, 1.0], [0.5, -0.7, -3.0]])
+        kinds = [dense, np.tril(dense), np.triu(dense), np.diag(np.diag(dense))]
+        stack = np.array([k * g for g in (0.05, 0.0, 40.0, 1e3) for k in kinds])
+        self.assert_slices_equal_scipy(stack)
+        self.assert_slices_equal_scipy(stack[::-1])
+
+    def test_generic_slice_with_squarings(self):
+        probe = np.array(simulate._PADE_PROBE)
+        if simulate._pade_kernels() is not None:
+            work = np.zeros((5, 3, 3))
+            work[0] = probe
+            pick_pade_structure, _ = simulate._pade_kernels()
+            assert pick_pade_structure(work)[1] > 0
+        self.assert_slices_equal_scipy(probe[None] * np.array([1.0, 0.5, 3.0])
+                                       [:, None, None])
+        self.assert_slices_equal_scipy(np.random.default_rng(8).standard_normal(
+            (5, 4, 4)) * 50)
+
+    def test_single_matrix(self):
+        # the doubled block matrix that gaussian_step_params exponentiates
+        a = np.array([[-1.0, 1 / 3, 0.0], [0.2, -2.0, 1.0], [0.5, -0.7, -3.0]])
+        block = np.zeros((6, 6))
+        block[:3, :3] = a
+        block[:3, 3:] = np.eye(3) + 0.5
+        block[3:, 3:] = -a.T
+        for h in (0.1, 25.0):
+            e = simulate.expm(block * h)
+            assert e.shape == (6, 6)
+            assert e.tobytes() == expm(block * h).tobytes()
+
+    def test_kernel_error_reruns_the_slice_through_scipy(self, monkeypatch):
+        def failing_pade(work, m):
+            return -12
+
+        if simulate._pade_kernels() is None:
+            pytest.skip("the Pade kernel route is not active")
+        pick_pade_structure, _ = simulate._pade_kernels()
+        monkeypatch.setattr(simulate, "_pade_kernels",
+                            lambda: (pick_pade_structure, failing_pade))
+        self.assert_slices_equal_scipy(np.asarray(self.MATRICES[3])
+                                       * self.GAPS[:, None, None])
+
+    def test_without_kernels_scipy_takes_the_whole_array(self, monkeypatch):
+        import scipy.linalg
+
+        calls = []
+
+        def spy(a):
+            calls.append(a)
+            return expm(a)
+
+        monkeypatch.setattr(simulate, "_pade_kernels", lambda: None)
+        monkeypatch.setattr(scipy.linalg, "expm", spy)
+        for a in self.MATRICES:
+            stack = np.asarray(a, dtype=float) * self.GAPS[:, None, None]
+            self.assert_slices_equal_scipy(stack)
+            assert len(calls) == 1 and calls.pop() is stack
+
+    def test_kernel_route_is_active_on_scipy_1_17(self):
+        # the route copies scipy 1.17's treatment of a generic slice, so on
+        # that release a probe failure means the copy has drifted
+        import scipy
+
+        if scipy.__version__.split(".")[:2] != ["1", "17"]:
+            pytest.skip(f"the route was written against scipy 1.17, "
+                        f"not {scipy.__version__}")
+        assert simulate._pade_kernels() is not None
+
+    @pytest.mark.parametrize("kernels", ["missing", "wrong-signature",
+                                         "wrong-bits"])
+    def test_probe_rejects_unusable_kernels(self, kernels, monkeypatch):
+        import sys
+        import types
+        from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
+
+        module = None
+        if kernels != "missing":
+            module = types.ModuleType("scipy.linalg._matfuncs_expm")
+            module.pick_pade_structure = pick_pade_structure
+            if kernels == "wrong-signature":
+                module.pade_UV_calc = lambda work: 0
+            else:
+                def perturbed(work, m):
+                    info = pade_UV_calc(work, m)
+                    work[0] *= 1 + 2 ** -20
+                    return info
+                module.pade_UV_calc = perturbed
+        monkeypatch.setitem(sys.modules, "scipy.linalg._matfuncs_expm", module)
+        assert simulate._pade_kernels.__wrapped__() is None
 
 
 class TestMatrixVectorBits:
@@ -723,6 +827,24 @@ class TestAutocovariance:
         ss = random_stable_model(random.Random(41))
         g0 = theoretical_autocov(ss, np.eye(ss.m), [0.0])[0]
         assert np.linalg.eigvalsh((g0 + g0.T) / 2).min() >= -1e-12
+
+    def test_lags_equal_separate_exponentials(self):
+        ss = REPLAY_MODELS["three-states"]
+        s_inf = stationary_covariance(ss, [[1.0]])
+        a, _, c = ss_to_float(ss)
+        lags = [0.0, 0.1, 0.1, 2.5, 40.0, Fraction(1, 3)]
+        gammas = theoretical_autocov(ss, [[1.0]], lags)
+        assert ([g.tobytes() for g in gammas]
+                == [(c @ expm(a * float(tau)) @ s_inf @ c.T).tobytes()
+                    for tau in lags])
+        assert theoretical_autocov(ss, [[1.0]], []) == []
+
+    def test_lags_checked_after_the_stationary_covariance(self):
+        for lags in ([0.1, -1.0], [math.nan]):
+            with pytest.raises(ValueError, match="lags must be nonnegative"):
+                theoretical_autocov(scalar_model(1.0), [[1.0]], lags)
+        with pytest.raises(UnstableModel):
+            theoretical_autocov(scalar_model(-1.0), [[1.0]], [-1.0])
 
     def test_empirical_constant_path_vanishes(self):
         path = SamplePath(times=np.arange(5) * 0.1, outputs=np.full((5, 2), 3.0))
