@@ -507,6 +507,8 @@ def _omega_list(text: str):
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"omegas must be comma-separated numbers: {exc}")
+    if not omegas:
+        raise argparse.ArgumentTypeError(f"omegas must list a frequency, got {text!r}")
     if not all(map(math.isfinite, omegas)):
         raise argparse.ArgumentTypeError(f"omegas must be finite, got {text!r}")
     return omegas

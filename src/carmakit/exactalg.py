@@ -579,56 +579,54 @@ def faddeev_leverrier(form: IntegerForm) -> tuple:
     return num, Poly(char_coeffs[::-1])
 
 
+def markov_blocks(form: IntegerForm) -> Iterator[list]:
+    """The integer N x m blocks ``X_k = (s*A)^k (s_b*B)``, ``k = 0, 1, ...``,
+    of an integer ``form``, each formed from the one before when asked for,
+    on the nonzero entries of the rows of ``s*A``: never an N x N power.  A
+    yielded block is not changed, so the readers of one stream share it."""
+    rows, x = form.a_rows, form.b
+    m = len(x[0])
+    while True:
+        yield x
+        x = [_row_combination(pairs, x, m) for pairs in rows]
+
+
 def markov_series(form: IntegerForm,
-                  annihilator: Optional[Poly] = None) -> Iterator[tuple]:
+                  blocks: Optional[Iterator[list]] = None) -> Iterator[tuple]:
     """The Markov parameters ``C A^k B``, ``k = 0, 1, ...``, for ``A`` N x N,
     ``B`` N x m and ``C`` d x N given by their integer ``form``, as ``(den,
     nums)``: the d*m integer numerators, row by row, over one positive
-    denominator.
-
-    The integer N x m block ``X_k = (s*A)^k (s_b*B)`` is iterated on the
-    nonzero entries of the rows of ``s*A``, never an N x N power, and ``C
-    A^k B = (s_c*C) X_k / (s_c s_b s^k)``.  No ``Fraction`` is built, and a
-    term is computed only when it is asked for.
-
-    Given an ``annihilator`` ``pi = sum_i pi_i z^i`` of degree ``p``, the
-    same iterates also decide whether ``pi(A) B = 0``.  With ``D`` the lcm
-    of the denominators of the ``pi_i``, ``D s^p s_b pi(A) B = sum_(i<=p)
-    (D pi_i) s^(p-i) X_i``, an integer block summed by Horner's rule in
-    ``s`` as ``X_0, ..., X_p`` are formed.  If it is zero, the series ends
-    after its first ``p`` terms: ``sum_i pi_i C A^(k+i) B = C A^k pi(A) B =
-    0`` for every ``k``, so those ``p`` terms fix all the others through
-    the recurrence with characteristic polynomial ``pi``.  Otherwise the
-    series goes on without end, as it does with no annihilator.  The
-    integers ``D pi_i`` are ``pi.integer_scale``, kept on ``pi``, so
-    certifying both canonical forms of one ``H`` against its common
-    denominator scales that denominator once.
+    denominator, ``C A^k B = (s_c*C) X_k / (s_c s_b s^k)``.  It reads one
+    block of ``blocks``, the form's :func:`markov_blocks` (a stream of its
+    own if none is given), each time a term is asked for, and never ends.
     """
-    s, rows, s_b, x, s_c, c_rows = form
+    s, _, s_b, x, s_c, c_rows = form
     m = len(x[0])
     den = s_c * s_b
-    pi = () if annihilator is None else annihilator.integer_scale[1]
-    acc = [[0] * m for _ in x]
-    for k in itertools.count():
-        if k < len(pi):
-            acc = [[s * u + pi[k] * v for u, v in zip(acc_row, x_row)]
-                   for acc_row, x_row in zip(acc, x)]
-            if k == len(pi) - 1 and not any(map(any, acc)):
-                return
+    for x in markov_blocks(form) if blocks is None else blocks:
         yield den, [y for pairs in c_rows for y in _row_combination(pairs, x, m)]
-        x = [_row_combination(pairs, x, m) for pairs in rows]
         den *= s
+
+
+def annihilates(pi: Poly, s: int, blocks: Sequence[list]) -> bool:
+    """Whether ``pi(A) B = 0``, for ``pi = sum_i pi_i z^i`` of degree ``p``,
+    decided exactly on the blocks ``X_0, ..., X_p`` of :func:`markov_blocks`
+    of a form whose drift is scaled by ``s``: ``D s^p s_b pi(A) B =
+    sum_(i<=p) (D pi_i) s^(p-i) X_i``, summed by Horner's rule in ``s``,
+    with the integers ``D pi_i`` read from the kept ``pi.integer_scale``."""
+    acc = [[0] * len(row) for row in blocks[0]]
+    for c, x in zip(pi.integer_scale[1], blocks):
+        acc = [[s * u + c * v for u, v in zip(acc_row, x_row)]
+               for acc_row, x_row in zip(acc, x)]
+    return not any(map(any, acc))
 
 
 def markov_series_equal(first: Iterator[tuple], second: Iterator[tuple],
                         count: int) -> bool:
     """Whether two ``(den, nums)`` series, as :func:`markov_series` and
     :func:`ratmat_markov_series` yield them, agree in their first ``count``
-    terms.  Terms are compared by cross-multiplying the integers, in order,
-    and the comparison stops at the first that differs.  It also stops,
-    with agreement, when a series ends: a :func:`markov_series` with an
-    annihilator ends only when its later terms follow from the earlier ones,
-    so this is sound when the other series satisfies the same recurrence."""
+    terms, compared in order by cross-multiplying the integers.  It stops at
+    the first term that differs and draws no term past ``count``."""
     for _, (den1, nums1), (den2, nums2) in zip(range(count), first, second):
         if len(nums1) != len(nums2) or any(
                 x * den2 != y * den1 for x, y in zip(nums1, nums2)):

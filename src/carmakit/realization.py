@@ -27,8 +27,8 @@ the order of a linear recurrence that the difference of the two Markov
 sequences satisfies, so agreement there is agreement everywhere.
 :func:`tf_equivalent` decides two models with it: the smaller model's
 transfer function, which is exact, is matched against the larger model,
-once the first min(N1, N2) Markov parameters of the two have been found
-equal.
+once the first min(N1, N2) Markov parameters of the two are equal.  Each
+decision reads one stream of the larger model's blocks A^k B.
 
 Every model has one integer form, :class:`~carmakit.exactalg.IntegerForm`:
 ``s*A``, ``s_b*B`` and ``s_c*C``, each scaled by the lcm of its matrix's
@@ -46,6 +46,7 @@ exceed the dimension of the model the transfer function came from.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -64,9 +65,11 @@ from .exactalg import (
     PolyMatrix,
     RationalMatrixData,
     TransferFunction,
+    annihilates,
     faddeev_leverrier,
     integer_form,
     integer_matrix,
+    markov_blocks,
     markov_series,
     markov_series_equal,
     mat_add,
@@ -123,7 +126,7 @@ class StateSpaceModel:
     @cached_property
     def integer_form(self) -> IntegerForm:
         """``(A, B, C)`` scaled to integers, as :func:`faddeev_leverrier` and
-        :func:`markov_series` read it; computed on first use and kept.  The
+        :func:`markov_blocks` read it; computed on first use and kept.  The
         canonical forms are assembled with it already filled in."""
         return integer_form(self.a, self.b, self.c)
 
@@ -453,66 +456,65 @@ def controller_realization(h: TransferFunction):
 
 def tf_match(ss: StateSpaceModel, h: TransferFunction) -> bool:
     """Exact check that ``ss`` realizes ``h``: the certificate behind a
-    canonical report's ``tf_match``.
+    canonical report's ``tf_match``, and the one place that decides how many
+    Markov parameters a match compares.
 
-    The Markov parameters of ``ss`` are compared with those of ``h``, which
-    come from ``h``'s own numerator and denominator, so the two sides stay
-    independent.  With ``pi = h.common_den`` monic of degree ``p``,
-    ``pi * h`` is a polynomial, so ``h``'s parameters satisfy the linear
-    recurrence with characteristic polynomial ``pi`` from the first term
-    on.  :func:`markov_series` decides on the same integer iterates whether
-    ``pi(A) B = 0``; if so, the parameters of ``ss`` satisfy that recurrence
-    too, so do the differences, and the first ``p`` of them decide
-    (Kailath, *Linear Systems*, 6.3).  The observer and controller forms of
-    ``h`` are ``companion(pi)`` in block form, so they always take this
-    path.  Otherwise the first ``N + p`` are compared, ``N`` the state
-    dimension of ``ss``: the differences then satisfy the recurrence whose
-    characteristic polynomial is ``det(zI - A) * pi``, of degree ``N + p``.
-    Either way, if the compared terms agree, all of them do.  ``h``'s first
-    ``p`` terms are ``h.markov_head``, computed once however many models are
-    checked against ``h``; the observer form stacks the same terms into its
-    ``B``, so for it the certificate checks the assembly: the companion
-    drift, ``C`` and the order of the blocks.
-
-    The iterates run on ``ss.integer_form``.  For a canonical form those
-    are the integers its assembly wrote in the same loop as the ``Fraction``
-    rows a report prints, so the certificate reads the form's own ``(A, B,
-    C)``; for any other model they are scaled from its rows on first use.
+    The Markov parameters of ``ss`` are compared with ``h``'s, which come
+    from ``h``'s own numerator and denominator, so the two sides stay
+    independent.  With ``pi = h.common_den`` monic of degree ``p``, ``h``'s
+    parameters satisfy the linear recurrence with characteristic polynomial
+    ``pi``.  If ``pi(A) B = 0``, which :func:`annihilates` decides on the
+    blocks ``X_0, ..., X_p`` of ``ss``, so do those of ``ss`` and the
+    differences, and the first ``p`` decide (Kailath, *Linear Systems*,
+    6.3); both canonical forms of ``h`` take this path.  Otherwise the first
+    ``N + p`` decide, ``N`` the state dimension of ``ss``, since the
+    differences satisfy the recurrence of ``det(zI - A) * pi``.  The test
+    and the comparison read one :func:`markov_blocks` stream of
+    ``ss.integer_form``, so each block is formed once; for a canonical form
+    those are the integers its assembly wrote beside the rows a report
+    prints.  ``h``'s first ``p`` terms are ``h.markov_head``, computed once
+    per ``h``; the observer form stacks them into its ``B``, so for it the
+    certificate checks the companion drift, ``C`` and the block order.
     """
+    return _tf_match(ss, h, markov_blocks(ss.integer_form))
+
+
+def _tf_match(ss: StateSpaceModel, h: TransferFunction, blocks) -> bool:
+    """:func:`tf_match` on ``ss``'s :func:`markov_blocks` stream ``blocks``."""
     if (ss.d, ss.m) != (h.rows, h.cols) or not h.strictly_proper:
         return False
     den = h.common_den
-    count = ss.n + len(den.coeffs) - 1
-    return markov_series_equal(markov_series(ss.integer_form, den),
-                               ratmat_markov_series(h), count)
+    p = len(den.coeffs) - 1
+    head = list(itertools.islice(blocks, p + 1))
+    count = p if annihilates(den, ss.integer_form.s, head) else ss.n + p
+    return markov_series_equal(
+        markov_series(ss.integer_form, itertools.chain(head, blocks)),
+        ratmat_markov_series(h), count)
 
 
 def tf_equivalent(ss1: StateSpaceModel, ss2: StateSpaceModel) -> bool:
     """Exact transfer-function equality: the certificate that two models
     driven by the same process produce the same output process.
 
-    The first ``min(N1, N2)`` Markov parameters ``C A^k B`` of the two
-    models, ``N1`` and ``N2`` their state dimensions, are compared first, and
-    the comparison stops at the first that differs: a pair that differs
-    there is distinct, and is decided without a transfer function.  This
+    The smaller model, by state dimension and ``ss1`` on a tie, has ``N``
+    states.  The first ``N`` Markov parameters ``C A^k B`` of the two models
+    are compared first, stopping at the first that differs: a pair that
+    differs there is distinct, decided without a transfer function.  This
     refutes models that differ only in ``A`` (at ``C A B``) or whose first
-    terms vanish, as those of a CARMA(p, q) model do below ``p - q - 1``,
-    as cheaply as a term-by-term comparison; an equivalent pair pays for
-    the prefix on top of the certificate.  Otherwise the smaller model, by
-    state dimension and ``ss1`` on a tie, gives its transfer function ``H``
-    exactly, and :func:`tf_match` decides whether the larger one realizes
-    ``H``.  That is exact in both steps: :func:`transfer_function` gives
-    ``H`` without rounding, and ``tf_match`` compares the first ``p`` or
-    ``N + p`` Markov parameters of the larger model, of dimension ``N``,
-    with ``H``'s, where ``p``, the degree of ``H``'s common denominator, is
-    at most the smaller model's dimension.
+    terms vanish, as those of a CARMA(p, q) model do below ``p - q - 1``.
+    Otherwise :func:`tf_match` decides whether the larger model realizes the
+    smaller one's exact transfer function.  The prefix and the certificate
+    read one :func:`markov_blocks` stream of the larger model, split by
+    ``itertools.tee``, so each of its blocks is formed once, and the stream
+    lives only for this call.
     """
     if (ss1.d, ss1.m) != (ss2.d, ss2.m):
         raise DimensionMismatch(
             "models must share input and output dimensions to be compared")
-    if not markov_series_equal(markov_series(ss1.integer_form),
-                               markov_series(ss2.integer_form),
-                               min(ss1.n, ss2.n)):
-        return False
     smaller, larger = (ss1, ss2) if ss1.n <= ss2.n else (ss2, ss1)
-    return tf_match(larger, transfer_function(smaller))
+    prefix, blocks = itertools.tee(markov_blocks(larger.integer_form))
+    if not markov_series_equal(
+            markov_series(smaller.integer_form, markov_blocks(smaller.integer_form)),
+            markov_series(larger.integer_form, prefix), smaller.n):
+        return False
+    return _tf_match(larger, transfer_function(smaller), blocks)

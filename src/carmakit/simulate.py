@@ -479,16 +479,21 @@ def gaussian_step_params(ss: StateSpaceModel, sigma_l, h: float):
 
 def theoretical_autocov(ss: StateSpaceModel, sigma_l, lags: Sequence[float]):
     """Stationary output autocovariances C e^{A tau} Sigma_inf C^T at the
-    requested nonnegative time lags."""
+    requested finite, nonnegative time lags.  Raises ``OutOfRange`` for a lag
+    whose autocovariance is not finite in double precision."""
     s_inf = stationary_covariance(ss, sigma_l)
     a, _, c = ss_to_float(ss)
     taus = []
     for tau in lags:
-        if not tau >= 0:
-            raise ValueError("time lags must be nonnegative")
+        if not 0 <= tau < math.inf:
+            raise ValueError("time lags must be nonnegative and finite")
         taus.append(float(tau))
-    exps = expm(a * np.array(taus)[:, None, None])
-    return [c @ e @ s_inf @ c.T for e in exps]
+    with _overflow_quiet():
+        gammas = [c @ e @ s_inf @ c.T for e in expm(a * np.array(taus)[:, None, None])]
+    for tau, gamma in zip(taus, gammas):
+        if not np.all(np.isfinite(gamma)):
+            raise OutOfRange(f"autocovariance at lag {tau:.6g} beyond the double range")
+    return gammas
 
 
 def empirical_autocov(path: SamplePath, maxlag: int):

@@ -746,9 +746,11 @@ class TestFlagValidation:
         ["spectrum", "{m}", "--omegas", "1,-inf", "-o", "{out}"],
         ["spectrum", "{m}", "--omegas", "1e400", "-o", "{out}"],
         ["spectrum", "{m}", "--omegas", "1,x", "-o", "{out}"],
+        ["spectrum", "{m}", "--omegas", "", "-o", "{out}"],
+        ["spectrum", "{m}", "--omegas", ",", "-o", "{out}"],
     ], ids=["steps-0", "seed-negative", "h-nan", "h-negative", "rate-0",
             "omega-nan", "omega-inf", "omega-minus-inf", "omega-overflow",
-            "omega-not-a-number"])
+            "omega-not-a-number", "omega-empty", "omega-comma"])
     def test_invalid_flag_exit_2(self, tmp_path, capsys, flags):
         path = write_model(tmp_path / "ou.json", OU)
         argv = [f.format(m=path, out=tmp_path / "x.csv") for f in flags]

@@ -24,11 +24,13 @@ from carmakit.exactalg import (
     RationalFunction,
     RationalMatrix,
     _int_divrem,
+    annihilates,
     as_rational,
     faddeev_leverrier,
     format_rational,
     integer_form,
     integer_matrix,
+    markov_blocks,
     markov_series,
     markov_series_equal,
     mat_identity,
@@ -177,10 +179,12 @@ def fraction_terms(series, count: int) -> list:
             for den, nums in itertools.islice(series, count)]
 
 
-def annihilated_terms(a, b, c, pi: Poly) -> list:
-    """The terms :func:`markov_series` yields with annihilator ``pi``, up
-    to ``deg pi + 1`` of them: exactly ``deg pi`` iff ``pi(A) B = 0``."""
-    return fraction_terms(markov_series(integer_form(a, b, c), pi), pi.degree + 1)
+def annihilated(a, b, c, pi: Poly) -> bool:
+    """:func:`annihilates` on the first ``deg pi + 1`` blocks of ``(a, b,
+    c)``, the only ones it reads: whether ``pi(A) B = 0``."""
+    form = integer_form(a, b, c)
+    return annihilates(pi, form.s, list(itertools.islice(markov_blocks(form),
+                                                         pi.degree + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -614,12 +618,18 @@ class TestMarkovParameters:
             a = random_rational_matrix(rng, n, n)
             b = random_rational_matrix(rng, n, m)
             c = random_rational_matrix(rng, d, n)
-            expected, ak_b = [], b
+            expected, powers, ak_b = [], [], b
             for _ in range(2 * n + 1):
                 expected.append(sum(mat_mul(c, ak_b), ()))
+                powers.append(ak_b)
                 ak_b = mat_mul(a, ak_b)
-            assert fraction_terms(markov_series(integer_form(a, b, c)),
-                                  2 * n + 1) == expected
+            form = integer_form(a, b, c)
+            assert fraction_terms(markov_series(form), 2 * n + 1) == expected
+            # X_k = (s*A)^k (s_b*B)
+            blocks = itertools.islice(markov_blocks(form), 2 * n + 1)
+            assert [tuple(tuple(Fraction(v, form.s ** k * form.s_b) for v in row)
+                          for row in x)
+                    for k, x in enumerate(blocks)] == powers
 
     def test_zero_count_is_empty(self):
         one = ((Fraction(1),),)
@@ -712,8 +722,7 @@ class TestMarkovSeriesEqual:
 
 class TestMarkovAnnihilator:
     def test_characteristic_polynomial_annihilates(self):
-        # Cayley-Hamilton: det(zI - A) annihilates every B, and the series
-        # ends after its first N terms, which are the usual ones
+        # Cayley-Hamilton: det(zI - A) annihilates every B
         rng = random.Random(5151)
         for _ in range(30):
             n, m, d = rng.randint(1, 5), rng.randint(1, 3), rng.randint(1, 3)
@@ -721,8 +730,7 @@ class TestMarkovAnnihilator:
             b = random_rational_matrix(rng, n, m)
             c = random_rational_matrix(rng, d, n)
             _, chi = faddeev_leverrier(integer_form(a, b, c))
-            assert annihilated_terms(a, b, c, chi) == fraction_terms(
-                markov_series(integer_form(a, b, c)), n)
+            assert annihilated(a, b, c, chi)
 
     def test_scalar_denominator_annihilates_its_block_companion(self):
         rng = random.Random(5152)
@@ -734,22 +742,19 @@ class TestMarkovAnnihilator:
             a = scalar_block_companion(den, k)
             c = random_rational_matrix(rng, 2, p * k)
             for b in (unit_input(p, k), random_rational_matrix(rng, p * k, 2)):
-                assert len(annihilated_terms(a, b, c, den)) == p
+                assert annihilated(a, b, c, den)
             # B, AB, ..., A^(p-1) B are independent for the controller input,
             # so no polynomial of lower degree annihilates it
             b = unit_input(p, k)
             for factor in (f, g):
-                assert annihilated_terms(a, b, c, factor) == fraction_terms(
-                    markov_series(integer_form(a, b, c)), factor.degree + 1)
+                assert not annihilated(a, b, c, factor)
 
     def test_degree_zero_annihilates_only_zero_input(self):
         # pi = 1: pi(A) B = B
         a = rational_matrix([[1, 2], [Fraction(-1, 3), 0]])
         c = rational_matrix([[1, 1]])
-        assert len(annihilated_terms(a, rational_matrix([[0], [1]]), c,
-                                     Poly.one())) == 1
-        assert annihilated_terms(a, rational_matrix([[0], [0]]), c,
-                                 Poly.one()) == []
+        assert not annihilated(a, rational_matrix([[0], [1]]), c, Poly.one())
+        assert annihilated(a, rational_matrix([[0], [0]]), c, Poly.one())
 
     def test_zero_input_is_annihilated_by_every_polynomial(self):
         rng = random.Random(5153)
@@ -757,8 +762,7 @@ class TestMarkovAnnihilator:
         b = rational_matrix([[0, 0]] * 3)
         c = random_rational_matrix(rng, 2, 3)
         for degree in range(4):
-            assert annihilated_terms(a, b, c, random_monic(rng, degree)) == [
-                (Fraction(0),) * 4] * degree
+            assert annihilated(a, b, c, random_monic(rng, degree))
 
 
 # ---------------------------------------------------------------------------

@@ -1076,6 +1076,42 @@ class TestMarkovGuards:
             assert not tf_equivalent(other, ss)
             assert count_faddeev == []
 
+    @pytest.fixture
+    def blocks_formed(self, monkeypatch):
+        """One ``[N, blocks formed]`` pair for each :func:`markov_blocks`
+        stream that ``realization`` starts."""
+        streams = []
+
+        def counting(form):
+            stream = [len(form.a_rows), 0]
+            streams.append(stream)
+            for x in exactalg.markov_blocks(form):
+                stream[1] += 1
+                yield x
+
+        monkeypatch.setattr(realization, "markov_blocks", counting)
+        return streams
+
+    def test_equivalence_forms_each_block_once(self, blocks_formed):
+        # one stream per model: the smaller model's gives its N-term prefix,
+        # and the larger model's gives the same prefix, pi(A) B and the
+        # compared terms, so each X_k of the larger model is formed once
+        ss = StateSpaceModel(a=[[-1, 0], [0, -2]], b=[[1], [1]], c=[[1, 0], [0, 1]])
+        h = transfer_function(ss)
+        p = h.common_den.degree
+        obs = observer_realization(h)[0].statespace
+        ctrl = controller_realization(h)[0].statespace
+        # ss beside a reachable, unobservable mode: pi(A) B != 0
+        joined = beside(ss, [[-3]], [[1]], [[0], [0]])
+        assert (p, obs.n, ctrl.n, joined.n) == (2, 4, 2, 3)
+        for other, terms in ((obs, p + 1), (ctrl, p + 1), (joined, joined.n + p)):
+            for pair in ((ss, other), (other, ss)):
+                del blocks_formed[:]
+                assert tf_equivalent(*pair)
+                smaller, larger = sorted(pair, key=lambda model: model.n)
+                assert blocks_formed == [[smaller.n, smaller.n],
+                                         [larger.n, max(smaller.n, terms)]]
+
     def test_no_rational_function_on_forms(self, monkeypatch):
         built = []
         post_init = RationalFunction.__post_init__
@@ -1120,14 +1156,17 @@ class TestMarkovGuards:
         monkeypatch.setattr(realization, "ratmat_markov_series", counting)
         return drawn
 
-    def test_forms_are_certified_by_p_terms(self, h_terms_drawn):
+    def test_forms_are_certified_by_p_terms(self, h_terms_drawn, blocks_formed):
+        # p terms of H against the blocks X_0, ..., X_p of one form stream
         rng = random.Random(33)
         for _ in range(5):
             _, h = random_model_nonzero_tf(rng)
-            for form in ("observer", "controller"):
-                del h_terms_drawn[:]
+            p = h.common_den.degree
+            for form, k in (("observer", h.rows), ("controller", h.cols)):
+                del h_terms_drawn[:], blocks_formed[:]
                 assert cli.report_canonical(form, h)["tf_match"] is True
-                assert h_terms_drawn == [h.common_den.degree]
+                assert h_terms_drawn == [p]
+                assert blocks_formed == [[p * k, p + 1]]
 
     def test_agreement_short_of_the_bound_fails_match(self):
         # Two bent copies of each form of H, each agreeing with H in all

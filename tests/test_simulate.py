@@ -840,11 +840,24 @@ class TestAutocovariance:
         assert theoretical_autocov(ss, [[1.0]], []) == []
 
     def test_lags_checked_after_the_stationary_covariance(self):
-        for lags in ([0.1, -1.0], [math.nan]):
+        for lags in ([0.1, -1.0], [math.nan], [0.1, math.inf]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="lags must be nonnegative"):
+                    theoretical_autocov(scalar_model(1.0), [[1.0]], lags)
+        for lags in ([-1.0], [math.inf]):
+            with pytest.raises(UnstableModel):
+                theoretical_autocov(scalar_model(-1.0), [[1.0]], lags)
+
+    def test_autocovariance_beyond_double_range(self):
+        # A tau overflows at tau = 1e308; every lag is checked before that
+        ss = REPLAY_MODELS["companion"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange, match="lag 1e\\+308"):
+                theoretical_autocov(ss, [[1.0]], [0.5, 1e308])
             with pytest.raises(ValueError, match="lags must be nonnegative"):
-                theoretical_autocov(scalar_model(1.0), [[1.0]], lags)
-        with pytest.raises(UnstableModel):
-            theoretical_autocov(scalar_model(-1.0), [[1.0]], [-1.0])
+                theoretical_autocov(ss, [[1.0]], [1e308, -1.0])
 
     def test_empirical_constant_path_vanishes(self):
         path = SamplePath(times=np.arange(5) * 0.1, outputs=np.full((5, 2), 3.0))
