@@ -16,12 +16,14 @@ Exit codes are a stable interface:
      field, bad flags, a side-file entry that is not a JSON number, atoms
      not a list of vectors), or an input or exact result out of range (see
      errors.OutOfRange), a --sigma whose density or one-step covariance
-     overflows on a model with no pole there or a stable drift included
+     overflows on a model with no pole there or a stable drift included,
+     and --init stationary on a stable drift whose Lyapunov solve misses
+     the residual tolerance
   3  dimension error
   4  degenerate transfer function (identically zero, or not strictly proper)
-  5  unstable drift: --init stationary on an unstable or ill-conditioned
-     drift, a one-step covariance overflowing on an unstable drift, or a
-     simulated path that overflows
+  5  unstable drift: --init stationary on an unstable drift, a one-step
+     covariance overflowing on an unstable drift, or a simulated path that
+     overflows
   6  spectral density pole on the sampled axis, or a density that overflows
      there even with --sigma scaled to largest entry 1
 """
@@ -502,13 +504,15 @@ _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0,
 
 
 def _omega_list(text: str):
+    entries = text.split(",")
+    if "" in entries:
+        raise argparse.ArgumentTypeError(
+            f"omegas must list a frequency in every entry, got {text!r}")
     try:
-        omegas = [float(v) for v in text.split(",") if v != ""]
+        omegas = [float(v) for v in entries]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"omegas must be comma-separated numbers: {exc}")
-    if not omegas:
-        raise argparse.ArgumentTypeError(f"omegas must list a frequency, got {text!r}")
     if not all(map(math.isfinite, omegas)):
         raise argparse.ArgumentTypeError(f"omegas must be finite, got {text!r}")
     return omegas

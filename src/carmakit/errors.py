@@ -18,7 +18,8 @@ class OutOfRange(CarmakitError, ValueError):
     """A well-formed input beyond the double range (a grid whose last time
     overflows included, and a driver covariance whose spectral density or
     one-step covariance overflows on a model with no pole there or a stable
-    drift), an exact result with more digits than the interpreter converts
+    drift, and a stable drift whose stationary covariance's Lyapunov solve
+    misses its residual tolerance), an exact result with more digits than the interpreter converts
     to a string, a compound Poisson path expecting more than
     ``simulate.MAX_EXPECTED_JUMPS`` jumps, or a path whose largest array
     would hold more than ``simulate.MAX_PATH_VALUES`` floats."""
@@ -42,9 +43,7 @@ class NotStrictlyProper(DegenerateTransferFunction):
 class UnstableModel(CarmakitError):
     """Unstable drift: the drift matrix has an eigenvalue with nonnegative
     real part where the operation requires asymptotic stability (stationary
-    initialization), the drift is so ill-conditioned that the stationary
-    covariance's Lyapunov solve misses its residual tolerance, or a simulated
-    path overflows."""
+    initialization), or a simulated path overflows."""
 
 
 class PoleOnEvaluationAxis(CarmakitError):

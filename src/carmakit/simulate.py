@@ -57,8 +57,9 @@ LYAPUNOV_RTOL = 1e-10
 MAX_EXPECTED_JUMPS = 10**7     # jumps are drawn all at once, before the path
 MAX_PATH_VALUES = 10**8        # floats in any one path array, about 0.8 GB
 PATH_CHUNK = 1024              # rows per recorded chunk and CSV block, flow
-                               # intervals per stacked expm window, and jumps
-                               # per stack of their B dL
+                               # intervals per stacked expm window, jumps
+                               # per stack of their B dL, and slices per
+                               # Pade work array
 
 
 def _as_float(matrix) -> np.ndarray:
@@ -79,13 +80,14 @@ def expm(a: np.ndarray) -> np.ndarray:
     on the first call.
 
     ``scipy.linalg.expm`` loops over the slices in Python and checks each
-    one's bandwidth through its batch wrapper.  Here each generic float
-    slice, one with a nonzero entry both below and above the diagonal, runs
-    straight through scipy's own Pade kernels, as ``scipy.linalg.expm`` runs
-    them, once a one-time probe (:func:`_pade_kernels`) has found that they
-    reproduce it; all other slices (diagonal, triangular or zero) go to
-    ``scipy.linalg.expm`` in one stacked call.  Without the kernels, the
-    whole array does."""
+    one's bandwidth through its batch wrapper.  Here the generic float
+    slices, those with a nonzero entry both below and above the diagonal,
+    run straight through scipy's own Pade kernels, as ``scipy.linalg.expm``
+    runs them, once a one-time probe (:func:`_pade_kernels`) has found that
+    they reproduce it: ``PATH_CHUNK`` slices at a time on one stacked work
+    array (:func:`_pade_exponentials`).  All other slices (diagonal,
+    triangular or zero) go to ``scipy.linalg.expm`` in one stacked call.
+    Without the kernels, the whole array does."""
     from scipy.linalg import expm as scipy_expm
     kernels = _pade_kernels()
     a = np.asarray(a)
@@ -100,9 +102,12 @@ def expm(a: np.ndarray) -> np.ndarray:
     out = np.empty(stack.shape)
     if not generic.all():
         out[~generic] = scipy_expm(stack[~generic])
-    for i in _pade_exponentials(kernels, stack, out,
-                                np.flatnonzero(generic).tolist()):
-        out[i] = scipy_expm(stack[i])   # raises scipy's own error
+    slices = np.flatnonzero(generic)
+    for lo in range(0, slices.size, PATH_CHUNK):
+        chunk = slices[lo:lo + PATH_CHUNK]
+        out[chunk], failed = _pade_exponentials(kernels, stack[chunk])
+        for i in chunk[failed]:
+            out[i] = scipy_expm(stack[i])   # raises scipy's own error
     return out.reshape(a.shape)
 
 
@@ -125,34 +130,36 @@ def _pade_kernels():
         from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
         kernels = (pick_pade_structure, pade_UV_calc)
         probe = np.array([_PADE_PROBE])
-        out = np.zeros_like(probe)
-        if (not _pade_exponentials(kernels, probe, out, [0])
-                and out[0].tobytes() == scipy_expm(probe[0]).tobytes()):
+        exps, failed = _pade_exponentials(kernels, probe)
+        if not failed and exps[0].tobytes() == scipy_expm(probe[0]).tobytes():
             return kernels
     except (ImportError, TypeError):
         pass
     return None
 
 
-def _pade_exponentials(kernels, stack: np.ndarray, out: np.ndarray, indices):
-    """Write e^{stack[i]} to out[i] for each index, the way scipy 1.17's
-    ``expm`` treats a generic slice: the Pade approximant of the scaled
-    matrix in one reused (5, n, n) work array, then s squarings ``e @ e``.
-    Returns the indices at which a kernel reports an error."""
+def _pade_exponentials(kernels, stack: np.ndarray):
+    """(exps, failed): exps[i] = e^{stack[i]} the way scipy 1.17's ``expm``
+    treats a generic slice, and the indices at which a kernel reports an
+    error (their exps rows are garbage).
+
+    The stack is copied in one assignment into slot 0 of a (k, 5, n, n)
+    work array.  Each slice's (5, n, n) block takes the Pade approximant of
+    the scaled matrix in place, then s squarings ``e @ e`` written back over
+    slot 0, and exps is the view of slot 0."""
     pick_pade_structure, pade_uv_calc = kernels
-    work = np.empty((5, *stack.shape[1:]))
+    work = np.empty((len(stack), 5, *stack.shape[1:]))
+    work[:, 0] = stack
     failed = []
-    for i in indices:
-        work[0] = stack[i]
-        m, s = pick_pade_structure(work)
-        if m < 0 or pade_uv_calc(work, m) != 0:
+    for i, block in enumerate(work):
+        m, s = pick_pade_structure(block)
+        if m < 0 or pade_uv_calc(block, m) != 0:
             failed.append(i)
-            continue
-        e = work[0]
-        for _ in range(s):
-            e = e @ e
-        out[i] = e
-    return failed
+        elif s:
+            e = block[0]
+            for _ in range(s):
+                np.matmul(e, e, out=e)
+    return work[:, 0], failed
 
 
 def _is_count(value) -> bool:
@@ -406,7 +413,11 @@ def stability_check(ss: StateSpaceModel) -> bool:
 
 
 def stationary_covariance(ss: StateSpaceModel, sigma_l) -> np.ndarray:
-    """Stationary state covariance: the solution of A S + S A^T = -B Sigma B^T."""
+    """Stationary state covariance: the solution of A S + S A^T = -B Sigma B^T.
+
+    Raises ``UnstableModel`` for a drift that :func:`stability_check` calls
+    unstable, and ``OutOfRange`` when the float Lyapunov solve of a stable
+    drift misses the residual tolerance."""
     sigma_l = _driver_covariance(sigma_l, ss.m)
     if not stability_check(ss):
         raise UnstableModel("stationary covariance requires a stable drift")
@@ -422,7 +433,7 @@ def stationary_covariance(ss: StateSpaceModel, sigma_l) -> np.ndarray:
     with _overflow_quiet():
         residual = np.linalg.norm((a @ s + s @ a.T + q) / scale, "fro")
     if not residual <= LYAPUNOV_RTOL * (1 / scale + np.linalg.norm(q / scale, "fro")):
-        raise UnstableModel(
+        raise OutOfRange(
             f"Lyapunov solve residual {residual * scale:.3e} exceeds tolerance")
     return s
 
@@ -761,45 +772,19 @@ def draw_compound_poisson_jumps(driver: LevyDriverSpec, horizon: float,
     return times, driver.jumps.sample(rng_sizes, count)
 
 
-def _flow_exponentials(a: np.ndarray, gaps: np.ndarray):
-    """Yield e^{A gap} for each gap in order, or None for a zero gap.
-
-    The gaps are taken ``PATH_CHUNK`` at a time; the distinct gaps of each
-    window are exponentiated in one stacked :func:`expm` call, whose slices
-    equal separate ``scipy.linalg.expm`` calls bit for bit: generic slices
-    run through scipy's own Pade kernels once a one-time probe has passed,
-    and all other slices through ``scipy.linalg.expm``."""
-    for lo in range(0, gaps.size, PATH_CHUNK):
-        window = gaps[lo:lo + PATH_CHUNK]
-        distinct, index = np.unique(window, return_inverse=True)
-        exps = expm(a * distinct[:, None, None])
-        for gap, i in zip(window.tolist(), index.tolist()):
-            yield None if gap == 0.0 else exps[i]
-
-
-def _input_products(b: np.ndarray, sizes: np.ndarray):
-    """Yield B dL for each jump size dL in order, formed ``PATH_CHUNK`` jumps
-    at a time by one ``_stacked_products`` call."""
-    for lo in range(0, len(sizes), PATH_CHUNK):
-        yield from _stacked_products(b, sizes[lo:lo + PATH_CHUNK])
-
-
 def simulate_compound_poisson(ss: StateSpaceModel, jump_times, jump_sizes,
                               cfg: SimulationConfig) -> SamplePath:
     """Exact pathwise simulation against a fixed jump path.
 
     Between events the state follows X(t + dt) = e^{A dt} X(t); at a jump of
     size dL the state moves by B dL.  The only floating error is that of the
-    matrix exponential: there is no time-discretization error.  The flow
-    intervals (grid point or jump to the next jump or grid point) are laid
-    out in path order, and their exponentials are evaluated in stacked
-    windows of ``PATH_CHUNK`` intervals, one per distinct gap of a window,
-    so a regular grid segment costs a few exponentials per window.  Jump
-    times must be sorted, nonnegative and finite, and jump sizes finite and
-    shaped (count, m), a 1-D list read as one column, so a jump-free path of
-    an m-input model takes ``np.empty((0, m))``.  Step k applies the jumps
-    in (t_{k-1}, t_k], and step 1 also those at t = 0.  The path starts from
-    the zero state.
+    matrix exponential: there is no time-discretization error.  The path is
+    one run of the compound-Poisson engine, :func:`_compound_poisson_paths`,
+    on this model alone.  Jump times must be sorted, nonnegative and finite,
+    and jump sizes finite and shaped (count, m), a 1-D list read as one
+    column, so a jump-free path of an m-input model takes
+    ``np.empty((0, m))``.  Step k applies the jumps in (t_{k-1}, t_k], and
+    step 1 also those at t = 0.  The path starts from the zero state.
     """
     if cfg.init == "stationary":
         raise ValueError(
@@ -819,32 +804,8 @@ def simulate_compound_poisson(ss: StateSpaceModel, jump_times, jump_sizes,
     if np.any(jump_times < 0):
         raise ValueError("jump times must be nonnegative")
     _require_path_values(cfg.steps * ss.n)
-    a, b, c = ss_to_float(ss)
-
-    # Path order: t_0, the jumps of step 1, t_1, the jumps of step 2, ...
-    grid = np.arange(cfg.steps) * cfg.step_size
-    bounds = [0, *np.searchsorted(jump_times, grid[1:], side="right").tolist()]
-    step_of_jump = np.repeat(np.arange(1, cfg.steps), np.diff(bounds))
-    points = np.insert(grid, step_of_jump, jump_times[:bounds[-1]])
-    flows = _flow_exponentials(a, np.diff(points))
-    kicks = _input_products(b, jump_sizes[:bounds[-1]])
-    jump_counts = np.diff(bounds).tolist()
-    product = _matvec(ss.n)
-
-    def advance(lo, hi, states):
-        rows, = states
-        for x, out, count in zip(rows[lo - 1:hi - 1], rows[lo:hi],
-                                 jump_counts[lo - 1:hi - 1]):
-            for _ in range(count):
-                e = next(flows)
-                x = (x if e is None else product(e, x)) + next(kicks)
-            e = next(flows)
-            if e is None:
-                out[...] = x
-            else:
-                product(e, x, out)
-
-    path, = _record_path([np.zeros(ss.n)], cfg, advance, [c])
+    path, = _compound_poisson_paths([ss_to_float(ss)], jump_times, jump_sizes,
+                                    cfg)
     return path
 
 
@@ -855,7 +816,13 @@ def simulate_compound_poisson_pair(ss1: StateSpaceModel, ss2: StateSpaceModel,
 
     If the models have the same transfer function, the two outputs agree up
     to matrix-exponential rounding; the observed sup-norm gap is the
-    pathwise equivalence witness.
+    pathwise equivalence witness.  The jumps are drawn once, and both models
+    step through them in lockstep, in one run of
+    :func:`_compound_poisson_paths`; each path has the bits of a
+    :func:`simulate_compound_poisson` run of its model on the same draw.  If
+    both paths overflow, model 1's error is raised; and if model 2's entries
+    are beyond the double range, model 1 runs alone first, so that its
+    overflow is still the error raised.
     """
     _require_pair_input_dims(ss1, ss2)
     return _compound_poisson_run((ss1, ss2), driver, cfg)
@@ -863,8 +830,10 @@ def simulate_compound_poisson_pair(ss1: StateSpaceModel, ss2: StateSpaceModel,
 
 def _compound_poisson_run(models, driver: LevyDriverSpec,
                           cfg: SimulationConfig) -> tuple:
-    """One jump path, drawn once, driven through each model in turn; the
-    run is refused before the draw if any model cannot take it."""
+    """One jump path, drawn once, driven through every model by one engine
+    run; the run is refused before the draw if any model cannot take it.  A
+    model whose entries are beyond the double range is refused after the
+    models before it have run alone, so their overflow wins."""
     if cfg.init != "zero":
         raise ValueError(
             "stationary initialization is not defined for compound Poisson runs")
@@ -873,5 +842,90 @@ def _compound_poisson_run(models, driver: LevyDriverSpec,
     _require_path_values(cfg.steps * max(ss.n for ss in models))
     horizon = (cfg.steps - 1) * cfg.step_size
     times, sizes = draw_compound_poisson_jumps(driver, horizon, cfg)
-    return tuple(simulate_compound_poisson(ss, times, sizes, cfg)
-                 for ss in models)
+    floats = []
+    for ss in models:
+        try:
+            floats.append(ss_to_float(ss))
+        except OutOfRange:
+            if floats:
+                _compound_poisson_paths(floats, times, sizes, cfg)
+            raise
+    return _compound_poisson_paths(floats, times, sizes, cfg)
+
+
+def _compound_poisson_paths(models, jump_times: np.ndarray,
+                            jump_sizes: np.ndarray,
+                            cfg: SimulationConfig) -> tuple:
+    """The compound-Poisson engine: the paths of float models (A, B, C) from
+    the zero state on one checked jump path, all in one ``_record_path`` run.
+
+    The flow intervals (t_0, the jumps of step 1, t_1, the jumps of step 2,
+    ...) are laid out once and taken in windows of ``PATH_CHUNK``.  A window
+    takes one ``np.unique`` of its gaps for every model; each model
+    exponentiates the distinct gaps in one stacked :func:`expm` call,
+    gathers them by the inverse index, and forms the B dL of the window's
+    jumps in one ``_stacked_products`` call.  Every model then steps through
+    the window by plain indexing, keeping its state between windows, which
+    may end inside a step: x = e^{A gap} x (skipped for a zero gap), then
+    x + B dL at a jump, or x written into its grid row.  These are the
+    operations of a run of each model alone, so each path has its bits."""
+    chunk = PATH_CHUNK
+    steps = cfg.steps
+    grid = np.arange(steps) * cfg.step_size
+    bounds = [0, *np.searchsorted(jump_times, grid[1:], side="right").tolist()]
+    step_of_jump = np.repeat(np.arange(1, steps), np.diff(bounds))
+    points = np.insert(grid, step_of_jump, jump_times[:bounds[-1]])
+    gaps = np.diff(points)
+    # the interval that ends at grid row r is the (r - 1 + bounds[r])-th
+    row_ends = np.arange(steps - 1) + np.array(bounds[1:], dtype=np.intp)
+    products = [_matvec(a.shape[0]) for a, _, _ in models]
+    states = [np.zeros(a.shape[0]) for a, _, _ in models]
+    window = (None,)
+
+    def load(w0):
+        """The window from interval w0: (w0, per interval the window index
+        of its jump or ~row, per model the flows (None for a zero gap), per
+        model the B dL rows)."""
+        w1 = min(w0 + chunk, gaps.size)
+        ra, rb = np.searchsorted(row_ends, [w0, w1]).tolist()
+        local = row_ends[ra:rb] - w0
+        ends = np.arange(w1 - w0)
+        ends -= np.searchsorted(local, ends)
+        ends[local] = ~np.arange(ra + 1, rb + 1)
+        distinct, inverse = np.unique(gaps[w0:w1], return_inverse=True)
+        inverse = inverse.tolist()
+        sizes = jump_sizes[w0 - ra:w1 - rb]
+        flows, kicks = [], []
+        for a, b, _ in models:
+            exps = list(expm(a * distinct[:, None, None]))
+            if distinct[0] == 0.0:
+                exps[0] = None
+            flows.append(list(map(exps.__getitem__, inverse)))
+            kicks.append(list(_stacked_products(b, sizes)))
+        return w0, ends.tolist(), flows, kicks
+
+    def advance(lo, hi, rows_of):
+        nonlocal window
+        i, stop = lo - 1 + bounds[lo - 1], hi - 1 + bounds[hi - 1]
+        while i < stop:
+            w0 = i - i % chunk
+            if window[0] != w0:
+                window = load(w0)
+            _, ends, flows_of, kicks_of = window
+            p0, p1 = i - w0, min(stop - w0, chunk)
+            for k, (product, rows, flows, kicks) in enumerate(
+                    zip(products, rows_of, flows_of, kicks_of)):
+                x = states[k]
+                for e, end in zip(flows[p0:p1], ends[p0:p1]):
+                    if end >= 0:
+                        x = (x if e is None else product(e, x)) + kicks[end]
+                    elif e is None:
+                        rows[~end] = x
+                    else:
+                        out = rows[~end]
+                        product(e, x, out)
+                        x = out
+                states[k] = x
+            i = w0 + p1
+
+    return _record_path(states, cfg, advance, [c for _, _, c in models])

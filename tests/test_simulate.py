@@ -169,10 +169,12 @@ class TestStationaryCovariance:
             stationary_covariance(ss, [[1.0]])
 
     def test_ill_conditioned_drift_rejected(self):
-        # Stable, but the Lyapunov solve misses its residual tolerance.
+        # Stable, but the Lyapunov solve misses its residual tolerance: out
+        # of range for the float solve, not unstable.
         ss = StateSpaceModel(a=[["-1/100000", 100000000], [0, "-1/100000"]],
                              b=[[0], [1]], c=[[1, 0]])
-        with pytest.raises(UnstableModel, match="Lyapunov solve residual"):
+        assert stability_check(ss)
+        with pytest.raises(OutOfRange, match="Lyapunov solve residual"):
             stationary_covariance(ss, [[1.0]])
 
     def test_perturbed_solve_reports_only_the_residual(self):
@@ -181,7 +183,7 @@ class TestStationaryCovariance:
                              c=[[1, 0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(UnstableModel, match="Lyapunov solve residual"):
+            with pytest.raises(OutOfRange, match="Lyapunov solve residual"):
                 stationary_covariance(ss, [[1.0]])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -189,7 +191,7 @@ class TestStationaryCovariance:
         # ||q|| and the residual both overflow unscaled; the guard still bites
         ss = StateSpaceModel(a=[["-1/100000", 100000000], [0, "-1/100000"]],
                              b=[[0], [1]], c=[[1, 0]])
-        with pytest.raises(UnstableModel, match="Lyapunov solve residual"):
+        with pytest.raises(OutOfRange, match="Lyapunov solve residual"):
             stationary_covariance(ss, [[1e200]])
 
 
@@ -546,15 +548,29 @@ class TestCompoundPoisson:
     @pytest.fixture
     def expm_calls(self, monkeypatch):
         """The stack sizes of the program's ``expm`` calls, each checked to
-        hold at most ``PATH_CHUNK`` matrices."""
+        hold at most ``PATH_CHUNK`` matrices, as is each stack of B dL rows
+        and each Pade work array."""
         sizes = []
+        real_expm = simulate.expm
+        real_products = simulate._stacked_products
+        real_pade = simulate._pade_exponentials
 
         def counted(stack):
             assert stack.ndim == 3 and len(stack) <= simulate.PATH_CHUNK
             sizes.append(len(stack))
-            return expm(stack)
+            return real_expm(stack)
+
+        def products(mat, vectors):
+            assert len(vectors) <= simulate.PATH_CHUNK
+            return real_products(mat, vectors)
+
+        def pade(kernels, stack):
+            assert len(stack) <= simulate.PATH_CHUNK
+            return real_pade(kernels, stack)
 
         monkeypatch.setattr(simulate, "expm", counted)
+        monkeypatch.setattr(simulate, "_stacked_products", products)
+        monkeypatch.setattr(simulate, "_pade_exponentials", pade)
         return sizes
 
     @staticmethod
@@ -620,6 +636,34 @@ class TestCompoundPoisson:
             path = simulate_compound_poisson(ss, times, sizes, cfg)
             assert (path.outputs.tobytes()
                     == self.reference_path(ss, times, sizes, cfg).tobytes())
+
+    def test_pair_equals_two_separate_runs(self, monkeypatch, expm_calls):
+        # the model against its observer form on a crowded draw, about four
+        # jumps a step, so windows of 4 intervals, and some of 1024, end
+        # inside a step
+        ss = REPLAY_MODELS["two-inputs"]
+        obs = replay_model("two-inputs observer")
+        driver = LevyDriverSpec(40.0, GaussianJumps(mean=np.zeros(ss.m),
+                                                    cov=np.eye(ss.m)))
+        cfg = SimulationConfig(step_size=0.1, steps=simulate.PATH_CHUNK + 50,
+                               seed=19)
+        times, sizes = draw_compound_poisson_jumps(
+            driver, (cfg.steps - 1) * cfg.step_size, cfg)
+        grid = np.arange(1, cfg.steps) * cfg.step_size
+        bounds = np.searchsorted(times, grid, side="right")
+        # interval index at which each step's flow intervals begin
+        step_starts = set((np.arange(cfg.steps - 1)
+                           + np.concatenate([[0], bounds[:-1]])).tolist())
+        intervals = cfg.steps - 1 + int(bounds[-1])
+        for chunk in (simulate.PATH_CHUNK, 4):
+            monkeypatch.setattr(simulate, "PATH_CHUNK", chunk)
+            assert set(range(chunk, intervals, chunk)) - step_starts
+            p1, p2 = simulate_compound_poisson_pair(ss, obs, driver, cfg)
+            for model, path in ((ss, p1), (obs, p2)):
+                alone = simulate_compound_poisson(model, times, sizes, cfg)
+                assert path.outputs.tobytes() == alone.outputs.tobytes()
+                assert path.times.tobytes() == alone.times.tobytes()
+        assert expm_calls
 
     def test_jump_free_path_takes_one_small_stack_per_window(self, expm_calls):
         ss = StateSpaceModel(a=[[0, 1], [-2, -3]], b=[[0], [1]], c=[[1, 0]])
@@ -695,6 +739,26 @@ class TestStackedExpm:
             e = simulate.expm(block * h)
             assert e.shape == (6, 6)
             assert e.tobytes() == expm(block * h).tobytes()
+
+    def test_work_array_holds_at_most_path_chunk_slices(self, monkeypatch):
+        # generic and triangular slices interleaved: the 7 generic ones go
+        # through the kernels 3, 3 and 1 at a time
+        if simulate._pade_kernels() is None:
+            pytest.skip("the Pade kernel route is not active")
+        real_pade = simulate._pade_exponentials
+        calls = []
+
+        def pade(kernels, stack):
+            calls.append(len(stack))
+            return real_pade(kernels, stack)
+
+        monkeypatch.setattr(simulate, "PATH_CHUNK", 3)
+        monkeypatch.setattr(simulate, "_pade_exponentials", pade)
+        dense = np.asarray(self.MATRICES[3])
+        gaps = np.array([0.05, 40.0, 1e3, 0.3, 1.7, -0.3, 2.5])
+        stack = np.array([k * g for g in gaps for k in (dense, np.triu(dense))])
+        self.assert_slices_equal_scipy(stack)
+        assert calls == [3, 3, 1]
 
     def test_kernel_error_reruns_the_slice_through_scipy(self, monkeypatch):
         def failing_pade(work, m):
@@ -1058,6 +1122,39 @@ class TestRecordPath:
             simulate_shared_brownian_pair(self.STABLE, self.FAST, [[1.0]], cfg)
         with pytest.raises(OutOfRange, match="model entry"):
             simulate_shared_brownian_pair(self.STABLE, self.HUGE, [[1.0]], cfg)
+
+    # The compound-Poisson pair steps its models in lockstep too, and
+    # reports what a run of each on the same draw reports, in model order.
+    JUMPS = LevyDriverSpec(1.0, GaussianJumps(mean=[0.0], cov=[[1.0]]))
+
+    def cp_overflow_time(self, ss, cfg):
+        """The time of a lone run's first non-finite output on the pair's
+        draw."""
+        times, sizes = draw_compound_poisson_jumps(
+            self.JUMPS, (cfg.steps - 1) * cfg.step_size, cfg)
+        with pytest.raises(UnstableModel) as error:
+            simulate_compound_poisson(ss, times, sizes, cfg)
+        return float(str(error.value).rpartition("t=")[2])
+
+    def test_cp_pair_reports_model_1_over_an_earlier_model_2(self):
+        cfg = SimulationConfig(step_size=1.0, steps=3000, seed=1)
+        slow = self.cp_overflow_time(self.SLOW, cfg)
+        fast = self.cp_overflow_time(self.FAST, cfg)
+        assert slow // simulate.PATH_CHUNK > fast // simulate.PATH_CHUNK
+        for second in (self.FAST, self.SLOW, self.STABLE):
+            with pytest.raises(UnstableModel, match=f"output at t={slow:.17g}$"):
+                simulate_compound_poisson_pair(self.SLOW, second, self.JUMPS, cfg)
+        # model 2's entries fail to convert only after model 1 has run
+        with pytest.raises(UnstableModel, match=f"output at t={slow:.17g}$"):
+            simulate_compound_poisson_pair(self.SLOW, self.HUGE, self.JUMPS, cfg)
+
+    def test_cp_pair_reports_model_2_when_only_it_overflows(self):
+        cfg = SimulationConfig(step_size=1.0, steps=3000, seed=1)
+        fast = self.cp_overflow_time(self.FAST, cfg)
+        with pytest.raises(UnstableModel, match=f"output at t={fast:.17g}$"):
+            simulate_compound_poisson_pair(self.STABLE, self.FAST, self.JUMPS, cfg)
+        with pytest.raises(OutOfRange, match="model entry"):
+            simulate_compound_poisson_pair(self.STABLE, self.HUGE, self.JUMPS, cfg)
 
 
 @pytest.fixture
