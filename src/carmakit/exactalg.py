@@ -26,7 +26,6 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
@@ -37,7 +36,7 @@ RationalLike = Union[Fraction, int, str]
 
 NEG_INFINITY = float("-inf")
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 # The one zero and one every zero and identity block is built from: sharing
 # them saves an allocation per entry, and lets format_rational spell them
@@ -49,11 +48,13 @@ _ONE = Fraction(1)
 def parse_rational(text: str) -> Fraction:
     """Parse a rational literal ``"p"`` or ``"p/q"`` with decimal integers.
 
-    The denominator must be a positive integer; ``"1/0"`` and anything that
-    is not a plain integer fraction (floats, whitespace padding, exponents)
-    raise ``ValueError``.
+    The whole string must be the literal, in ASCII digits with an optional
+    sign on ``p``, and the denominator must be a positive integer; ``"1/0"``
+    and anything that is not a plain integer fraction (floats, whitespace
+    padding or a trailing newline, exponents, other Unicode digits) raise
+    ``ValueError``.
     """
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"invalid rational literal: {text!r}")
     num, _, den = text.partition("/")
     if den:
@@ -142,11 +143,50 @@ def mat_is_zero(a: RationalMatrixData) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Immutable values
+# ---------------------------------------------------------------------------
+
+# How the value classes below store a field past their frozen __setattr__.
+# It keeps the values inline in the instance; writing ``self.__dict__``
+# instead would make every later attribute read a dict lookup, about three
+# times slower.
+_set_field = object.__setattr__
+
+
+class _Frozen:
+    """The shared part of the exact layer's value classes, each immutable
+    once constructed.  Each class's ``__init__`` stores its fields with
+    ``_set_field`` and ends with its ``__post_init__()`` check, if it has
+    one, and its ``__eq__`` and ``__hash__`` read the tuple of its compared
+    fields.  Here are the frozen setters and the repr, which spells
+    ``_fields`` by name as ``Name(field=value, ...)``.  Views kept by
+    ``cached_property`` are written into the instance ``__dict__``."""
+
+    _fields: tuple = ()
+
+    def __setattr__(self, name, value):
+        self._refuse("assign to", name)
+
+    def __delattr__(self, name):
+        self._refuse("delete", name)
+
+    @staticmethod
+    def _refuse(action: str, name: str):
+        # loaded on this error path only, as its module imports inspect
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot {action} field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+# ---------------------------------------------------------------------------
 # Polynomials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(_Frozen):
     """Univariate polynomial over the rationals.
 
     ``coeffs[k]`` is the coefficient of ``z**k``.  Trailing zeros are stripped
@@ -154,13 +194,25 @@ class Poly:
     is the empty tuple, and otherwise the leading coefficient is nonzero.
     """
 
-    coeffs: tuple = ()
+    _fields = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        _set_field(self, "coeffs", coeffs)
+        self.__post_init__()
 
     def __post_init__(self):
         cs = [as_rational(c) for c in self.coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        _set_field(self, "coeffs", tuple(cs))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coeffs,))
 
     # -- constructors ------------------------------------------------------
 
@@ -396,13 +448,16 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 # Polynomial matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PolyMatrix:
+class PolyMatrix(_Frozen):
     """Rectangular matrix of :class:`Poly`, stored row-major."""
 
-    rows: int
-    cols: int
-    entries: tuple
+    _fields = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: tuple):
+        _set_field(self, "rows", rows)
+        _set_field(self, "cols", cols)
+        _set_field(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
@@ -411,7 +466,16 @@ class PolyMatrix:
             raise DimensionMismatch(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
                 f"entries, got {len(self.entries)}")
-        object.__setattr__(self, "entries", tuple(self.entries))
+        _set_field(self, "entries", tuple(self.entries))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.rows, self.cols, self.entries)
+                    == (other.rows, other.cols, other.entries))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Poly]]) -> "PolyMatrix":
@@ -678,8 +742,7 @@ def _lowest_terms(nums: tuple, den: Poly) -> tuple:
     return nums, den
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(_Frozen):
     """Quotient of two polynomials in canonical form.
 
     Construction reduces to lowest terms and normalizes the denominator to
@@ -687,13 +750,25 @@ class RationalFunction:
     The zero function is stored as ``0/1``.
     """
 
-    num: Poly
-    den: Poly
+    _fields = ("num", "den")
+
+    def __init__(self, num: Poly, den: Poly):
+        _set_field(self, "num", num)
+        _set_field(self, "den", den)
+        self.__post_init__()
 
     def __post_init__(self):
         (num,), den = _lowest_terms((self.num,), self.den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set_field(self, "num", num)
+        _set_field(self, "den", den)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.num, self.den) == (other.num, other.den)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.num, self.den))
 
     @property
     def is_zero(self) -> bool:
@@ -718,20 +793,32 @@ class RationalFunction:
         return w ** gap * num.evaluate(w) / den.evaluate(w)
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
+class RationalMatrix(_Frozen):
     """Matrix of rational functions ``H = common_num / common_den``, stored
     as that one fraction, which construction puts in lowest terms like a
     :class:`RationalFunction`, so ``==`` is exact equality.  The entries are
     read off it on demand."""
 
-    common_num: PolyMatrix
-    common_den: Poly
+    _fields = ("common_num", "common_den")
+
+    def __init__(self, common_num: PolyMatrix, common_den: Poly):
+        _set_field(self, "common_num", common_num)
+        _set_field(self, "common_den", common_den)
+        self.__post_init__()
 
     def __post_init__(self):
         nums, den = _lowest_terms(self.common_num.entries, self.common_den)
-        object.__setattr__(self, "common_num", PolyMatrix(self.rows, self.cols, nums))
-        object.__setattr__(self, "common_den", den)
+        _set_field(self, "common_num", PolyMatrix(self.rows, self.cols, nums))
+        _set_field(self, "common_den", den)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.common_num, self.common_den)
+                    == (other.common_num, other.common_den))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.common_num, self.common_den))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[RationalFunction]]) -> "RationalMatrix":

@@ -47,7 +47,6 @@ exceed the dimension of the model the transfer function came from.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -60,6 +59,8 @@ from .errors import (
 from .exactalg import (
     _ONE,
     _ZERO,
+    _Frozen,
+    _set_field,
     IntegerForm,
     Poly,
     PolyMatrix,
@@ -89,13 +90,17 @@ from .exactalg import (
 # Model containers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StateSpaceModel:
+class StateSpaceModel(_Frozen):
     """Exact-rational matrix triple (A, B, C) with A: NxN, B: Nxm, C: dxN."""
 
-    a: RationalMatrixData
-    b: RationalMatrixData
-    c: RationalMatrixData
+    _fields = ("a", "b", "c")
+
+    def __init__(self, a: RationalMatrixData, b: RationalMatrixData,
+                 c: RationalMatrixData):
+        _set_field(self, "a", a)
+        _set_field(self, "b", b)
+        _set_field(self, "c", c)
+        self.__post_init__()
 
     def __post_init__(self):
         a = rational_matrix(self.a)
@@ -108,9 +113,17 @@ class StateSpaceModel:
             raise DimensionMismatch("B must have as many rows as A")
         if any(len(row) != len(c[0]) for row in c) or len(c[0]) != n:
             raise DimensionMismatch("C must have as many columns as A")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        _set_field(self, "a", a)
+        _set_field(self, "b", b)
+        _set_field(self, "c", c)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.c) == (other.a, other.b, other.c)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c))
 
     @classmethod
     def _assembled(cls, a: RationalMatrixData, b: RationalMatrixData,
@@ -143,8 +156,7 @@ class StateSpaceModel:
         return len(self.c)
 
 
-@dataclass(frozen=True)
-class McarmaSpec:
+class McarmaSpec(_Frozen):
     """Autoregressive/moving-average coefficient form of a model.
 
     Holds P(z) = I_d z^p + A_1 z^(p-1) + ... + A_p through ``a_coeffs``
@@ -156,13 +168,17 @@ class McarmaSpec:
     k >= p-q.
     """
 
-    p: int
-    q: Optional[int]
-    d: int
-    m: int
-    a_coeffs: tuple
-    b_coeffs: tuple
-    beta: tuple = field(init=False, compare=False)
+    _fields = ("p", "q", "d", "m", "a_coeffs", "b_coeffs", "beta")
+
+    def __init__(self, p: int, q: Optional[int], d: int, m: int,
+                 a_coeffs: tuple, b_coeffs: tuple):
+        _set_field(self, "p", p)
+        _set_field(self, "q", q)
+        _set_field(self, "d", d)
+        _set_field(self, "m", m)
+        _set_field(self, "a_coeffs", a_coeffs)
+        _set_field(self, "b_coeffs", b_coeffs)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.p < 1:
@@ -175,13 +191,13 @@ class McarmaSpec:
         for ai in a_coeffs:
             if len(ai) != self.d or len(ai[0]) != self.d:
                 raise DimensionMismatch("autoregressive coefficients must be dxd")
-        object.__setattr__(self, "a_coeffs", a_coeffs)
+        _set_field(self, "a_coeffs", a_coeffs)
 
         if self.q is None:
             if self.b_coeffs:
                 raise ValueError("zero moving-average part admits no B coefficients")
-            object.__setattr__(self, "b_coeffs", ())
-            object.__setattr__(self, "beta", (mat_zeros(self.d, self.m),) * self.p)
+            _set_field(self, "b_coeffs", ())
+            _set_field(self, "beta", (mat_zeros(self.d, self.m),) * self.p)
             return
 
         if not 0 <= self.q < self.p:
@@ -192,13 +208,24 @@ class McarmaSpec:
         for bj in b_coeffs:
             if len(bj) != self.d or len(bj[0]) != self.m:
                 raise DimensionMismatch("moving-average coefficients must be dxm")
-        object.__setattr__(self, "b_coeffs", b_coeffs)
+        _set_field(self, "b_coeffs", b_coeffs)
         zero = mat_zeros(self.d, self.m)
         beta = []
         for k in range(1, self.p + 1):
             beta.append(zero if k < self.p - self.q else mat_sub(
                 b_coeffs[self.q - self.p + k], _lag_sum(a_coeffs, beta, k, zero)))
-        object.__setattr__(self, "beta", tuple(beta))
+        _set_field(self, "beta", tuple(beta))
+
+    # beta is derived from the other fields, so it is shown but not compared
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.p, self.q, self.d, self.m, self.a_coeffs, self.b_coeffs)
+                    == (other.p, other.q, other.d, other.m, other.a_coeffs,
+                        other.b_coeffs))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.q, self.d, self.m, self.a_coeffs, self.b_coeffs))
 
     @classmethod
     def from_beta(cls, a_coeffs, beta, d: int, m: int) -> "McarmaSpec":
@@ -247,8 +274,7 @@ def _poly_from_blocks(blocks, rows: int, cols: int) -> PolyMatrix:
          for r in range(rows)])
 
 
-@dataclass(frozen=True)
-class MfdPair:
+class MfdPair(_Frozen):
     """One side of a matrix fraction description of a transfer function.
 
     ``side == "left"`` means H = den^{-1} num; ``side == "right"`` means
@@ -257,9 +283,13 @@ class MfdPair:
     numerator has its rows (left) or its columns (right).
     """
 
-    side: str
-    den: PolyMatrix
-    num: PolyMatrix
+    _fields = ("side", "den", "num")
+
+    def __init__(self, side: str, den: PolyMatrix, num: PolyMatrix):
+        _set_field(self, "side", side)
+        _set_field(self, "den", den)
+        _set_field(self, "num", num)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.side not in ("left", "right"):
@@ -273,6 +303,15 @@ class MfdPair:
             raise ValueError("denominator leading coefficient must be the identity")
         if not self.num.degree < self.den.degree:
             raise NotStrictlyProper("numerator degree must be below denominator degree")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.side, self.den, self.num)
+                    == (other.side, other.den, other.num))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.side, self.den, self.num))
 
     @classmethod
     def _assembled(cls, side: str, den: PolyMatrix, num: PolyMatrix) -> "MfdPair":
@@ -294,8 +333,7 @@ class MfdPair:
         return self.num.degree if self.num.degree >= 0 else None
 
 
-@dataclass(frozen=True)
-class CanonicalRealization:
+class CanonicalRealization(_Frozen):
     """A block-companion realization and the matrix fraction it is read
     from: the observer form of a left fraction, whose drift's last block row
     is (-A_p, ..., -A_1) and whose C = (I_d, 0, ..., 0), or the controller
@@ -303,8 +341,20 @@ class CanonicalRealization:
     numerator blocks N_0..N_(p-1) in ascending degree.
     """
 
-    statespace: StateSpaceModel
-    fraction: MfdPair
+    _fields = ("statespace", "fraction")
+
+    def __init__(self, statespace: StateSpaceModel, fraction: MfdPair):
+        _set_field(self, "statespace", statespace)
+        _set_field(self, "fraction", fraction)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.statespace, self.fraction)
+                    == (other.statespace, other.fraction))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.statespace, self.fraction))
 
 
 # ---------------------------------------------------------------------------

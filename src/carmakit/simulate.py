@@ -408,8 +408,19 @@ def _noise_covariance(b: np.ndarray, sigma_l) -> np.ndarray:
 
 def stability_check(ss: StateSpaceModel) -> bool:
     """True iff every eigenvalue of A has real part below -1e-10."""
-    a = _as_float(ss.a)
+    return _is_stable(_as_float(ss.a))
+
+
+def _is_stable(a: np.ndarray) -> bool:
+    """:func:`stability_check` on a float drift."""
     return bool(np.all(np.linalg.eigvals(a).real < STABILITY_MARGIN))
+
+
+def _overflow(a: np.ndarray, message: str) -> Exception:
+    """The error for a float result that overflows on the float drift ``a``:
+    ``OutOfRange`` if the drift is stable, so that only the step or the
+    range of doubles is at fault, and ``UnstableModel`` otherwise."""
+    return (OutOfRange if _is_stable(a) else UnstableModel)(message)
 
 
 def stationary_covariance(ss: StateSpaceModel, sigma_l) -> np.ndarray:
@@ -483,8 +494,7 @@ def gaussian_step_params(ss: StateSpaceModel, sigma_l, h: float):
             sigma = (sigma + sigma.T) / 2
             phi = phi @ phi
     if not np.all(np.isfinite(sigma)):
-        message = f"one-step covariance overflows at step size {h:.6g}"
-        raise (OutOfRange if stability_check(ss) else UnstableModel)(message)
+        raise _overflow(a, f"one-step covariance overflows at step size {h:.6g}")
     return phi, _clamp_psd(sigma)
 
 
@@ -572,20 +582,20 @@ def _stacked_products(mat: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return np.matmul(mat, vectors[:, :, None])[:, :, 0]
 
 
-def _overflow_error(times: np.ndarray, outputs: np.ndarray):
-    """The ``UnstableModel`` naming the first time with a non-finite output,
-    or None if every output is finite."""
+def _overflow_message(times: np.ndarray, outputs: np.ndarray):
+    """The message naming the first time with a non-finite output, or None
+    if every output is finite."""
     finite = np.isfinite(outputs).all(axis=1)
     if finite.all():
         return None
-    return UnstableModel("sample path overflows: first non-finite output at "
-                         f"t={times[np.argmin(finite)]:.17g}")
+    return ("sample path overflows: first non-finite output at "
+            f"t={times[np.argmin(finite)]:.17g}")
 
 
 def _require_finite_outputs(times: np.ndarray, outputs: np.ndarray) -> None:
-    error = _overflow_error(times, outputs)
-    if error is not None:
-        raise error
+    message = _overflow_message(times, outputs)
+    if message is not None:
+        raise UnstableModel(message)
 
 
 def _require_path_values(count: int) -> None:
@@ -594,10 +604,10 @@ def _require_path_values(count: int) -> None:
                          f"MAX_PATH_VALUES = {MAX_PATH_VALUES}")
 
 
-def _record_path(x0s, cfg: SimulationConfig, advance, cs) -> tuple:
-    """The one path recorder: one ``SamplePath`` per output matrix C in
-    ``cs``, the path of the model whose initial state is the same entry of
-    ``x0s``.
+def _record_path(x0s, cfg: SimulationConfig, advance, models) -> tuple:
+    """The one path recorder: one ``SamplePath`` per float model (A, B, C)
+    in ``models``, the path of the model whose initial state is the same
+    entry of ``x0s``.
 
     Each model's states go into its own contiguous array, one row per grid
     time, whose row 0 is its initial state.  The rows are filled one chunk
@@ -608,26 +618,30 @@ def _record_path(x0s, cfg: SimulationConfig, advance, cs) -> tuple:
     of the first chunk in which the first model has a non-finite output.  A
     later model's first such chunk is noted and the run goes on, and at the
     end the first noted error in model order is raised, so each model fails
-    as a run of it alone would, and the first model's failure wins.
+    as a run of it alone would, and the first model's failure wins.  The
+    error is ``UnstableModel`` for an unstable drift A, and ``OutOfRange``
+    for a stable one, whose path overflows only through the step: a
+    divergent Euler step, or a flow e^{A gap} too long to evaluate.
     """
     n = cfg.steps
     times = np.arange(n) * cfg.step_size
+    cs = [c for _, _, c in models]
     states = [np.empty((n, c.shape[1])) for c in cs]
     for rows, x0 in zip(states, x0s):
         rows[0] = x0
-    errors = [None] * len(cs)
+    messages = [None] * len(cs)
     with _overflow_quiet():
         for lo in range(0, n, PATH_CHUNK):
             hi = min(lo + PATH_CHUNK, n)
             advance(max(lo, 1), hi, states)
-            errors = [_overflow_error(times[lo:hi], s[lo:hi] @ c.T)
-                      if e is None else e
-                      for e, s, c in zip(errors, states, cs)]
-            if errors[0] is not None:
+            messages = [_overflow_message(times[lo:hi], s[lo:hi] @ c.T)
+                        if m is None else m
+                        for m, s, c in zip(messages, states, cs)]
+            if messages[0] is not None:
                 break
-        for error in errors:
-            if error is not None:
-                raise error
+        for message, (a, _, _) in zip(messages, models):
+            if message is not None:
+                raise _overflow(a, message)
         outputs = [s @ c.T for s, c in zip(states, cs)]
     return tuple(SamplePath(times=times.copy(), outputs=y) for y in outputs)
 
@@ -661,7 +675,7 @@ def simulate_brownian(ss: StateSpaceModel, sigma_l,
             product(phi, prev, t)
             np.add(t, xi, out)
 
-    path, = _record_path([x0], cfg, advance, [ss_to_float(ss)[2]])
+    path, = _record_path([x0], cfg, advance, [ss_to_float(ss)])
     return path
 
 
@@ -751,7 +765,7 @@ def _euler_paths(first, second, dl: np.ndarray, cfg: SimulationConfig) -> tuple:
             out1[...] = x1
             out2[...] = x2
 
-    return _record_path((x1, x2), cfg, advance, (c1, c2))
+    return _record_path((x1, x2), cfg, advance, (first, second))
 
 
 def draw_compound_poisson_jumps(driver: LevyDriverSpec, horizon: float,
@@ -928,4 +942,4 @@ def _compound_poisson_paths(models, jump_times: np.ndarray,
                 states[k] = x
             i = w0 + p1
 
-    return _record_path(states, cfg, advance, [c for _, _, c in models])
+    return _record_path(states, cfg, advance, models)

@@ -73,6 +73,10 @@ UNSTABLE_ERROR = "error: sample path overflows: first non-finite output at t=237
 ILL_CONDITIONED = ss_obj([["-1/100000", 100000000], [0, "-1/100000"]],
                          [[0], [1]], [[1, 0]])
 HUGE = ss_obj([[-1]], [[1]], [[10**400]])  # 10^400 exceeds every double
+# eigenvalues -1.61, -2.62, -4.27
+STABLE_3X3 = ss_obj([[-3, 0, "2/3"], [2, "-3/2", "-2/3"], ["-2/3", -1, -4]],
+                    [["-1/2", 0], [0, -2], ["3/2", -1]],
+                    [["-1/3", 0, "-3/2"], ["-3/2", "-1/3", "-1/2"]])
 TWO_INPUTS = ss_obj([[-1, 0], [0, -2]], [[1, 0], [0, 1]], [[1, 1]])
 # Files the JSON reader cannot take: nesting past the recursion limit, bytes
 # that are not UTF-8, and an integer literal past the interpreter's limit of
@@ -140,6 +144,10 @@ class TestModelFiles:
         (lambda o: o.update(A=[[0.5]]), 2),
         (lambda o: o.update(A=[[True]]), 2),
         (lambda o: o.update(B=[["1"], ["2"]]), 3),
+        # appended, so the earlier rows keep their ids
+        (lambda o: o.update(A=[["3/4\n"]]), 2),
+        (lambda o: o.update(A=[["\uff11"]]), 2),
+        (lambda o: o.update(C=[["\u0661/\u0662"]]), 2),
     ])
     def test_bad_statespace_exit_codes(self, tmp_path, capsys, mutate, expected):
         obj = ss_obj([["-3"]], [["1"]], [["5"]])
@@ -666,6 +674,28 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == UNSTABLE_ERROR
         assert not out_path.exists()
 
+    # Stable drifts whose compound-Poisson path turns non-finite only
+    # because e^{A gap} is NaN over a gap near the double range: exit 2,
+    # since exit 5 means an unstable drift.  STABLE_3X3 is the benchmark's
+    # CLI model (seed 21), e^{A gap} NaN from a gap of about 7.5e37.
+    @pytest.mark.parametrize("model, h, rate", [
+        (STABLE_3X3, "1e38", "1e-38"),
+        (ss_obj([[-1, "1/2"], [0, -2]], [[1], [1]], [[1, 0]]), "1e300", "1e-300"),
+    ], ids=["benchmark-model", "triangular"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_stable_drift_nonfinite_cp_path_exit_2(self, tmp_path, capsys,
+                                                   model, h, rate):
+        path = write_model(tmp_path / "stable.json", model)
+        out_path = tmp_path / "x.csv"
+        code = cli.main(["simulate", path, "--driver", "cp", "--rate", rate,
+                         "--seed", "1", "--steps", "3", "--h", h,
+                         "-o", str(out_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: sample path overflows: first non-finite output at "
+            f"t={float(h):.17g}\n")
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("driver", [["brownian"], ["cp", "--rate", "1"]])
     def test_path_cap_exit_2(self, tmp_path, capsys, monkeypatch, driver):
         monkeypatch.setattr(simulate, "MAX_PATH_VALUES", 1000)
@@ -989,7 +1019,9 @@ class TestStartup:
             import sys
 
             def assert_bare(what):
-                loaded = sorted({"numpy", "scipy"} & set(sys.modules))
+                # dataclasses imports inspect, about 15 ms of start-up
+                loaded = sorted({"numpy", "scipy", "dataclasses", "inspect"}
+                                & set(sys.modules))
                 assert not loaded, f"{what} imported {loaded}"
 
             import carmakit

@@ -209,6 +209,15 @@ class TestRationalLiterals:
         with pytest.raises(ValueError):
             parse_rational(bad)
 
+    # the whole string in ASCII digits: no trailing newline, which "$"
+    # allows, and no other Unicode digits, which "\d" and int() accept
+    @pytest.mark.parametrize("bad", ["3/4\n", "1\n", "\n", "3/\n",
+                                     "\uff11", "\u0661/\u0662", "1/\u0662",
+                                     "\u00b2", "1_000"])
+    def test_only_ascii_literal_accepted(self, bad):
+        with pytest.raises(ValueError, match="invalid rational literal"):
+            parse_rational(bad)
+
     @given(rationals)
     def test_format_parse_round_trip(self, x):
         assert parse_rational(format_rational(x)) == x

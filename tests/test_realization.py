@@ -8,6 +8,7 @@ checked against a cofactor-expansion polynomial-matrix inverse.
 
 import itertools
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from carmakit.exactalg import (
     Poly,
     PolyMatrix,
     RationalFunction,
+    RationalMatrix,
     faddeev_leverrier,
     format_rational,
     integer_form,
@@ -35,6 +37,7 @@ from carmakit.exactalg import (
     ratmat_reduce,
 )
 from carmakit.realization import (
+    CanonicalRealization,
     McarmaSpec,
     MfdPair,
     StateSpaceModel,
@@ -1278,3 +1281,115 @@ def test_tf_match_refuses_a_shape_mismatch():
     two_inputs = StateSpaceModel(a=[[-1]], b=[[1, 1]], c=[[1]])
     assert not tf_match(two_outputs, h)
     assert not tf_match(two_inputs, h)
+
+
+# ---------------------------------------------------------------------------
+# Value semantics of the exact layer's eight value classes
+# ---------------------------------------------------------------------------
+
+def _ss_half():
+    return StateSpaceModel(a=[[-3]], b=[[1]], c=[["1/2"]])
+
+
+def _spec_2_0():
+    return McarmaSpec(p=1, q=0, d=1, m=1, a_coeffs=[[[3]]], b_coeffs=[[[2]]])
+
+
+# each class: a builder of one value (a fresh object per call), its compared
+# fields in order, and its repr as the frozen dataclasses printed it
+VALUES = {
+    "Poly": (lambda: Poly((1, "1/2", 0)), ("coeffs",),
+             "Poly(coeffs=(Fraction(1, 1), Fraction(1, 2)))"),
+    "Poly-zero": (Poly, ("coeffs",), "Poly(coeffs=())"),
+    "PolyMatrix": (
+        lambda: PolyMatrix(1, 2, [Poly((1,)), Poly(())]),
+        ("rows", "cols", "entries"),
+        "PolyMatrix(rows=1, cols=2, entries=(Poly(coeffs=(Fraction(1, 1),)), "
+        "Poly(coeffs=())))"),
+    "RationalFunction": (
+        lambda: RationalFunction(Poly((2, 2)), Poly((2, 4, 2))), ("num", "den"),
+        "RationalFunction(num=Poly(coeffs=(Fraction(1, 1),)), "
+        "den=Poly(coeffs=(Fraction(1, 1), Fraction(1, 1))))"),
+    "RationalMatrix": (
+        lambda: RationalMatrix(PolyMatrix(1, 1, (Poly((3,)),)), Poly((6, 2))),
+        ("common_num", "common_den"),
+        "RationalMatrix(common_num=PolyMatrix(rows=1, cols=1, "
+        "entries=(Poly(coeffs=(Fraction(3, 2),)),)), "
+        "common_den=Poly(coeffs=(Fraction(3, 1), Fraction(1, 1))))"),
+    "StateSpaceModel": (
+        _ss_half, ("a", "b", "c"),
+        "StateSpaceModel(a=((Fraction(-3, 1),),), b=((Fraction(1, 1),),), "
+        "c=((Fraction(1, 2),),))"),
+    "McarmaSpec": (
+        _spec_2_0, ("p", "q", "d", "m", "a_coeffs", "b_coeffs"),
+        "McarmaSpec(p=1, q=0, d=1, m=1, a_coeffs=(((Fraction(3, 1),),),), "
+        "b_coeffs=(((Fraction(2, 1),),),), beta=(((Fraction(2, 1),),),))"),
+    "McarmaSpec-zero-q": (
+        lambda: McarmaSpec(p=1, q=None, d=1, m=1, a_coeffs=[[[3]]], b_coeffs=()),
+        ("p", "q", "d", "m", "a_coeffs", "b_coeffs"),
+        "McarmaSpec(p=1, q=None, d=1, m=1, a_coeffs=(((Fraction(3, 1),),),), "
+        "b_coeffs=(), beta=(((Fraction(0, 1),),),))"),
+    "MfdPair": (
+        lambda: _spec_2_0().fraction(), ("side", "den", "num"),
+        "MfdPair(side='left', den=PolyMatrix(rows=1, cols=1, "
+        "entries=(Poly(coeffs=(Fraction(3, 1), Fraction(1, 1))),)), "
+        "num=PolyMatrix(rows=1, cols=1, "
+        "entries=(Poly(coeffs=(Fraction(2, 1),)),)))"),
+    "CanonicalRealization": (
+        lambda: observer_realization(transfer_function(_ss_half()))[0],
+        ("statespace", "fraction"),
+        "CanonicalRealization(statespace=StateSpaceModel("
+        "a=((Fraction(-3, 1),),), b=((Fraction(1, 2),),), "
+        "c=((Fraction(1, 1),),)), fraction=MfdPair(side='left', "
+        "den=PolyMatrix(rows=1, cols=1, "
+        "entries=(Poly(coeffs=(Fraction(3, 1), Fraction(1, 1))),)), "
+        "num=PolyMatrix(rows=1, cols=1, "
+        "entries=(Poly(coeffs=(Fraction(1, 2),)),))))"),
+}
+
+
+class TestValueClasses:
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_repr(self, name):
+        build, _, expected = VALUES[name]
+        assert repr(build()) == expected
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_eq_and_hash_over_the_compared_fields(self, name):
+        build, fields, _ = VALUES[name]
+        x, y = build(), build()
+        assert x is not y and x == y and not x != y
+        assert hash(x) == hash(y) == hash(tuple(getattr(x, f) for f in fields))
+        assert x.__eq__(tuple(getattr(x, f) for f in fields)) is NotImplemented
+        assert x != object()
+
+    def test_distinct_values_differ(self):
+        values = [build() for build, _, _ in VALUES.values()]
+        assert all((x == y) == (i == j) for i, x in enumerate(values)
+                   for j, y in enumerate(values))
+        assert Poly((1,)) != Poly((2,))
+        assert PolyMatrix(1, 2, [Poly(), Poly()]) != PolyMatrix(2, 1, [Poly(), Poly()])
+        assert _ss_half() != StateSpaceModel(a=[[-3]], b=[[1]], c=[[1]])
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_frozen(self, name):
+        build, fields, _ = VALUES[name]
+        x = build()
+        for field in (*fields, "other"):
+            with pytest.raises(FrozenInstanceError,
+                               match=f"cannot assign to field '{field}'"):
+                setattr(x, field, None)
+            with pytest.raises(FrozenInstanceError,
+                               match=f"cannot delete field '{field}'"):
+                delattr(x, field)
+        assert x == build()
+
+    def test_beta_is_shown_but_not_compared(self):
+        spec, other = _spec_2_0(), _spec_2_0()
+        object.__setattr__(other, "beta", ())
+        assert "beta=()" in repr(other)
+        assert spec == other and hash(spec) == hash(other)
+        with pytest.raises(TypeError):
+            McarmaSpec(p=1, q=0, d=1, m=1, a_coeffs=[[[3]]], b_coeffs=[[[2]]],
+                       beta=spec.beta)

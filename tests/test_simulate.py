@@ -1083,7 +1083,9 @@ class TestRecordPath:
         cfg = SimulationConfig(step_size=1.0, steps=50 * simulate.PATH_CHUNK,
                                seed=0)
         with pytest.raises(UnstableModel, match="output at t=309$"):
-            simulate._record_path([np.ones(1)], cfg, advance, [np.ones((1, 1))])
+            # one model (A, B, C) = (1, 1, 1): an unstable drift
+            simulate._record_path([np.ones(1)], cfg, advance,
+                                  [(np.ones((1, 1)),) * 3])
         assert steps == list(range(1, len(steps) + 1))
         assert 309 <= len(steps) < 309 + simulate.PATH_CHUNK
 
@@ -1122,6 +1124,25 @@ class TestRecordPath:
             simulate_shared_brownian_pair(self.STABLE, self.FAST, [[1.0]], cfg)
         with pytest.raises(OutOfRange, match="model entry"):
             simulate_shared_brownian_pair(self.STABLE, self.HUGE, [[1.0]], cfg)
+
+    def test_pair_divergent_step_on_stable_drift_is_out_of_range(self):
+        # dt = 5/2 on A = -1: each Euler step multiplies x by 1 - 5/2 = -3/2,
+        # so the path overflows on a stable drift, which is OutOfRange;
+        # FAST's path (x17/2 a step) overflows in an earlier chunk, but
+        # model 1's error wins in either order
+        cfg = SimulationConfig(step_size=2.5, steps=3000, seed=1,
+                               euler_substeps=1)
+        with pytest.raises(OutOfRange, match="sample path overflows") as alone:
+            simulate_shared_brownian_pair(self.STABLE, self.STABLE, [[1.0]], cfg)
+        slow = float(str(alone.value).rpartition("t=")[2])
+        with pytest.raises(UnstableModel) as fast:
+            simulate_shared_brownian_pair(self.FAST, self.FAST, [[1.0]], cfg)
+        fast = float(str(fast.value).rpartition("t=")[2])
+        assert slow // 2.5 // simulate.PATH_CHUNK > fast // 2.5 // simulate.PATH_CHUNK
+        with pytest.raises(OutOfRange, match=f"output at t={slow:.17g}$"):
+            simulate_shared_brownian_pair(self.STABLE, self.FAST, [[1.0]], cfg)
+        with pytest.raises(UnstableModel, match=f"output at t={fast:.17g}$"):
+            simulate_shared_brownian_pair(self.FAST, self.STABLE, [[1.0]], cfg)
 
     # The compound-Poisson pair steps its models in lockstep too, and
     # reports what a run of each on the same draw reports, in model order.
