@@ -15,15 +15,15 @@ Exit codes are a stable interface:
   2  parse or usage error (bad JSON, UTF-8 or nesting, bad rational, unknown
      field, bad flags, a side-file entry that is not a JSON number, atoms
      not a list of vectors), or an input or exact result out of range (see
-     errors.OutOfRange), a --sigma whose density or one-step covariance
-     overflows on a model with no pole there or a stable drift included,
-     and --init stationary on a stable drift whose Lyapunov solve misses
-     the residual tolerance
+     errors.OutOfRange): among them a model entry beyond the double range,
+     refused before any draw; a --sigma whose density overflows on a model
+     with no pole there; a one-step covariance or a simulated path that
+     overflows on a stable drift; and --init stationary on a stable drift
+     whose Lyapunov solve misses the residual tolerance
   3  dimension error
   4  degenerate transfer function (identically zero, or not strictly proper)
-  5  unstable drift: --init stationary on an unstable drift, a one-step
-     covariance overflowing on an unstable drift, or a simulated path that
-     overflows
+  5  unstable drift: --init stationary on an unstable drift, or a one-step
+     covariance or a simulated path that overflows on an unstable drift
   6  spectral density pole on the sampled axis, or a density that overflows
      there even with --sigma scaled to largest entry 1
 """

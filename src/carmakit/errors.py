@@ -15,14 +15,20 @@ class ModelFileError(CarmakitError, ValueError):
 
 
 class OutOfRange(CarmakitError, ValueError):
-    """A well-formed input beyond the double range (a grid whose last time
-    overflows included, and a driver covariance whose spectral density or
-    one-step covariance overflows on a model with no pole there or a stable
-    drift, and a stable drift whose stationary covariance's Lyapunov solve
-    misses its residual tolerance), an exact result with more digits than the interpreter converts
-    to a string, a compound Poisson path expecting more than
-    ``simulate.MAX_EXPECTED_JUMPS`` jumps, or a path whose largest array
-    would hold more than ``simulate.MAX_PATH_VALUES`` floats."""
+    """A well-formed input or result out of range: a model entry,
+    transfer-function coefficient or noise covariance beyond the double
+    range (a model entry is refused before any random draw), a grid whose
+    last time overflows, a driver covariance whose spectral density
+    overflows on a model with no pole there, a one-step covariance or a
+    simulated path that overflows on a drift that
+    ``simulate.stability_check`` calls stable (the path only through its
+    step), a stable drift whose stationary covariance's Lyapunov solve
+    misses its residual tolerance, a non-finite output handed to
+    ``simulate.SamplePath``, an exact result with more digits than the
+    interpreter converts to a string, a compound Poisson path expecting
+    more than ``simulate.MAX_EXPECTED_JUMPS`` jumps, or a path whose
+    largest array would hold more than ``simulate.MAX_PATH_VALUES``
+    floats."""
 
 
 class DegenerateTransferFunction(CarmakitError):
@@ -42,8 +48,10 @@ class NotStrictlyProper(DegenerateTransferFunction):
 
 class UnstableModel(CarmakitError):
     """Unstable drift: the drift matrix has an eigenvalue with nonnegative
-    real part where the operation requires asymptotic stability (stationary
-    initialization), or a simulated path overflows."""
+    real part (``simulate.stability_check`` is False) where the operation
+    requires asymptotic stability (stationary initialization), or where a
+    one-step covariance or a simulated path overflows; the same overflow on
+    a stable drift is :class:`OutOfRange`."""
 
 
 class PoleOnEvaluationAxis(CarmakitError):

@@ -298,7 +298,9 @@ class SimulationConfig:
 
 @dataclass
 class SamplePath:
-    """Output trajectory on the sampling grid."""
+    """Output trajectory on the sampling grid.  Non-finite outputs are
+    refused with ``OutOfRange``: the container has no drift, so only
+    ``_record_path`` classifies a simulated path's overflow by its drift."""
 
     times: np.ndarray
     outputs: np.ndarray
@@ -310,7 +312,9 @@ class SamplePath:
             self.outputs = self.outputs[:, None]
         if self.outputs.shape[0] != self.times.size:
             raise DimensionMismatch("one output row per grid time required")
-        _require_finite_outputs(self.times, self.outputs)
+        message = _overflow_message(self.times, self.outputs)
+        if message is not None:
+            raise OutOfRange(message)
 
     @property
     def d(self) -> int:
@@ -592,12 +596,6 @@ def _overflow_message(times: np.ndarray, outputs: np.ndarray):
             f"t={times[np.argmin(finite)]:.17g}")
 
 
-def _require_finite_outputs(times: np.ndarray, outputs: np.ndarray) -> None:
-    message = _overflow_message(times, outputs)
-    if message is not None:
-        raise UnstableModel(message)
-
-
 def _require_path_values(count: int) -> None:
     if count > MAX_PATH_VALUES:
         raise OutOfRange(f"path needs {count} values in one array, more than "
@@ -699,9 +697,10 @@ def simulate_shared_brownian_pair(ss1: StateSpaceModel, ss2: StateSpaceModel,
     Each fine step is x = x + dt (A x) + B dL_i, and the two models take it
     in lockstep on one state x = [x_1; x_2] (see ``_euler_paths``), with the
     IEEE operations of a separate run of each, so each path has the bits of
-    that run.  If both paths overflow, model 1's error is raised; and if
-    model 2's entries are beyond the double range, model 1 runs alone first,
-    so that its overflow is still the error raised.
+    that run.  Both models are converted to floats after the input checks
+    and before the draw, so a model entry beyond the double range is
+    refused with ``OutOfRange`` whatever the seed.  If both paths overflow,
+    model 1's error is raised.
     """
     _require_pair_input_dims(ss1, ss2)
     sigma_l = _driver_covariance(sigma_l, ss1.m)
@@ -713,16 +712,11 @@ def simulate_shared_brownian_pair(ss1: StateSpaceModel, ss2: StateSpaceModel,
     # each model's states, the increments, and one chunk's B dL_i rows
     _require_path_values(max(cfg.steps * max(ss1.n, ss2.n), fine_steps * ss1.m,
                              min(fine_steps, PATH_CHUNK * sub) * (ss1.n + ss2.n)))
+    first, second = ss_to_float(ss1), ss_to_float(ss2)
     _, rng_gauss, _, _ = cfg.streams()
     dl = (rng_gauss.standard_normal((fine_steps, ss1.m))
           @ _psd_factor(sigma_l).T)
     dl *= math.sqrt(cfg.step_size / sub)
-    first = ss_to_float(ss1)
-    try:
-        second = ss_to_float(ss2)
-    except OutOfRange:
-        _euler_paths(first, first, dl, cfg)  # model 1 alone, in effect
-        raise
     return _euler_paths(first, second, dl, cfg)
 
 
@@ -833,10 +827,10 @@ def simulate_compound_poisson_pair(ss1: StateSpaceModel, ss2: StateSpaceModel,
     pathwise equivalence witness.  The jumps are drawn once, and both models
     step through them in lockstep, in one run of
     :func:`_compound_poisson_paths`; each path has the bits of a
-    :func:`simulate_compound_poisson` run of its model on the same draw.  If
-    both paths overflow, model 1's error is raised; and if model 2's entries
-    are beyond the double range, model 1 runs alone first, so that its
-    overflow is still the error raised.
+    :func:`simulate_compound_poisson` run of its model on the same draw.
+    Both models are checked before the draw (see
+    :func:`_compound_poisson_run`); if both paths overflow, model 1's error
+    is raised.
     """
     _require_pair_input_dims(ss1, ss2)
     return _compound_poisson_run((ss1, ss2), driver, cfg)
@@ -845,25 +839,18 @@ def simulate_compound_poisson_pair(ss1: StateSpaceModel, ss2: StateSpaceModel,
 def _compound_poisson_run(models, driver: LevyDriverSpec,
                           cfg: SimulationConfig) -> tuple:
     """One jump path, drawn once, driven through every model by one engine
-    run; the run is refused before the draw if any model cannot take it.  A
-    model whose entries are beyond the double range is refused after the
-    models before it have run alone, so their overflow wins."""
+    run.  Every model is checked and converted to floats first, so a run
+    that any model cannot take, a model entry beyond the double range
+    included, is refused before anything is drawn, whatever the seed."""
     if cfg.init != "zero":
         raise ValueError(
             "stationary initialization is not defined for compound Poisson runs")
     if any(driver.jumps.dim != ss.m for ss in models):
         raise DimensionMismatch("jump size dimension must match the model input")
     _require_path_values(cfg.steps * max(ss.n for ss in models))
+    floats = [ss_to_float(ss) for ss in models]
     horizon = (cfg.steps - 1) * cfg.step_size
     times, sizes = draw_compound_poisson_jumps(driver, horizon, cfg)
-    floats = []
-    for ss in models:
-        try:
-            floats.append(ss_to_float(ss))
-        except OutOfRange:
-            if floats:
-                _compound_poisson_paths(floats, times, sizes, cfg)
-            raise
     return _compound_poisson_paths(floats, times, sizes, cfg)
 
 

@@ -463,6 +463,22 @@ class TestCheckEquiv:
         assert code == 5
         assert capsys.readouterr().err == UNSTABLE_ERROR
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_out_of_range_model_2_exit_2_for_every_seed(self, tmp_path, capsys):
+        # at rate 0.002 over 299 time units, a few seeds draw a jump early
+        # enough for model 1's path to overflow; model 2's entry is refused
+        # before the draw, so no seed reaches it
+        unstable = write_model(tmp_path / "unstable.json", UNSTABLE)
+        huge = write_model(tmp_path / "huge.json", HUGE)
+        for seed in range(12):
+            code = cli.main(["check-equiv", unstable, huge, "--simulate", "cp",
+                             "--rate", "0.002", "--steps", "300", "--h", "1",
+                             "--seed", str(seed)])
+            err = capsys.readouterr().err
+            assert code == 2, seed
+            assert err.startswith("error: model entry"), (seed, err)
+            assert len(err.splitlines()) == 1, (seed, err)
+
     def test_simulate_needs_grid_flags(self, tmp_path, capsys):
         path = write_model(tmp_path / "ou.json", OU)
         with pytest.raises(SystemExit) as exc:

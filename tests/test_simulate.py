@@ -1114,8 +1114,12 @@ class TestRecordPath:
         for second in (self.FAST, self.SLOW, self.STABLE):
             with pytest.raises(UnstableModel, match="output at t=1750$"):
                 simulate_shared_brownian_pair(self.SLOW, second, [[1.0]], cfg)
-        # model 2's entries fail to convert only after model 1 has run
-        with pytest.raises(UnstableModel, match="output at t=1750$"):
+
+    def test_pair_refuses_model_2_entries_before_model_1_runs(self, no_draw):
+        # every model is converted before the draw, so model 1's overflow
+        # never gets to run, whatever the seed
+        cfg = SimulationConfig(step_size=1.0, steps=3000, seed=1)
+        with pytest.raises(OutOfRange, match="model entry"):
             simulate_shared_brownian_pair(self.SLOW, self.HUGE, [[1.0]], cfg)
 
     def test_pair_reports_model_2_when_only_it_overflows(self):
@@ -1165,8 +1169,10 @@ class TestRecordPath:
         for second in (self.FAST, self.SLOW, self.STABLE):
             with pytest.raises(UnstableModel, match=f"output at t={slow:.17g}$"):
                 simulate_compound_poisson_pair(self.SLOW, second, self.JUMPS, cfg)
-        # model 2's entries fail to convert only after model 1 has run
-        with pytest.raises(UnstableModel, match=f"output at t={slow:.17g}$"):
+
+    def test_cp_pair_refuses_model_2_entries_before_model_1_runs(self, no_draw):
+        cfg = SimulationConfig(step_size=1.0, steps=3000, seed=1)
+        with pytest.raises(OutOfRange, match="model entry"):
             simulate_compound_poisson_pair(self.SLOW, self.HUGE, self.JUMPS, cfg)
 
     def test_cp_pair_reports_model_2_when_only_it_overflows(self):
@@ -1228,6 +1234,21 @@ class TestPathSizeCap:
         cfg = SimulationConfig(step_size=0.1, steps=491, seed=1, init=init)
         with pytest.raises(error):
             simulate_compound_poisson_pair(ss, ss, driver, cfg)
+
+    def test_out_of_range_model_refused_before_drawing(self, no_draw):
+        # in either position of a pair, and alone as `simulate --driver cp`
+        # runs it
+        huge, driver = TestRecordPath.HUGE, TestRecordPath.JUMPS
+        runs = [
+            lambda: simulate._compound_poisson_run((huge,), driver, GRID),
+            lambda: simulate_shared_brownian_pair(OU, huge, [[1.0]], GRID),
+            lambda: simulate_shared_brownian_pair(huge, OU, [[1.0]], GRID),
+            lambda: simulate_compound_poisson_pair(OU, huge, driver, GRID),
+            lambda: simulate_compound_poisson_pair(huge, OU, driver, GRID),
+        ]
+        for run in runs:
+            with pytest.raises(OutOfRange, match="model entry"):
+                run()
 
     def test_cap_counts_the_state_dimension(self, small_cap, monkeypatch):
         ss = StateSpaceModel(a=[[-1, 0], [0, -1]], b=[[1], [1]], c=[[1, 1]])
@@ -1347,6 +1368,9 @@ REFUSALS = {
     "path-rows": (  # a 1-D output is one column
         lambda: SamplePath(times=[0.0, 0.1], outputs=[1.0, 2.0, 3.0]),
         DimensionMismatch, "one output row per grid time"),
+    "path-non-finite": (  # a bare container has no drift to call unstable
+        lambda: SamplePath(times=[0.0], outputs=[[math.nan]]),
+        OutOfRange, "first non-finite output at t=0$"),
     "pair-input-dims": (
         lambda: simulate_shared_brownian_pair(OU, TWO_INPUTS, [[1.0]], GRID),
         DimensionMismatch, "same driving process dimension"),
