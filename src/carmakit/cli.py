@@ -405,12 +405,11 @@ def cmd_check_equiv(args) -> int:
     lines = [report["verdict"]]
     if args.simulate == "cp":
         import numpy as np
-        from .simulate import (GaussianJumps, LevyDriverSpec, SimulationConfig,
+        from .simulate import (LevyDriverSpec, SimulationConfig,
                                simulate_compound_poisson_pair)
 
         driver = LevyDriverSpec.compound_poisson(
-            rate=args.rate,
-            jumps=GaussianJumps(mean=np.zeros(ss1.m), cov=np.eye(ss1.m)))
+            rate=args.rate, jumps=_load_jumps("gaussian", ss1.m))
         cfg = SimulationConfig(step_size=args.h, steps=args.steps,
                                seed=args.seed)
         path1, path2 = simulate_compound_poisson_pair(ss1, ss2, driver, cfg)

@@ -154,15 +154,46 @@ _set_field = object.__setattr__
 
 
 class _Frozen:
-    """The shared part of the exact layer's value classes, each immutable
-    once constructed.  Each class's ``__init__`` stores its fields with
-    ``_set_field`` and ends with its ``__post_init__()`` check, if it has
-    one, and its ``__eq__`` and ``__hash__`` read the tuple of its compared
-    fields.  Here are the frozen setters and the repr, which spells
-    ``_fields`` by name as ``Name(field=value, ...)``.  Views kept by
-    ``cached_property`` are written into the instance ``__dict__``."""
+    """The value-class protocol of the exact layer, whose values are
+    immutable once constructed.
+
+    * Construction: each class's ``__init__`` checks its arguments and
+      stores each field once, with ``_set_field``.  :meth:`_assembled` is
+      the trusted constructor, for values carmakit builds itself whose
+      fields hold by construction: it checks nothing.
+    * Equality and hashing: two values are equal when they have the same
+      class and equal compared fields, and a value hashes like the tuple of
+      its compared fields.  Those are ``_compared``, or all of ``_fields``
+      when a class does not name them.
+    * The repr spells ``_fields`` by name as ``Name(field=value, ...)``.
+    * Assigning or deleting an attribute raises ``FrozenInstanceError``.
+      Views kept by ``cached_property`` are written into the instance
+      ``__dict__``.
+    """
 
     _fields: tuple = ()
+    _compared: Optional[tuple] = None
+
+    @classmethod
+    def _assembled(cls, **fields):
+        """The value with these fields, and any kept views, written as given:
+        nothing is checked or computed.  Only for values carmakit assembles
+        itself, never for anything read from a file."""
+        value = cls.__new__(cls)
+        value.__dict__.update(fields)
+        return value
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name)
+                      for name in self._compared or self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __setattr__(self, name, value):
         self._refuse("assign to", name)
@@ -197,22 +228,10 @@ class Poly(_Frozen):
     _fields = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        _set_field(self, "coeffs", coeffs)
-        self.__post_init__()
-
-    def __post_init__(self):
-        cs = [as_rational(c) for c in self.coeffs]
+        cs = [as_rational(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         _set_field(self, "coeffs", tuple(cs))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.coeffs,))
 
     # -- constructors ------------------------------------------------------
 
@@ -454,28 +473,15 @@ class PolyMatrix(_Frozen):
     _fields = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: tuple):
+        if rows < 1 or cols < 1:
+            raise DimensionMismatch("polynomial matrix must be at least 1x1")
+        if len(entries) != rows * cols:
+            raise DimensionMismatch(
+                f"{rows}x{cols} matrix needs {rows * cols} "
+                f"entries, got {len(entries)}")
         _set_field(self, "rows", rows)
         _set_field(self, "cols", cols)
-        _set_field(self, "entries", entries)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise DimensionMismatch("polynomial matrix must be at least 1x1")
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionMismatch(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}")
-        _set_field(self, "entries", tuple(self.entries))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.rows, self.cols, self.entries)
-                    == (other.rows, other.cols, other.entries))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        _set_field(self, "entries", tuple(entries))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Poly]]) -> "PolyMatrix":
@@ -753,22 +759,9 @@ class RationalFunction(_Frozen):
     _fields = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly):
+        (num,), den = _lowest_terms((num,), den)
         _set_field(self, "num", num)
         _set_field(self, "den", den)
-        self.__post_init__()
-
-    def __post_init__(self):
-        (num,), den = _lowest_terms((self.num,), self.den)
-        _set_field(self, "num", num)
-        _set_field(self, "den", den)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.num, self.den) == (other.num, other.den)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     @property
     def is_zero(self) -> bool:
@@ -802,23 +795,10 @@ class RationalMatrix(_Frozen):
     _fields = ("common_num", "common_den")
 
     def __init__(self, common_num: PolyMatrix, common_den: Poly):
-        _set_field(self, "common_num", common_num)
-        _set_field(self, "common_den", common_den)
-        self.__post_init__()
-
-    def __post_init__(self):
-        nums, den = _lowest_terms(self.common_num.entries, self.common_den)
-        _set_field(self, "common_num", PolyMatrix(self.rows, self.cols, nums))
+        nums, den = _lowest_terms(common_num.entries, common_den)
+        _set_field(self, "common_num",
+                   PolyMatrix(common_num.rows, common_num.cols, nums))
         _set_field(self, "common_den", den)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.common_num, self.common_den)
-                    == (other.common_num, other.common_den))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.common_num, self.common_den))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[RationalFunction]]) -> "RationalMatrix":

@@ -97,15 +97,9 @@ class StateSpaceModel(_Frozen):
 
     def __init__(self, a: RationalMatrixData, b: RationalMatrixData,
                  c: RationalMatrixData):
-        _set_field(self, "a", a)
-        _set_field(self, "b", b)
-        _set_field(self, "c", c)
-        self.__post_init__()
-
-    def __post_init__(self):
-        a = rational_matrix(self.a)
-        b = rational_matrix(self.b)
-        c = rational_matrix(self.c)
+        a = rational_matrix(a)
+        b = rational_matrix(b)
+        c = rational_matrix(c)
         n = len(a)
         if any(len(row) != n for row in a):
             raise DimensionMismatch("state matrix A must be square")
@@ -116,25 +110,6 @@ class StateSpaceModel(_Frozen):
         _set_field(self, "a", a)
         _set_field(self, "b", b)
         _set_field(self, "c", c)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b, self.c) == (other.a, other.b, other.c)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c))
-
-    @classmethod
-    def _assembled(cls, a: RationalMatrixData, b: RationalMatrixData,
-                   c: RationalMatrixData, form: IntegerForm) -> "StateSpaceModel":
-        """A model carmakit assembled itself: ``a``, ``b`` and ``c`` are
-        rectangular tuples of ``Fraction`` rows of matching shapes, and
-        ``form`` is their :class:`IntegerForm`, written by the same loop.
-        Neither is checked or computed again; model files never come here."""
-        ss = cls.__new__(cls)
-        ss.__dict__.update(a=a, b=b, c=c, integer_form=form)
-        return ss
 
     @cached_property
     def integer_form(self) -> IntegerForm:
@@ -169,63 +144,48 @@ class McarmaSpec(_Frozen):
     """
 
     _fields = ("p", "q", "d", "m", "a_coeffs", "b_coeffs", "beta")
+    # beta is derived from the other fields, so it is shown but not compared
+    _compared = _fields[:-1]
 
     def __init__(self, p: int, q: Optional[int], d: int, m: int,
                  a_coeffs: tuple, b_coeffs: tuple):
+        if p < 1:
+            raise ValueError("autoregressive order p must be at least 1")
+        if d < 1 or m < 1:
+            raise DimensionMismatch("output and input dimensions must be positive")
+        a_coeffs = tuple(rational_matrix(ai) for ai in a_coeffs)
+        if len(a_coeffs) != p:
+            raise DimensionMismatch(f"expected {p} autoregressive coefficients")
+        for ai in a_coeffs:
+            if len(ai) != d or len(ai[0]) != d:
+                raise DimensionMismatch("autoregressive coefficients must be dxd")
+
+        if q is None:
+            if b_coeffs:
+                raise ValueError("zero moving-average part admits no B coefficients")
+            b_coeffs = ()
+            beta = (mat_zeros(d, m),) * p
+        else:
+            if not 0 <= q < p:
+                raise ValueError("moving-average order must satisfy 0 <= q < p")
+            b_coeffs = tuple(rational_matrix(bj) for bj in b_coeffs)
+            if len(b_coeffs) != q + 1:
+                raise DimensionMismatch(f"expected {q + 1} moving-average coefficients")
+            for bj in b_coeffs:
+                if len(bj) != d or len(bj[0]) != m:
+                    raise DimensionMismatch("moving-average coefficients must be dxm")
+            zero = mat_zeros(d, m)
+            beta = []
+            for k in range(1, p + 1):
+                beta.append(zero if k < p - q else mat_sub(
+                    b_coeffs[q - p + k], _lag_sum(a_coeffs, beta, k, zero)))
         _set_field(self, "p", p)
         _set_field(self, "q", q)
         _set_field(self, "d", d)
         _set_field(self, "m", m)
         _set_field(self, "a_coeffs", a_coeffs)
         _set_field(self, "b_coeffs", b_coeffs)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("autoregressive order p must be at least 1")
-        if self.d < 1 or self.m < 1:
-            raise DimensionMismatch("output and input dimensions must be positive")
-        a_coeffs = tuple(rational_matrix(ai) for ai in self.a_coeffs)
-        if len(a_coeffs) != self.p:
-            raise DimensionMismatch(f"expected {self.p} autoregressive coefficients")
-        for ai in a_coeffs:
-            if len(ai) != self.d or len(ai[0]) != self.d:
-                raise DimensionMismatch("autoregressive coefficients must be dxd")
-        _set_field(self, "a_coeffs", a_coeffs)
-
-        if self.q is None:
-            if self.b_coeffs:
-                raise ValueError("zero moving-average part admits no B coefficients")
-            _set_field(self, "b_coeffs", ())
-            _set_field(self, "beta", (mat_zeros(self.d, self.m),) * self.p)
-            return
-
-        if not 0 <= self.q < self.p:
-            raise ValueError("moving-average order must satisfy 0 <= q < p")
-        b_coeffs = tuple(rational_matrix(bj) for bj in self.b_coeffs)
-        if len(b_coeffs) != self.q + 1:
-            raise DimensionMismatch(f"expected {self.q + 1} moving-average coefficients")
-        for bj in b_coeffs:
-            if len(bj) != self.d or len(bj[0]) != self.m:
-                raise DimensionMismatch("moving-average coefficients must be dxm")
-        _set_field(self, "b_coeffs", b_coeffs)
-        zero = mat_zeros(self.d, self.m)
-        beta = []
-        for k in range(1, self.p + 1):
-            beta.append(zero if k < self.p - self.q else mat_sub(
-                b_coeffs[self.q - self.p + k], _lag_sum(a_coeffs, beta, k, zero)))
         _set_field(self, "beta", tuple(beta))
-
-    # beta is derived from the other fields, so it is shown but not compared
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.p, self.q, self.d, self.m, self.a_coeffs, self.b_coeffs)
-                    == (other.p, other.q, other.d, other.m, other.a_coeffs,
-                        other.b_coeffs))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.q, self.d, self.m, self.a_coeffs, self.b_coeffs))
 
     @classmethod
     def from_beta(cls, a_coeffs, beta, d: int, m: int) -> "McarmaSpec":
@@ -286,41 +246,20 @@ class MfdPair(_Frozen):
     _fields = ("side", "den", "num")
 
     def __init__(self, side: str, den: PolyMatrix, num: PolyMatrix):
+        if side not in ("left", "right"):
+            raise ValueError("side must be 'left' or 'right'")
+        if den.rows != den.cols:
+            raise DimensionMismatch("denominator of a matrix fraction must be square")
+        if (num.rows if side == "left" else num.cols) != den.rows:
+            raise DimensionMismatch(
+                f"numerator of a {side} fraction does not fit its denominator")
+        if den.coefficient_matrix(den.degree) != mat_identity(den.rows):
+            raise ValueError("denominator leading coefficient must be the identity")
+        if not num.degree < den.degree:
+            raise NotStrictlyProper("numerator degree must be below denominator degree")
         _set_field(self, "side", side)
         _set_field(self, "den", den)
         _set_field(self, "num", num)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
-        if self.den.rows != self.den.cols:
-            raise DimensionMismatch("denominator of a matrix fraction must be square")
-        if (self.num.rows if self.side == "left" else self.num.cols) != self.den.rows:
-            raise DimensionMismatch(
-                f"numerator of a {self.side} fraction does not fit its denominator")
-        if self.den.coefficient_matrix(self.p) != mat_identity(self.den.rows):
-            raise ValueError("denominator leading coefficient must be the identity")
-        if not self.num.degree < self.den.degree:
-            raise NotStrictlyProper("numerator degree must be below denominator degree")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.side, self.den, self.num)
-                    == (other.side, other.den, other.num))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.side, self.den, self.num))
-
-    @classmethod
-    def _assembled(cls, side: str, den: PolyMatrix, num: PolyMatrix) -> "MfdPair":
-        """A fraction a canonical form is read from, which holds by
-        construction: ``den = pi * I`` for ``H``'s monic common denominator
-        ``pi`` and ``num = H``'s common numerator.  Nothing is checked."""
-        mfd = cls.__new__(cls)
-        mfd.__dict__.update(side=side, den=den, num=num)
-        return mfd
 
     @property
     def p(self) -> int:
@@ -346,15 +285,6 @@ class CanonicalRealization(_Frozen):
     def __init__(self, statespace: StateSpaceModel, fraction: MfdPair):
         _set_field(self, "statespace", statespace)
         _set_field(self, "fraction", fraction)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.statespace, self.fraction)
-                    == (other.statespace, other.fraction))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.statespace, self.fraction))
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +406,9 @@ def observer_realization(h: TransferFunction):
               for scale, nums in h.markov_head for r in range(d))
     s_b, b_ints = integer_matrix(b)
     form = IntegerForm(s, a_rows, s_b, b_ints, 1, tuple(((r, 1),) for r in range(d)))
-    ss = StateSpaceModel._assembled(a, b, _observer_c(p, d), form)
-    mfd = MfdPair._assembled("left", den, h.common_num)
+    ss = StateSpaceModel._assembled(a=a, b=b, c=_observer_c(p, d),
+                                    integer_form=form)
+    mfd = MfdPair._assembled(side="left", den=den, num=h.common_num)
     return CanonicalRealization(ss, mfd), mfd
 
 
@@ -498,9 +429,10 @@ def controller_realization(h: TransferFunction):
     b_ints = (((0,) * m,) * ((p - 1) * m)
               + tuple(tuple(int(i == j) for j in range(m)) for i in range(m)))
     form = IntegerForm(s, a_rows, 1, b_ints, s_c, nonzero_entries(c_ints))
-    ss = StateSpaceModel._assembled(a, mat_zeros((p - 1) * m, m) + mat_identity(m),
-                                    c, form)
-    mfd = MfdPair._assembled("right", den, num)
+    ss = StateSpaceModel._assembled(
+        a=a, b=mat_zeros((p - 1) * m, m) + mat_identity(m), c=c,
+        integer_form=form)
+    mfd = MfdPair._assembled(side="right", den=den, num=num)
     return CanonicalRealization(ss, mfd), mfd
 
 

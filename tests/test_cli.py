@@ -1380,6 +1380,10 @@ REFUSALS = {
         [*CP_RUN, "--jump", "atoms:{side}"], 3, "one probability per atom"),
     "jump-law-unknown": (OU, None, [*CP_RUN, "--jump", "poisson"], 2,
                          "jump distribution must be"),
+    # the d x 1 moving-average blocks are refused before any d x m block
+    # is built for an m this large
+    "ma-shape-before-blocks": ({**MCARMA, "m": 1000000000}, None, ["tf", "{m}"],
+                               3, "moving-average coefficients must be dxm"),
 }
 
 

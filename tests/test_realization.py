@@ -1117,13 +1117,13 @@ class TestMarkovGuards:
 
     def test_no_rational_function_on_forms(self, monkeypatch):
         built = []
-        post_init = RationalFunction.__post_init__
+        init = RationalFunction.__init__
 
-        def counting(self):
+        def counting(self, num, den):
             built.append(self)
-            post_init(self)
+            init(self, num, den)
 
-        monkeypatch.setattr(RationalFunction, "__post_init__", counting)
+        monkeypatch.setattr(RationalFunction, "__init__", counting)
         _, h = random_model_nonzero_tf(random.Random(33))
         for form in ("observer", "controller"):
             assert cli.report_canonical(form, h)["tf_match"] is True
@@ -1393,3 +1393,26 @@ class TestValueClasses:
         with pytest.raises(TypeError):
             McarmaSpec(p=1, q=0, d=1, m=1, a_coeffs=[[[3]]], b_coeffs=[[[2]]],
                        beta=spec.beta)
+
+    @pytest.mark.parametrize("seed", range(40, 46))
+    def test_trusted_construction_equals_checked(self, seed):
+        # the canonical forms are assembled without checks; built again
+        # through the checked constructors, each part is an equal value
+        # with an equal hash.  The fraction is rebuilt from H: pi * I over
+        # H's common numerator.
+        _, h = random_model_nonzero_tf(random.Random(seed))
+        for realize, side, k in ((observer_realization, "left", h.rows),
+                                 (controller_realization, "right", h.cols)):
+            form, mfd = realize(h)
+            ss = form.statespace
+            assert form.fraction is mfd
+            den = PolyMatrix.identity(k).scale(h.common_den)
+            rebuilt = (StateSpaceModel(ss.a, ss.b, ss.c),
+                       MfdPair(side, den, h.common_num))
+            pairs = [(ss, rebuilt[0]), (mfd, rebuilt[1]),
+                     (form, CanonicalRealization(*rebuilt))]
+            for trusted, checked in pairs:
+                assert trusted is not checked
+                assert trusted == checked and checked == trusted
+                assert hash(trusted) == hash(checked)
+                assert repr(trusted) == repr(checked)
