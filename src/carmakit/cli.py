@@ -332,18 +332,17 @@ def _number_array(value, label: str) -> "numpy.ndarray":
 
 def _load_sigma(spec: str, m: int) -> "numpy.ndarray":
     import numpy as np
-    from .simulate import _driver_covariance, _require_psd
+    from .simulate import _driver_covariance
 
     if spec == "identity":
         return np.eye(m)
-    sigma = _driver_covariance(
-        _number_array(_load_json(spec), f"{spec}: covariance"), m)
-    # The shape is checked above, so no DimensionMismatch can arise here.
+    sigma = _number_array(_load_json(spec), f"{spec}: covariance")
     try:
-        _require_psd(sigma, f"{spec}: covariance")
+        return _driver_covariance(sigma, m)
+    except DimensionMismatch:
+        raise
     except ValueError as exc:
-        raise ModelFileError(str(exc)) from exc
-    return sigma
+        raise ModelFileError(f"{spec}: {exc}") from exc
 
 
 def _load_jumps(spec: str, m: int):

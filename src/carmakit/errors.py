@@ -25,9 +25,8 @@ class OutOfRange(CarmakitError, ValueError):
     step), a stable drift whose stationary covariance's Lyapunov solve
     misses its residual tolerance, a non-finite output handed to
     ``simulate.SamplePath``, an exact result with more digits than the
-    interpreter converts to a string, a compound Poisson path expecting
-    more than ``simulate.MAX_EXPECTED_JUMPS`` jumps, or a path whose
-    largest array would hold more than ``simulate.MAX_PATH_VALUES``
+    interpreter converts to a string, or a run whose largest path or
+    jump-size array would hold more than ``simulate.MAX_PATH_VALUES``
     floats."""
 
 

@@ -9,7 +9,8 @@ k = 0..n-1, so the first row is the initial state's output.  Every path
 starts from the zero state, except a Brownian run with ``init="stationary"``,
 whose start is drawn from the stationary law.  A path stops at the first
 chunk of ``PATH_CHUNK`` rows with a non-finite output, and a run needing
-over ``MAX_PATH_VALUES`` floats in one array is refused.
+over ``MAX_PATH_VALUES`` floats in one array, jump sizes included, is
+refused: a one-state run at that cap peaked at 0.42-1.46 GB (tracemalloc).
 
 Randomness is drawn from numpy's PCG64 generator through a fixed
 stream-splitting rule: the run seed spawns four independent child streams,
@@ -54,8 +55,8 @@ from .realization import StateSpaceModel
 STABILITY_MARGIN = -1e-10
 PSD_FLOOR = -1e-12
 LYAPUNOV_RTOL = 1e-10
-MAX_EXPECTED_JUMPS = 10**7     # jumps are drawn all at once, before the path
-MAX_PATH_VALUES = 10**8        # floats in any one path array, about 0.8 GB
+MAX_PATH_VALUES = 10**7        # floats in one path or jump array; a one-
+                               # state run at the cap peaks at 0.4-1.5 GB
 PATH_CHUNK = 1024              # rows per recorded chunk and CSV block, flow
                                # intervals per stacked expm window, jumps
                                # per stack of their B dL, and slices per
@@ -393,12 +394,13 @@ def _clamp_psd(mat: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _driver_covariance(sigma_l, m: int) -> np.ndarray:
-    """sigma_l as a float array; ``DimensionMismatch`` unless it is m x m."""
+    """sigma_l as a float array; ``DimensionMismatch`` unless it is m x m,
+    then ``ValueError`` unless it is finite, symmetric and PSD."""
     sigma_l = np.asarray(sigma_l, dtype=float)
     if sigma_l.shape != (m, m):
         raise DimensionMismatch(
             f"driver covariance must be {m}x{m} to match the model input")
-    return sigma_l
+    return _require_psd(sigma_l, "driver covariance")
 
 
 def _noise_covariance(b: np.ndarray, sigma_l) -> np.ndarray:
@@ -596,9 +598,10 @@ def _overflow_message(times: np.ndarray, outputs: np.ndarray):
             f"t={times[np.argmin(finite)]:.17g}")
 
 
-def _require_path_values(count: int) -> None:
-    if count > MAX_PATH_VALUES:
-        raise OutOfRange(f"path needs {count} values in one array, more than "
+def _require_path_values(count) -> None:
+    if not count <= MAX_PATH_VALUES:    # an int, or a float expectation
+        shown = count if _is_count(count) else f"{count:.0f}"
+        raise OutOfRange(f"path needs {shown} values in one array, more than "
                          f"MAX_PATH_VALUES = {MAX_PATH_VALUES}")
 
 
@@ -652,7 +655,7 @@ def simulate_brownian(ss: StateSpaceModel, sigma_l,
     time-discretization bias at the grid points.  X_0 is zero, or for
     ``init == "stationary"`` a draw from stream 0 of the stationary law.
     """
-    sigma_l = _require_psd(_driver_covariance(sigma_l, ss.m), "driver covariance")
+    sigma_l = _driver_covariance(sigma_l, ss.m)
     _require_path_values(cfg.steps * ss.n)
     rng_init, rng_gauss, _, _ = cfg.streams()
     phi, sigma_h = gaussian_step_params(ss, sigma_l, cfg.step_size)
@@ -706,7 +709,6 @@ def simulate_shared_brownian_pair(ss1: StateSpaceModel, ss2: StateSpaceModel,
     sigma_l = _driver_covariance(sigma_l, ss1.m)
     if cfg.init != "zero":
         raise ValueError("shared-path comparisons start from the zero state")
-    _require_psd(sigma_l, "driver covariance")
     sub = cfg.euler_substeps
     fine_steps = (cfg.steps - 1) * sub
     # each model's states, the increments, and one chunk's B dL_i rows
@@ -768,12 +770,11 @@ def draw_compound_poisson_jumps(driver: LevyDriverSpec, horizon: float,
 
     The jump count is Poisson(rate * horizon); given the count, times are
     order statistics of uniforms.  Returns (times, sizes) with sizes shaped
-    (count, m).  Raises ``OutOfRange`` first if rate * horizon is too large.
+    (count, m).  Raises ``OutOfRange`` before any draw if the size array's
+    expected rate * horizon * m floats are over ``MAX_PATH_VALUES``.
     """
     expected = driver.rate * horizon
-    if not expected <= MAX_EXPECTED_JUMPS:
-        raise OutOfRange(f"expected jump count {expected:.6g} exceeds "
-                         f"{MAX_EXPECTED_JUMPS}")
+    _require_path_values(expected * driver.jumps.dim)
     _, _, rng_times, rng_sizes = cfg.streams()
     count = int(rng_times.poisson(expected))
     times = np.sort(rng_times.uniform(0.0, horizon, size=count))

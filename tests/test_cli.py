@@ -668,6 +668,23 @@ class TestSimulateCommand:
         assert "error:" in err and "Traceback" not in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "spectrum"])
+    def test_bad_sigma_names_file(self, tmp_path, capsys, command):
+        # one check of the covariance, its refusal prefixed by the file name
+        path = write_model(tmp_path / "ou.json", OU)
+        sigma_path = tmp_path / "sigma.json"
+        sigma_path.write_text("[[-1.0]]")
+        out_path = tmp_path / "x.csv"
+        flags = {"simulate": ["--driver", "brownian", "--seed", "1",
+                              "--steps", "10", "--h", "0.1", "-o", str(out_path)],
+                 "spectrum": ["--omegas", "0", "-o", str(out_path)]}[command]
+        code = cli.main([command, path, "--sigma", str(sigma_path), *flags])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {sigma_path}: driver covariance must be positive "
+            "semidefinite\n")
+        assert not out_path.exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_path_exit_5(self, tmp_path, capsys):
         path = write_model(tmp_path / "unstable.json", UNSTABLE)
@@ -814,15 +831,17 @@ class TestFlagValidation:
 
 
 GRID_ERROR = "the grid of 10 steps of 1e+308 ends past the double range"
+# the jump sizes of 1e300 * 9 expected jumps of one input
+JUMP_ERROR = f"path needs {1e300 * 9:.0f} values in one array, more than"
 
 
 class TestOutOfRange:
 
     @pytest.mark.parametrize("model, flags, message", [
         (OU, ["simulate", "--driver", "cp", "--rate", "1e300", "--h", "1"],
-         "expected jump count"),
+         JUMP_ERROR),
         (OU, ["check-equiv", "{m}", "--simulate", "cp", "--rate", "1e300",
-              "--h", "1"], "expected jump count"),
+              "--h", "1"], JUMP_ERROR),
         (HUGE, ["simulate", "--driver", "brownian", "--h", "1"],
          "model entry: integer division result too large"),
         (HUGE, ["spectrum", "--omegas", "1"],
@@ -1215,7 +1234,7 @@ STEPS = _flag(st.integers(1, 50), "0", "-3", "2.5", "x")
 SEEDS = _flag(st.integers(0, 2**40), "-1", "x")
 # With at most 50 steps of at most 10, every path is short and few jumps are
 # drawn, yet a mildly unstable drift overflows.  "1e300" makes the expected
-# jump count of any compound Poisson run exceed its cap, so nothing is drawn;
+# jump sizes of any compound Poisson run exceed the size cap, so nothing is drawn;
 # with "1e308" the last grid time of three or more steps overflows.
 STEP_SIZES = _flag(st.sampled_from((0.01, 0.25, 1.0, 10.0)),
                    "0", "-1", "nan", "inf", "x", "1e300", "1e308", "1e-300")

@@ -5,8 +5,10 @@ integral serve as oracles for the matrix-exponential and Lyapunov machinery;
 pathwise checks pin determinism and the shared-driver equivalence property.
 """
 
+import functools
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -1270,6 +1272,52 @@ class TestPathSizeCap:
         with pytest.raises(AssertionError, match="before refusing the run"):
             simulate_shared_brownian_pair(ss, ss, [[1.0]], fine[0])
 
+    def test_cap_counts_jump_sizes(self, small_cap):
+        # 600 expected jumps of two inputs: a size array of 1200 values
+        jumps = GaussianJumps(mean=np.zeros(2), cov=np.eye(2))
+        for rate, horizon, shown in [(6.0, 100.0, "1200"),
+                                     (math.inf, 100.0, "inf"),
+                                     (math.inf, 0.0, "nan")]:
+            with pytest.raises(OutOfRange, match=f"needs {shown} values"):
+                draw_compound_poisson_jumps(LevyDriverSpec(rate, jumps),
+                                            horizon, GRID)
+
+    @staticmethod
+    def largest_runs(cap: int) -> dict:
+        """Per engine, the largest one-state run that a cap of ``cap``
+        values admits: ``cap`` grid rows, and for the crowded compound
+        Poisson run about 0.99 * cap jumps as well."""
+        cfg = SimulationConfig(step_size=0.01, steps=cap, seed=1)
+        jumps = GaussianJumps(mean=[0.0], cov=[[1.0]])
+        crowded = 0.99 * cap / ((cap - 1) * cfg.step_size)
+        return {
+            "brownian": lambda: simulate_brownian(OU, [[1.0]], cfg),
+            "cp-few-jumps": lambda: simulate._compound_poisson_run(
+                (OU,), LevyDriverSpec(1e-3, jumps), cfg),
+            "cp-jumps-at-cap": lambda: simulate._compound_poisson_run(
+                (OU,), LevyDriverSpec(crowded, jumps), cfg),
+            "euler-pair": lambda: simulate_shared_brownian_pair(
+                OU, OU, [[1.0]], cfg),
+        }
+
+    @pytest.mark.parametrize("engine", ["brownian", "cp-few-jumps",
+                                        "cp-jumps-at-cap", "euler-pair"])
+    def test_admitted_run_memory_bound(self, monkeypatch, engine):
+        # Peak traced memory scales with the run's size, so a run at a cap
+        # of 10^5 values, scaled up to MAX_PATH_VALUES, bounds the peak of
+        # the largest run the real cap admits.
+        cap, real = 10**5, simulate.MAX_PATH_VALUES
+        self.largest_runs(2000)[engine]()    # scipy and numpy set up first
+        monkeypatch.setattr(simulate, "MAX_PATH_VALUES", cap)
+        run = self.largest_runs(cap)[engine]
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / cap * real <= 2e9
+
 
 class TestCsvOutput:
     SPECIALS = [-0.0, 5e-324, 1.7976931348623157e308, 1e16, 1e17, 1 / 3]
@@ -1414,6 +1462,21 @@ REFUSALS = {
         lambda: theoretical_autocov(OU, np.eye(2), [0.0]),
         DimensionMismatch, "driver covariance must be 1x1"),
 }
+# a driver covariance of the right size but not PSD, not symmetric or not
+# finite, at every function that takes one
+REFUSALS.update({
+    f"{target}-sigma-{bad}": (functools.partial(call, ss, sigma), ValueError,
+                              "driver covariance must be")
+    for bad, (ss, sigma) in {
+        "not-psd": (OU, [[-1.0]]),
+        "asymmetric": (TWO_INPUTS, [[1.0, 0.5], [0.0, 1.0]]),
+        "nan": (OU, [[math.nan]])}.items()
+    for target, call in {
+        "stationary-covariance": stationary_covariance,
+        "step-params": lambda ss, sigma: gaussian_step_params(ss, sigma, 0.1),
+        "autocov": lambda ss, sigma: theoretical_autocov(ss, sigma, [0.0]),
+        "spectral-density": lambda ss, sigma: spectral_density(
+            transfer_function(ss), sigma, 1.0)}.items()})
 
 
 @pytest.mark.parametrize("call, error, match", REFUSALS.values(),
