@@ -14,12 +14,21 @@ Exit codes are a stable interface:
   1  check-equiv: models distinct
   2  parse or usage error (bad JSON, UTF-8 or nesting, bad rational, unknown
      field, bad flags, a side-file entry that is not a JSON number, atoms
-     not a list of vectors), or an input or exact result out of range (see
-     errors.OutOfRange): among them a model entry beyond the double range,
-     refused before any draw; a --sigma whose density overflows on a model
-     with no pole there; a one-step covariance or a simulated path that
-     overflows on a stable drift; and --init stationary on a stable drift
-     whose Lyapunov solve misses the residual tolerance
+     not a non-empty list of vectors, atom probabilities that are negative
+     or do not sum to 1, a --sigma that is not finite, symmetric and PSD);
+     an exact report integer too long to print; or an input out of range
+     (see errors.OutOfRange): a model entry beyond the double range,
+     refused before any draw; a transfer-function coefficient or noise
+     covariance B Sigma B^T beyond the double range; a --sigma whose
+     density overflows on a model with no pole there; a one-step covariance
+     or a simulated path that overflows on a stable drift; --init
+     stationary on a stable drift whose Lyapunov solve misses the residual
+     tolerance; a grid end or a drift norm times step size that overflows;
+     a run whose largest array (a model's steps x max(N, d) states or
+     outputs, the increments, the jump sizes) would hold over
+     simulate.MAX_PATH_VALUES floats, refused before any draw; or a
+     spectrum whose densities, 2 d^2 floats a frequency, would too,
+     refused before the first density
   3  dimension error
   4  degenerate transfer function (identically zero, or not strictly proper)
   5  unstable drift: --init stationary on an unstable drift, or a one-step
@@ -460,12 +469,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_spectrum(args) -> int:
     import numpy as np
-    from .simulate import spectral_density, write_csv
+    from .simulate import _require_path_values, spectral_density, write_csv
 
     ss = load_model(args.model)
+    d = ss.d
+    # the densities hold 2 d^2 floats a frequency
+    _require_path_values(len(args.omegas) * 2 * d * d)
     h = transfer_function(ss)
     sigma = _load_sigma(args.sigma, ss.m)
-    d = ss.d
     values = np.array([spectral_density(h, sigma, omega) for omega in args.omegas],
                       dtype=complex).reshape(len(args.omegas), d * d)
     header = ["omega", *(f"f{i + 1}{j + 1}_{part}" for i in range(d)

@@ -25,9 +25,10 @@ class OutOfRange(CarmakitError, ValueError):
     step), a stable drift whose stationary covariance's Lyapunov solve
     misses its residual tolerance, a non-finite output handed to
     ``simulate.SamplePath``, an exact result with more digits than the
-    interpreter converts to a string, or a run whose largest path or
-    jump-size array would hold more than ``simulate.MAX_PATH_VALUES``
-    floats."""
+    interpreter converts to a string, or a run whose largest array (a
+    model's steps x max(N, d) states or outputs, the increments, the jump
+    sizes), or a spectrum whose densities (2 d^2 floats a frequency), would
+    hold more than ``simulate.MAX_PATH_VALUES`` floats."""
 
 
 class DegenerateTransferFunction(CarmakitError):

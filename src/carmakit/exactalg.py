@@ -85,7 +85,7 @@ def format_rational(x: Fraction) -> str:
 def as_rational(x: RationalLike) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return parse_rational(x)

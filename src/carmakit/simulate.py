@@ -9,8 +9,9 @@ k = 0..n-1, so the first row is the initial state's output.  Every path
 starts from the zero state, except a Brownian run with ``init="stationary"``,
 whose start is drawn from the stationary law.  A path stops at the first
 chunk of ``PATH_CHUNK`` rows with a non-finite output, and a run needing
-over ``MAX_PATH_VALUES`` floats in one array, jump sizes included, is
-refused: a one-state run at that cap peaked at 0.42-1.46 GB (tracemalloc).
+over ``MAX_PATH_VALUES`` floats in one array, a model's steps x max(N, d)
+states or outputs and the jump sizes included, is refused: a one-state run
+at that cap peaked at 0.42-1.46 GB (tracemalloc).
 
 Randomness is drawn from numpy's PCG64 generator through a fixed
 stream-splitting rule: the run seed spawns four independent child streams,
@@ -55,8 +56,9 @@ from .realization import StateSpaceModel
 STABILITY_MARGIN = -1e-10
 PSD_FLOOR = -1e-12
 LYAPUNOV_RTOL = 1e-10
-MAX_PATH_VALUES = 10**7        # floats in one path or jump array; a one-
-                               # state run at the cap peaks at 0.4-1.5 GB
+MAX_PATH_VALUES = 10**7        # floats in one state, output or jump
+                               # array; a one-state run at the cap peaks
+                               # at 0.4-1.5 GB
 PATH_CHUNK = 1024              # rows per recorded chunk and CSV block, flow
                                # intervals per stacked expm window, jumps
                                # per stack of their B dL, and slices per
@@ -403,13 +405,17 @@ def _driver_covariance(sigma_l, m: int) -> np.ndarray:
     return _require_psd(sigma_l, "driver covariance")
 
 
-def _noise_covariance(b: np.ndarray, sigma_l) -> np.ndarray:
-    """B Sigma B^T; raises ``OutOfRange`` if it overflows."""
+def _gaussian_model(ss: StateSpaceModel, sigma_l):
+    """(A, B, C, Q): the model as floats and Q = B Sigma B^T, once Sigma has
+    passed :func:`_driver_covariance`; ``OutOfRange`` if Q overflows.  The
+    one entry to the kernels :func:`_lyapunov` and :func:`_one_step`."""
+    sigma_l = _driver_covariance(sigma_l, ss.m)
+    a, b, c = ss_to_float(ss)
     with _overflow_quiet():
-        q = b @ np.asarray(sigma_l, dtype=float) @ b.T
+        q = b @ sigma_l @ b.T
     if not np.all(np.isfinite(q)):
         raise OutOfRange("noise covariance B Sigma B^T beyond the double range")
-    return q
+    return a, b, c, q
 
 
 def stability_check(ss: StateSpaceModel) -> bool:
@@ -433,15 +439,18 @@ def stationary_covariance(ss: StateSpaceModel, sigma_l) -> np.ndarray:
     """Stationary state covariance: the solution of A S + S A^T = -B Sigma B^T.
 
     Raises ``UnstableModel`` for a drift that :func:`stability_check` calls
-    unstable, and ``OutOfRange`` when the float Lyapunov solve of a stable
-    drift misses the residual tolerance."""
-    sigma_l = _driver_covariance(sigma_l, ss.m)
-    if not stability_check(ss):
+    unstable, and ``OutOfRange`` when B Sigma B^T overflows or the float
+    Lyapunov solve of a stable drift misses the residual tolerance."""
+    a, _, _, q = _gaussian_model(ss, sigma_l)
+    return _lyapunov(a, q)
+
+
+def _lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """:func:`stationary_covariance` on a float drift and noise covariance."""
+    if not _is_stable(a):
         raise UnstableModel("stationary covariance requires a stable drift")
     from scipy.linalg import solve_continuous_lyapunov
 
-    a, b, _ = ss_to_float(ss)
-    q = _noise_covariance(b, sigma_l)
     with warnings.catch_warnings():  # the residual check below is the guard
         warnings.simplefilter("ignore", RuntimeWarning)
         s = solve_continuous_lyapunov(a, -q)
@@ -474,13 +483,15 @@ def gaussian_step_params(ss: StateSpaceModel, sigma_l, h: float):
     the same, ``OutOfRange`` is raised for a drift that :func:`stability_check`
     calls stable, and ``UnstableModel`` otherwise.
     """
-    sigma_l = _driver_covariance(sigma_l, ss.m)
+    a, _, _, q = _gaussian_model(ss, sigma_l)
     if not h > 0:
         raise ValueError("step size must be positive")
-    a, b, _ = ss_to_float(ss)
-    n = a.shape[0]
-    q = _noise_covariance(b, sigma_l)
+    return _one_step(a, q, h)
 
+
+def _one_step(a: np.ndarray, q: np.ndarray, h: float):
+    """:func:`gaussian_step_params` on a float drift and noise covariance."""
+    n = a.shape[0]
     scaled = float(np.linalg.norm(a, 2)) * h
     if not math.isfinite(scaled):
         raise OutOfRange(f"drift norm times step size {h:.6g} overflows")
@@ -508,8 +519,8 @@ def theoretical_autocov(ss: StateSpaceModel, sigma_l, lags: Sequence[float]):
     """Stationary output autocovariances C e^{A tau} Sigma_inf C^T at the
     requested finite, nonnegative time lags.  Raises ``OutOfRange`` for a lag
     whose autocovariance is not finite in double precision."""
-    s_inf = stationary_covariance(ss, sigma_l)
-    a, _, c = ss_to_float(ss)
+    a, _, c, q = _gaussian_model(ss, sigma_l)
+    s_inf = _lyapunov(a, q)
     taus = []
     for tau in lags:
         if not 0 <= tau < math.inf:
@@ -655,14 +666,13 @@ def simulate_brownian(ss: StateSpaceModel, sigma_l,
     time-discretization bias at the grid points.  X_0 is zero, or for
     ``init == "stationary"`` a draw from stream 0 of the stationary law.
     """
-    sigma_l = _driver_covariance(sigma_l, ss.m)
-    _require_path_values(cfg.steps * ss.n)
+    a, b, c, q = _gaussian_model(ss, sigma_l)
+    _require_path_values(cfg.steps * max(ss.n, ss.d))
     rng_init, rng_gauss, _, _ = cfg.streams()
-    phi, sigma_h = gaussian_step_params(ss, sigma_l, cfg.step_size)
+    phi, sigma_h = _one_step(a, q, cfg.step_size)
     x0 = np.zeros(ss.n)
     if cfg.init == "stationary":
-        x0 = (_psd_factor(stationary_covariance(ss, sigma_l))
-              @ rng_init.standard_normal(ss.n))
+        x0 = _psd_factor(_lyapunov(a, q)) @ rng_init.standard_normal(ss.n)
     with _overflow_quiet():
         increments = (rng_gauss.standard_normal((cfg.steps - 1, ss.n))
                       @ _psd_factor(sigma_h).T)
@@ -676,14 +686,24 @@ def simulate_brownian(ss: StateSpaceModel, sigma_l,
             product(phi, prev, t)
             np.add(t, xi, out)
 
-    path, = _record_path([x0], cfg, advance, [ss_to_float(ss)])
+    path, = _record_path([x0], cfg, advance, [(a, b, c)])
     return path
 
 
-def _require_pair_input_dims(ss1: StateSpaceModel, ss2: StateSpaceModel) -> None:
-    if ss1.m != ss2.m:
+def _run_models(models, m: int, cfg: SimulationConfig, values: int = 0) -> list:
+    """The float (A, B, C) of every model of a run from the zero state on
+    one m-input driver, checked before anything is drawn, so whatever the
+    seed: every model takes m inputs, the start is zero, neither a model's
+    states or outputs (steps x max(N, d)) nor the run's other largest array
+    (``values``) is over the size cap, and every model converts."""
+    if any(ss.m != m for ss in models):
         raise DimensionMismatch(
-            "both models must accept the same driving process dimension")
+            f"every model must have the driver's input dimension m = {m}")
+    if cfg.init != "zero":
+        raise ValueError("only simulate_brownian takes a stationary start")
+    _require_path_values(max(values, *(cfg.steps * max(ss.n, ss.d)
+                                       for ss in models)))
+    return [ss_to_float(ss) for ss in models]
 
 
 def simulate_shared_brownian_pair(ss1: StateSpaceModel, ss2: StateSpaceModel,
@@ -700,21 +720,16 @@ def simulate_shared_brownian_pair(ss1: StateSpaceModel, ss2: StateSpaceModel,
     Each fine step is x = x + dt (A x) + B dL_i, and the two models take it
     in lockstep on one state x = [x_1; x_2] (see ``_euler_paths``), with the
     IEEE operations of a separate run of each, so each path has the bits of
-    that run.  Both models are converted to floats after the input checks
-    and before the draw, so a model entry beyond the double range is
-    refused with ``OutOfRange`` whatever the seed.  If both paths overflow,
-    model 1's error is raised.
+    that run.  Both models are checked by :func:`_run_models` before the
+    draw.  If both paths overflow, model 1's error is raised.
     """
-    _require_pair_input_dims(ss1, ss2)
     sigma_l = _driver_covariance(sigma_l, ss1.m)
-    if cfg.init != "zero":
-        raise ValueError("shared-path comparisons start from the zero state")
     sub = cfg.euler_substeps
     fine_steps = (cfg.steps - 1) * sub
-    # each model's states, the increments, and one chunk's B dL_i rows
-    _require_path_values(max(cfg.steps * max(ss1.n, ss2.n), fine_steps * ss1.m,
-                             min(fine_steps, PATH_CHUNK * sub) * (ss1.n + ss2.n)))
-    first, second = ss_to_float(ss1), ss_to_float(ss2)
+    # the increments, and one chunk's B dL_i rows of both models
+    scratch = max(fine_steps * ss1.m,
+                  min(fine_steps, PATH_CHUNK * sub) * (ss1.n + ss2.n))
+    first, second = _run_models((ss1, ss2), ss1.m, cfg, scratch)
     _, rng_gauss, _, _ = cfg.streams()
     dl = (rng_gauss.standard_normal((fine_steps, ss1.m))
           @ _psd_factor(sigma_l).T)
@@ -795,26 +810,20 @@ def simulate_compound_poisson(ss: StateSpaceModel, jump_times, jump_sizes,
     ``np.empty((0, m))``.  Step k applies the jumps in (t_{k-1}, t_k], and
     step 1 also those at t = 0.  The path starts from the zero state.
     """
-    if cfg.init == "stationary":
-        raise ValueError(
-            "stationary initialization is not defined for compound Poisson runs")
     jump_times = np.asarray(jump_times, dtype=float)
     jump_sizes = np.asarray(jump_sizes, dtype=float)
     if jump_sizes.ndim == 1:
         jump_sizes = jump_sizes[:, None]
     if jump_sizes.ndim != 2 or jump_sizes.shape[0] != jump_times.size:
         raise DimensionMismatch("one jump size vector per jump time required")
-    if jump_sizes.shape[1] != ss.m:
-        raise DimensionMismatch("jump size dimension must match the model input")
     if not (np.all(np.isfinite(jump_times)) and np.all(np.isfinite(jump_sizes))):
         raise ValueError("jump times and sizes must be finite")
     if np.any(np.diff(jump_times) < 0):
         raise ValueError("jump times must be sorted")
     if np.any(jump_times < 0):
         raise ValueError("jump times must be nonnegative")
-    _require_path_values(cfg.steps * ss.n)
-    path, = _compound_poisson_paths([ss_to_float(ss)], jump_times, jump_sizes,
-                                    cfg)
+    floats = _run_models((ss,), jump_sizes.shape[1], cfg)
+    path, = _compound_poisson_paths(floats, jump_times, jump_sizes, cfg)
     return path
 
 
@@ -829,27 +838,17 @@ def simulate_compound_poisson_pair(ss1: StateSpaceModel, ss2: StateSpaceModel,
     step through them in lockstep, in one run of
     :func:`_compound_poisson_paths`; each path has the bits of a
     :func:`simulate_compound_poisson` run of its model on the same draw.
-    Both models are checked before the draw (see
-    :func:`_compound_poisson_run`); if both paths overflow, model 1's error
-    is raised.
+    Both models are checked by :func:`_run_models` before the draw; if both
+    paths overflow, model 1's error is raised.
     """
-    _require_pair_input_dims(ss1, ss2)
     return _compound_poisson_run((ss1, ss2), driver, cfg)
 
 
 def _compound_poisson_run(models, driver: LevyDriverSpec,
                           cfg: SimulationConfig) -> tuple:
     """One jump path, drawn once, driven through every model by one engine
-    run.  Every model is checked and converted to floats first, so a run
-    that any model cannot take, a model entry beyond the double range
-    included, is refused before anything is drawn, whatever the seed."""
-    if cfg.init != "zero":
-        raise ValueError(
-            "stationary initialization is not defined for compound Poisson runs")
-    if any(driver.jumps.dim != ss.m for ss in models):
-        raise DimensionMismatch("jump size dimension must match the model input")
-    _require_path_values(cfg.steps * max(ss.n for ss in models))
-    floats = [ss_to_float(ss) for ss in models]
+    run, after :func:`_run_models` has checked every model."""
+    floats = _run_models(models, driver.jumps.dim, cfg)
     horizon = (cfg.steps - 1) * cfg.step_size
     times, sizes = draw_compound_poisson_jumps(driver, horizon, cfg)
     return _compound_poisson_paths(floats, times, sizes, cfg)

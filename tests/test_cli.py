@@ -915,6 +915,22 @@ class TestOutOfRange:
 
 class TestSpectrumCommand:
 
+    def test_spectrum_cap_exit_2(self, tmp_path, capsys, monkeypatch):
+        # 300 outputs over 60 frequencies: 60 * 2 * 300^2 = 1.08e7 floats
+        # of densities, refused before the first
+        monkeypatch.setattr(simulate, "spectral_density", None)  # never reached
+        path = write_model(tmp_path / "wide.json",
+                           ss_obj([[-1]], [[1]], [[k] for k in range(1, 301)]))
+        out_path = tmp_path / "s.csv"
+        code = cli.main(["spectrum", path, "--omegas",
+                         ",".join(str(w) for w in range(60)),
+                         "-o", str(out_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: path needs 10800000 values in one array, "
+            f"more than MAX_PATH_VALUES = {simulate.MAX_PATH_VALUES}\n")
+        assert not out_path.exists()
+
     def test_scalar_closed_form(self, tmp_path, capsys):
         path = write_model(tmp_path / "ou.json", OU)
         out_path = tmp_path / "spec.csv"

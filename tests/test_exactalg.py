@@ -781,6 +781,12 @@ class TestMarkovAnnihilator:
 ONE = RationalFunction(Poly.one(), Poly.one())
 REFUSALS = {
     "float-scalar": (lambda: as_rational(0.5), TypeError, "cannot interpret"),
+    # True would otherwise read as 1, in a model entry as in a coefficient
+    "bool-scalar": (lambda: as_rational(True), TypeError,
+                    "cannot interpret True"),
+    "bool-coefficient": (lambda: Poly([True]), TypeError, "cannot interpret True"),
+    "bool-matrix-entry": (lambda: rational_matrix([[1, False]]), TypeError,
+                          "cannot interpret False"),
     "no-rows": (lambda: rational_matrix([]), DimensionMismatch,
                 "at least one row and one column"),
     "empty-row": (lambda: rational_matrix([[]]), DimensionMismatch,

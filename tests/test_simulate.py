@@ -507,12 +507,13 @@ class TestCompoundPoisson:
             cfg = SimulationConfig(step_size=0.1, steps=20, seed=seed)
             times, sizes = draw_compound_poisson_jumps(driver, 1.9, cfg)
             counts.append(times.size)
-            with pytest.raises(DimensionMismatch, match="jump size dimension"):
+            with pytest.raises(DimensionMismatch,
+                               match="driver's input dimension m = 2"):
                 simulate_compound_poisson(ss, times, sizes, cfg)
         assert 0 in counts and max(counts) > 0
         # a jump-free path of an m-input model takes sizes shaped (0, m)
         two = StateSpaceModel(a=[[-1]], b=[[1, 1]], c=[[1]])
-        with pytest.raises(DimensionMismatch, match="jump size dimension"):
+        with pytest.raises(DimensionMismatch, match="driver's input dimension m = 1"):
             simulate_compound_poisson(two, [], [], cfg)
         path = simulate_compound_poisson(two, [], np.empty((0, 2)), cfg)
         assert_array_equal(path.outputs, np.zeros((20, 1)))
@@ -1421,12 +1422,12 @@ REFUSALS = {
         OutOfRange, "first non-finite output at t=0$"),
     "pair-input-dims": (
         lambda: simulate_shared_brownian_pair(OU, TWO_INPUTS, [[1.0]], GRID),
-        DimensionMismatch, "same driving process dimension"),
+        DimensionMismatch, "driver's input dimension m = 1"),
     "cp-stationary-start": (
         lambda: simulate_compound_poisson(
             OU, [], [], SimulationConfig(step_size=0.1, steps=10, seed=1,
                                          init="stationary")),
-        ValueError, "stationary initialization"),
+        ValueError, "only simulate_brownian takes a stationary start"),
     "autocov-lag-nan": (
         lambda: theoretical_autocov(OU, [[1.0]], [0.0, math.nan]),
         ValueError, "time lags must be nonnegative"),
@@ -1462,6 +1463,33 @@ REFUSALS = {
         lambda: theoretical_autocov(OU, np.eye(2), [0.0]),
         DimensionMismatch, "driver covariance must be 1x1"),
 }
+# B Sigma B^T overflows on an unstable drift: out of range before the
+# stability check, at every function that forms it
+NOISE_BEYOND_RANGE = StateSpaceModel(a=[[1]], b=[[10**200]], c=[[1]])
+REFUSALS.update({
+    f"{target}-noise-beyond-range": (call, OutOfRange, "noise covariance")
+    for target, call in {
+        "stationary-covariance": lambda: stationary_covariance(
+            NOISE_BEYOND_RANGE, [[1.0]]),
+        "autocov": lambda: theoretical_autocov(NOISE_BEYOND_RANGE, [[1.0]], [0.0]),
+        "brownian-stationary": lambda: simulate_brownian(
+            NOISE_BEYOND_RANGE, [[1.0]], SimulationConfig(
+                step_size=0.1, steps=10, seed=1, init="stationary")),
+    }.items()})
+# one state and 1000 outputs: 20000 steps build 2e7 output values, over the
+# cap, though the states fit
+WIDE = StateSpaceModel(a=[[-1]], b=[[1]], c=[[k] for k in range(1, 1001)])
+LONG = SimulationConfig(step_size=0.01, steps=20000, seed=1)
+REFUSALS.update({
+    f"{target}-outputs-over-cap": (call, OutOfRange, "path needs 20000000 values")
+    for target, call in {
+        "brownian": lambda: simulate_brownian(WIDE, [[1.0]], LONG),
+        "euler-pair": lambda: simulate_shared_brownian_pair(
+            WIDE, WIDE, [[1.0]], LONG),
+        "cp": lambda: simulate_compound_poisson(WIDE, [], [], LONG),
+        "cp-pair": lambda: simulate_compound_poisson_pair(
+            WIDE, WIDE, TestRecordPath.JUMPS, LONG),
+    }.items()})
 # a driver covariance of the right size but not PSD, not symmetric or not
 # finite, at every function that takes one
 REFUSALS.update({
@@ -1484,6 +1512,22 @@ REFUSALS.update({
 def test_refusals(call, error, match, no_draw):
     with pytest.raises(error, match=match):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: simulate_brownian(OU, [[1.0]], SimulationConfig(
+        step_size=0.1, steps=10, seed=1, init="stationary")),
+    lambda: theoretical_autocov(OU, [[1.0]], [0.0, 0.5]),
+], ids=["brownian-stationary", "autocov"])
+def test_sigma_checked_and_model_converted_once(monkeypatch, call):
+    calls = {}
+    for name in ("_driver_covariance", "ss_to_float"):
+        def counted(*args, name=name, inner=getattr(simulate, name)):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args)
+        monkeypatch.setattr(simulate, name, counted)
+    call()
+    assert calls == {"_driver_covariance": 1, "ss_to_float": 1}
 
 
 def test_clamp_psd_zeroes_negative_eigenvalues():
