@@ -469,7 +469,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_spectrum(args) -> int:
     import numpy as np
-    from .simulate import _require_path_values, spectral_density, write_csv
+    from .simulate import _require_path_values, _spectral_density, write_csv
 
     ss = load_model(args.model)
     d = ss.d
@@ -477,7 +477,8 @@ def cmd_spectrum(args) -> int:
     _require_path_values(len(args.omegas) * 2 * d * d)
     h = transfer_function(ss)
     sigma = _load_sigma(args.sigma, ss.m)
-    values = np.array([spectral_density(h, sigma, omega) for omega in args.omegas],
+    # _load_sigma has checked sigma, once for every frequency
+    values = np.array([_spectral_density(h, sigma, omega) for omega in args.omegas],
                       dtype=complex).reshape(len(args.omegas), d * d)
     header = ["omega", *(f"f{i + 1}{j + 1}_{part}" for i in range(d)
                          for j in range(d) for part in ("re", "im"))]

@@ -552,7 +552,14 @@ def empirical_autocov(path: SamplePath, maxlag: int):
 def spectral_density(h_tf: TransferFunction, sigma_l, omega: float) -> np.ndarray:
     """f(omega) = H(i omega) Sigma H(i omega)^* / (2 pi), from exact
     coefficients.  Raises ``ValueError`` for an infinite or nan ``omega``."""
-    sigma_l = _driver_covariance(sigma_l, h_tf.cols)
+    return _spectral_density(h_tf, _driver_covariance(sigma_l, h_tf.cols), omega)
+
+
+def _spectral_density(h_tf: TransferFunction, sigma_l: np.ndarray,
+                      omega: float) -> np.ndarray:
+    """:func:`spectral_density` at a Sigma that has already passed
+    :func:`_driver_covariance`, so a caller tabulating many frequencies
+    checks it once."""
     if not math.isfinite(float(omega)):
         raise ValueError(f"frequency must be finite, got {omega}")
     z = 1j * float(omega)
@@ -665,6 +672,11 @@ def simulate_brownian(ss: StateSpaceModel, sigma_l,
     X_{k+1} = Phi X_k + xi_k with xi_k i.i.d. N(0, Sigma_h); no
     time-discretization bias at the grid points.  X_0 is zero, or for
     ``init == "stationary"`` a draw from stream 0 of the stationary law.
+
+    Each chunk's increments are copied into its rows at once; then each
+    row in turn gets Phi X_k, written into a scratch vector by ``_matvec``'s
+    out form, added onto it in place, and is the next step's X_k.  A step
+    makes one row view, one product and one add.
     """
     a, b, c, q = _gaussian_model(ss, sigma_l)
     _require_path_values(cfg.steps * max(ss.n, ss.d))
@@ -676,15 +688,17 @@ def simulate_brownian(ss: StateSpaceModel, sigma_l,
     with _overflow_quiet():
         increments = (rng_gauss.standard_normal((cfg.steps - 1, ss.n))
                       @ _psd_factor(sigma_h).T)
-    product = _matvec(ss.n)
+    product, add = _matvec(ss.n), np.add
     t = np.empty(ss.n)
 
     def advance(lo, hi, states):
         rows, = states
-        for prev, out, xi in zip(rows[lo - 1:hi - 1], rows[lo:hi],
-                                 increments[lo - 1:hi - 1]):
+        rows[lo:hi] = increments[lo - 1:hi - 1]
+        prev = rows[lo - 1]
+        for row in rows[lo:hi]:
             product(phi, prev, t)
-            np.add(t, xi, out)
+            add(t, row, row)
+            prev = row
 
     path, = _record_path([x0], cfg, advance, [(a, b, c)])
     return path

@@ -931,6 +931,34 @@ class TestSpectrumCommand:
             f"more than MAX_PATH_VALUES = {simulate.MAX_PATH_VALUES}\n")
         assert not out_path.exists()
 
+    def test_sigma_checked_once(self, tmp_path, capsys, monkeypatch):
+        # _load_sigma checks the file's sigma, and no frequency checks it
+        # again; the rows are those of the public spectral_density
+        calls = []
+
+        def counted(*args, inner=simulate._driver_covariance):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(simulate, "_driver_covariance", counted)
+        obj = ss_obj([[-1, 2], [0, -3]], [[1, 0], [1, 1]], [[1, 0], [0, 1]])
+        path = write_model(tmp_path / "m.json", obj)
+        sigma = [[2.0, 0.5], [0.5, 1.0]]
+        sigma_path = tmp_path / "sigma.json"
+        sigma_path.write_text(json.dumps(sigma))
+        out_path = tmp_path / "spec.csv"
+        omegas = [0.0, 0.3, 1.7, 4.0]
+        code, _ = run(capsys, "spectrum", path, "--sigma", str(sigma_path),
+                      "--omegas", ",".join(map(str, omegas)), "-o", str(out_path))
+        assert code == 0
+        assert len(calls) == 1
+        h = transfer_function(cli.load_model(path))
+        expected = np.array([simulate.spectral_density(h, sigma, w).ravel()
+                             for w in omegas]).view(float)
+        np.testing.assert_array_equal(
+            np.loadtxt(out_path, delimiter=",", skiprows=1),
+            np.column_stack([omegas, expected]))
+
     def test_scalar_closed_form(self, tmp_path, capsys):
         path = write_model(tmp_path / "ou.json", OU)
         out_path = tmp_path / "spec.csv"

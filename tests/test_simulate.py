@@ -106,7 +106,19 @@ REPLAY_MODELS = {
     "three-states": StateSpaceModel(
         a=[[-1, "1/3", 0], [0, -2, 1], ["1/2", 0, -3]],
         b=[[1], [0], [-1]], c=[[1, 0, "1/2"]]),
+    # outputs C x that round with the order of their sums: the product of a
+    # one-row chunk does not have the bits of the whole path's product
+    "dense-outputs": StateSpaceModel(
+        a=[[-2, "1/3", "-1/5"], ["1/7", -3, "1/2"], ["-1/3", "2/9", -1]],
+        b=[["1/3", 1], [-1, "2/5"], ["3/7", "-1/2"]],
+        c=[["1/3", "-2/7", "5/11"], ["3/2", "1/9", "-4/5"]]),
 }
+
+
+# a grid for the bit-for-bit reference loops whose last chunk, at
+# PATH_CHUNK and at 4 rows a chunk alike, is a single row, where numpy's
+# products take their matrix-vector route
+ONE_ROW_TAIL = 2 * simulate.PATH_CHUNK + 1
 
 
 def replay_model(name):
@@ -302,15 +314,17 @@ class TestSimulateBrownian:
     def test_matches_reference_loop_bit_for_bit(self, name, init, monkeypatch):
         ss = REPLAY_MODELS[name]
         sigma_l = np.eye(ss.m) + 0.5 * (1 - np.eye(ss.m))
-        cfg = SimulationConfig(step_size=0.2, steps=3 * simulate.PATH_CHUNK // 2,
-                               seed=13, init=init)
-        reference = self.reference_path(ss, sigma_l, cfg).tobytes()
+        cfgs = [SimulationConfig(step_size=0.2, steps=steps, seed=13, init=init)
+                for steps in (3 * simulate.PATH_CHUNK // 2, ONE_ROW_TAIL)]
+        references = [self.reference_path(ss, sigma_l, cfg).tobytes()
+                      for cfg in cfgs]
         # and at chunks of 4 rows, so that a step lost or repeated at a
         # chunk edge shows many times over
         for chunk in (simulate.PATH_CHUNK, 4):
             monkeypatch.setattr(simulate, "PATH_CHUNK", chunk)
-            path = simulate_brownian(ss, sigma_l, cfg)
-            assert path.outputs.tobytes() == reference
+            for cfg, reference in zip(cfgs, references):
+                path = simulate_brownian(ss, sigma_l, cfg)
+                assert path.outputs.tobytes() == reference
 
     def test_determinism_and_seed_sensitivity(self):
         ss = random_stable_model(random.Random(35))
@@ -373,15 +387,17 @@ class TestSharedBrownianPair:
         models = replay_model(first), replay_model(second)
         m = models[0].m
         sigma_l = np.eye(m) + 0.5 * (1 - np.eye(m))
-        cfg = SimulationConfig(step_size=0.01, steps=simulate.PATH_CHUNK + 50,
-                               seed=14, euler_substeps=sub)
-        references = [self.reference_path(model, sigma_l, cfg).tobytes()
-                      for model in models]
+        cfgs = [SimulationConfig(step_size=0.01, steps=steps, seed=14,
+                                 euler_substeps=sub)
+                for steps in (simulate.PATH_CHUNK + 50, ONE_ROW_TAIL)]
+        references = [[self.reference_path(model, sigma_l, cfg).tobytes()
+                       for model in models] for cfg in cfgs]
         # and at chunks of 4 rows, each forming its own B dL_i rows
         for chunk in (simulate.PATH_CHUNK, 4):
             monkeypatch.setattr(simulate, "PATH_CHUNK", chunk)
-            paths = simulate_shared_brownian_pair(*models, sigma_l, cfg)
-            assert [p.outputs.tobytes() for p in paths] == references
+            for cfg, expected in zip(cfgs, references):
+                paths = simulate_shared_brownian_pair(*models, sigma_l, cfg)
+                assert [p.outputs.tobytes() for p in paths] == expected
 
     def test_same_model_gives_identical_paths(self):
         ss = random_stable_model(random.Random(36))
@@ -626,19 +642,26 @@ class TestCompoundPoisson:
                     == self.reference_path(ss, times, sizes, cfg).tobytes())
 
     @pytest.mark.parametrize("name", list(REPLAY_MODELS))
-    def test_drawn_path_matches_reference_bit_for_bit(self, name):
+    def test_drawn_path_matches_reference_bit_for_bit(self, name, monkeypatch):
         # Gaussian jump sizes and atoms with zero entries, on each model
         ss = REPLAY_MODELS[name]
-        cfg = SimulationConfig(step_size=0.1, steps=simulate.PATH_CHUNK + 50,
-                               seed=15)
         atoms = np.vstack([np.zeros(ss.m), -np.ones(ss.m), np.eye(ss.m)])
-        for jumps in (GaussianJumps(mean=np.zeros(ss.m), cov=np.eye(ss.m)),
-                      FixedAtomJumps(atoms, np.full(len(atoms), 1 / len(atoms)))):
-            times, sizes = draw_compound_poisson_jumps(
-                LevyDriverSpec(3.0, jumps), (cfg.steps - 1) * cfg.step_size, cfg)
-            path = simulate_compound_poisson(ss, times, sizes, cfg)
-            assert (path.outputs.tobytes()
-                    == self.reference_path(ss, times, sizes, cfg).tobytes())
+        runs = []
+        for steps in (simulate.PATH_CHUNK + 50, ONE_ROW_TAIL):
+            cfg = SimulationConfig(step_size=0.1, steps=steps, seed=15)
+            for jumps in (GaussianJumps(mean=np.zeros(ss.m), cov=np.eye(ss.m)),
+                          FixedAtomJumps(atoms,
+                                         np.full(len(atoms), 1 / len(atoms)))):
+                times, sizes = draw_compound_poisson_jumps(
+                    LevyDriverSpec(3.0, jumps), (steps - 1) * cfg.step_size, cfg)
+                runs.append((times, sizes, cfg, self.reference_path(
+                    ss, times, sizes, cfg).tobytes()))
+        # and at windows and chunks of 4
+        for chunk in (simulate.PATH_CHUNK, 4):
+            monkeypatch.setattr(simulate, "PATH_CHUNK", chunk)
+            for times, sizes, cfg, reference in runs:
+                path = simulate_compound_poisson(ss, times, sizes, cfg)
+                assert path.outputs.tobytes() == reference
 
     def test_pair_equals_two_separate_runs(self, monkeypatch, expm_calls):
         # the model against its observer form on a crowded draw, about four
