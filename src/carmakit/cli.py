@@ -55,6 +55,7 @@ from .exactalg import (
     Poly,
     PolyMatrix,
     TransferFunction,
+    _is_integer,
     format_rational,
     parse_rational,
 )
@@ -110,7 +111,7 @@ def _rational_entry(value, label: str) -> Fraction:
             return parse_rational(value)
         except ValueError as exc:
             raise ModelFileError(f"{label}: {exc}") from exc
-    if isinstance(value, int) and not isinstance(value, bool):
+    if _is_integer(value):
         return Fraction(value)
     raise ModelFileError(
         f"{label}: expected a rational string like \"3/4\", got {value!r}")
@@ -128,9 +129,17 @@ def _rational_rows(value, label: str) -> tuple:
 
 def _int_field(obj: dict, name: str, label: str) -> int:
     value = obj[name]
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_integer(value):
         raise ModelFileError(f"{label}.{name} must be an integer")
     return value
+
+
+def _about_file(path: str, exc: ValueError) -> ValueError:
+    """The refusal ``exc`` of the content of the file at ``path``, with the
+    path in front of its message: a ``DimensionMismatch`` stays one, and any
+    other ``ValueError`` becomes a ``ModelFileError``."""
+    kind = DimensionMismatch if isinstance(exc, DimensionMismatch) else ModelFileError
+    return kind(f"{path}: {exc}")
 
 
 def load_model(path: str) -> StateSpaceModel:
@@ -139,7 +148,8 @@ def load_model(path: str) -> StateSpaceModel:
 
     Structural problems (bad JSON, unknown fields, malformed rationals,
     invalid orders) raise ModelFileError; shape inconsistencies raise
-    DimensionMismatch so they map to a distinct exit code.
+    DimensionMismatch so they map to a distinct exit code.  Every refusal
+    names the file.
     """
     obj = _load_json(path)
     if not isinstance(obj, dict):
@@ -147,9 +157,11 @@ def load_model(path: str) -> StateSpaceModel:
     kind = obj.get("kind")
     if kind == "statespace":
         _check_fields(obj, {"kind", "A", "B", "C"}, path)
-        return StateSpaceModel(a=_rational_rows(obj["A"], f"{path}:A"),
-                               b=_rational_rows(obj["B"], f"{path}:B"),
-                               c=_rational_rows(obj["C"], f"{path}:C"))
+        a, b, c = (_rational_rows(obj[name], f"{path}:{name}") for name in "ABC")
+        try:
+            return StateSpaceModel(a=a, b=b, c=c)
+        except DimensionMismatch as exc:
+            raise _about_file(path, exc) from exc
     if kind == "mcarma":
         _check_fields(obj, {"kind", "p", "q", "d", "m", "A_coeffs", "B_coeffs"},
                       path)
@@ -167,10 +179,8 @@ def load_model(path: str) -> StateSpaceModel:
         try:
             spec = McarmaSpec(p=p, q=q, d=d, m=m,
                               a_coeffs=a_coeffs, b_coeffs=b_coeffs)
-        except DimensionMismatch:
-            raise
         except ValueError as exc:
-            raise ModelFileError(f"{path}: {exc}") from exc
+            raise _about_file(path, exc) from exc
         return assemble_observer_ss(spec)
     raise ModelFileError(
         f"{path}: kind must be \"statespace\" or \"mcarma\", got {kind!r}")
@@ -348,10 +358,8 @@ def _load_sigma(spec: str, m: int) -> "numpy.ndarray":
     sigma = _number_array(_load_json(spec), f"{spec}: covariance")
     try:
         return _driver_covariance(sigma, m)
-    except DimensionMismatch:
-        raise
     except ValueError as exc:
-        raise ModelFileError(f"{spec}: {exc}") from exc
+        raise _about_file(spec, exc) from exc
 
 
 def _load_jumps(spec: str, m: int):
@@ -361,19 +369,19 @@ def _load_jumps(spec: str, m: int):
     if spec == "gaussian":
         return GaussianJumps(mean=np.zeros(m), cov=np.eye(m))
     if spec.startswith("atoms:"):
-        obj = _load_json(spec[len("atoms:"):])
+        path = spec[len("atoms:"):]
+        obj = _load_json(path)
         if (not isinstance(obj, dict)
                 or set(obj) != {"atoms", "probabilities"}):
-            raise ModelFileError(
-                "atom file must hold exactly the fields atoms, probabilities")
+            raise ModelFileError(f"{path}: atom file must hold exactly the "
+                                 "fields atoms, probabilities")
         try:
-            jumps = FixedAtomJumps(*(_number_array(obj[name], name) for name
-                                     in ("atoms", "probabilities")))
-        except DimensionMismatch:
-            raise
+            return FixedAtomJumps(*(_number_array(obj[name], name) for name
+                                    in ("atoms", "probabilities")))
+        except DimensionMismatch as exc:
+            raise _about_file(path, exc) from exc
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ModelFileError(f"bad atom file: {exc}") from exc
-        return jumps
+            raise ModelFileError(f"{path}: bad atom file: {exc}") from exc
     raise ModelFileError(
         f"jump distribution must be \"gaussian\" or \"atoms:<file>\", got {spec!r}")
 

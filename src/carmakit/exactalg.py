@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import numbers
 import operator
 import re
 import sys
@@ -82,11 +83,16 @@ def format_rational(x: Fraction) -> str:
             "digits, the limit for integer string conversion") from exc
 
 
+def _is_integer(value) -> bool:
+    """True for an integer that is not a bool: a Python or numpy integer."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def as_rational(x: RationalLike) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
+    if _is_integer(x):
+        return Fraction(int(x))
     if isinstance(x, str):
         return parse_rational(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")

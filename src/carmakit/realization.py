@@ -60,6 +60,7 @@ from .exactalg import (
     _ONE,
     _ZERO,
     _Frozen,
+    _is_integer,
     _set_field,
     IntegerForm,
     Poly,
@@ -149,6 +150,9 @@ class McarmaSpec(_Frozen):
 
     def __init__(self, p: int, q: Optional[int], d: int, m: int,
                  a_coeffs: tuple, b_coeffs: tuple):
+        for name, order in zip("pqdm", (p, 0 if q is None else q, d, m)):
+            if not _is_integer(order):
+                raise ValueError(f"{name} must be an integer, got {order!r}")
         if p < 1:
             raise ValueError("autoregressive order p must be at least 1")
         if d < 1 or m < 1:

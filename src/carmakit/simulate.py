@@ -8,10 +8,11 @@ Grid convention: a path with n steps of size h is reported at t_k = k*h for
 k = 0..n-1, so the first row is the initial state's output.  Every path
 starts from the zero state, except a Brownian run with ``init="stationary"``,
 whose start is drawn from the stationary law.  A path stops at the first
-chunk of ``PATH_CHUNK`` rows with a non-finite output, and a run needing
-over ``MAX_PATH_VALUES`` floats in one array, a model's steps x max(N, d)
-states or outputs and the jump sizes included, is refused: a one-state run
-at that cap peaked at 0.42-1.46 GB (tracemalloc).
+chunk of ``PATH_CHUNK`` rows with a non-finite state and a non-finite
+output, and a run needing over ``MAX_PATH_VALUES`` floats in one array, a
+model's steps x max(N, d) states or outputs and the jump sizes included,
+is refused: a one-state run at that cap peaked at 0.42-1.46 GB
+(tracemalloc).
 
 Randomness is drawn from numpy's PCG64 generator through a fixed
 stream-splitting rule: the run seed spawns four independent child streams,
@@ -50,7 +51,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, OutOfRange, PoleOnEvaluationAxis,
                      UnstableModel)
-from .exactalg import TransferFunction
+from .exactalg import TransferFunction, _is_integer
 from .realization import StateSpaceModel
 
 STABILITY_MARGIN = -1e-10
@@ -165,11 +166,6 @@ def _pade_exponentials(kernels, stack: np.ndarray):
     return work[:, 0], failed
 
 
-def _is_count(value) -> bool:
-    """True for an integer that is not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 # ---------------------------------------------------------------------------
 # Driver and run configuration
 # ---------------------------------------------------------------------------
@@ -272,7 +268,7 @@ class SimulationConfig:
                 f"step_size must be a real number, got {self.step_size!r}")
         if not self.step_size > 0:
             raise ValueError("step size must be positive")
-        if not _is_count(self.steps):
+        if not _is_integer(self.steps):
             raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError("need at least one step")
@@ -285,12 +281,12 @@ class SimulationConfig:
                              f"{self.step_size!r} ends past the double range")
         if self.init not in ("zero", "stationary"):
             raise ValueError("init must be 'zero' or 'stationary'")
-        if not _is_count(self.euler_substeps):
+        if not _is_integer(self.euler_substeps):
             raise ValueError("euler_substeps must be an integer, "
                              f"got {self.euler_substeps!r}")
         if self.euler_substeps < 1:
             raise ValueError("euler_substeps must be at least 1")
-        if not _is_count(self.seed) or self.seed < 0:
+        if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def streams(self):
@@ -302,8 +298,9 @@ class SimulationConfig:
 @dataclass
 class SamplePath:
     """Output trajectory on the sampling grid.  Non-finite outputs are
-    refused with ``OutOfRange``: the container has no drift, so only
-    ``_record_path`` classifies a simulated path's overflow by its drift."""
+    refused with ``OutOfRange``, naming the first time with one; this is
+    the one output check of a simulated path too, whose refusal
+    ``_record_path`` classifies by the model's drift."""
 
     times: np.ndarray
     outputs: np.ndarray
@@ -315,9 +312,10 @@ class SamplePath:
             self.outputs = self.outputs[:, None]
         if self.outputs.shape[0] != self.times.size:
             raise DimensionMismatch("one output row per grid time required")
-        message = _overflow_message(self.times, self.outputs)
-        if message is not None:
-            raise OutOfRange(message)
+        finite = np.isfinite(self.outputs).all(axis=1)
+        if not finite.all():
+            raise OutOfRange("sample path overflows: first non-finite output "
+                             f"at t={self.times[np.argmin(finite)]:.17g}")
 
     @property
     def d(self) -> int:
@@ -542,7 +540,7 @@ def empirical_autocov(path: SamplePath, maxlag: int):
     """
     y = path.outputs
     n = y.shape[0]
-    if not _is_count(maxlag) or not 0 <= maxlag < n:
+    if not _is_integer(maxlag) or not 0 <= maxlag < n:
         raise ValueError("maximum lag must be an integer, nonnegative and below "
                          "the number of samples")
     centered = y - y.mean(axis=0)
@@ -606,19 +604,9 @@ def _stacked_products(mat: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return np.matmul(mat, vectors[:, :, None])[:, :, 0]
 
 
-def _overflow_message(times: np.ndarray, outputs: np.ndarray):
-    """The message naming the first time with a non-finite output, or None
-    if every output is finite."""
-    finite = np.isfinite(outputs).all(axis=1)
-    if finite.all():
-        return None
-    return ("sample path overflows: first non-finite output at "
-            f"t={times[np.argmin(finite)]:.17g}")
-
-
 def _require_path_values(count) -> None:
     if not count <= MAX_PATH_VALUES:    # an int, or a float expectation
-        shown = count if _is_count(count) else f"{count:.0f}"
+        shown = count if _is_integer(count) else f"{count:.0f}"
         raise OutOfRange(f"path needs {shown} values in one array, more than "
                          f"MAX_PATH_VALUES = {MAX_PATH_VALUES}")
 
@@ -632,12 +620,13 @@ def _record_path(x0s, cfg: SimulationConfig, advance, models) -> tuple:
     time, whose row 0 is its initial state.  The rows are filled one chunk
     of ``PATH_CHUNK`` at a time by ``advance(lo, hi, states)``, which writes
     rows lo..hi - 1 of every model's array, stepping from row lo - 1
-    (lo >= 1; the range is empty for a one-point grid).  After each chunk,
-    each model's outputs C x on it are checked.  The run stops at the end
-    of the first chunk in which the first model has a non-finite output.  A
-    later model's first such chunk is noted and the run goes on, and at the
-    end the first noted error in model order is raised, so each model fails
-    as a run of it alone would, and the first model's failure wins.  The
+    (lo >= 1; the range is empty for a one-point grid).  The run stops at
+    the end of the first chunk with a non-finite state and a non-finite
+    output of the first model; that chunk's outputs are formed only if a
+    state is not finite, so outputs that overflow on finite states run to
+    the end.  Each model's outputs C x are then formed once, on the filled
+    rows, and its ``SamplePath`` checks them, in model order, so each model
+    fails as a run of it alone would, and the first model's failure wins.  The
     error is ``UnstableModel`` for an unstable drift A, and ``OutOfRange``
     for a stable one, whose path overflows only through the step: a
     divergent Euler step, or a flow e^{A gap} too long to evaluate.
@@ -648,21 +637,21 @@ def _record_path(x0s, cfg: SimulationConfig, advance, models) -> tuple:
     states = [np.empty((n, c.shape[1])) for c in cs]
     for rows, x0 in zip(states, x0s):
         rows[0] = x0
-    messages = [None] * len(cs)
     with _overflow_quiet():
         for lo in range(0, n, PATH_CHUNK):
             hi = min(lo + PATH_CHUNK, n)
             advance(max(lo, 1), hi, states)
-            messages = [_overflow_message(times[lo:hi], s[lo:hi] @ c.T)
-                        if m is None else m
-                        for m, s, c in zip(messages, states, cs)]
-            if messages[0] is not None:
+            first = states[0][lo:hi]
+            if not (np.isfinite(first).all() or np.isfinite(first @ cs[0].T).all()):
                 break
-        for message, (a, _, _) in zip(messages, models):
-            if message is not None:
-                raise _overflow(a, message)
-        outputs = [s @ c.T for s, c in zip(states, cs)]
-    return tuple(SamplePath(times=times.copy(), outputs=y) for y in outputs)
+        outputs = [s[:hi] @ c.T for s, c in zip(states, cs)]
+    paths = []
+    for y, (a, _, _) in zip(outputs, models):
+        try:
+            paths.append(SamplePath(times=times[:hi].copy(), outputs=y))
+        except OutOfRange as exc:
+            raise _overflow(a, str(exc)) from None
+    return tuple(paths)
 
 
 def simulate_brownian(ss: StateSpaceModel, sigma_l,

@@ -611,7 +611,8 @@ class TestSimulateCommand:
                          "--steps", "40", "--h", "0.25", "-o", str(out_path)])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.count("\n") == 1 and err.startswith("error: bad atom file: ")
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {atoms_path}: bad atom file: ")
         assert not out_path.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "spectrum"])
@@ -1426,7 +1427,8 @@ class TestFuzz:
 MCARMA = mcarma_obj(2, 1, 1, 1, [[[3]], [[2]]], [[[1]], [[3]]])
 CP_RUN = ["simulate", "{m}", "--driver", "cp", "--rate", "1", "--seed", "1",
           "--steps", "10", "--h", "0.1", "-o", "{out}"]
-# model file, side file, argv, exit code, stderr fragment
+# model file, side file, argv, exit code, stderr fragment ({m} and {side}
+# stand for the files' paths: a refusal of a file's content names the file)
 REFUSALS = {
     "p-not-an-integer": ({**MCARMA, "p": True}, None, ["tf", "{m}"], 2,
                          "m.json.p must be an integer"),
@@ -1437,10 +1439,19 @@ REFUSALS = {
     "coeffs-not-an-array": ({**MCARMA, "A_coeffs": {"1": "3"}}, None,
                             ["tf", "{m}"], 2, "m.json.A_coeffs must be an array"),
     "atom-file-fields": (OU, {"atoms": [[1.0]]}, [*CP_RUN, "--jump", "atoms:{side}"],
-                         2, "exactly the fields atoms, probabilities"),
+                         2, "{side}: atom file must hold exactly the fields atoms, "
+                            "probabilities"),
     "atom-probability-count": (
         OU, {"atoms": [[1.0], [2.0]], "probabilities": [1.0]},
-        [*CP_RUN, "--jump", "atoms:{side}"], 3, "one probability per atom"),
+        [*CP_RUN, "--jump", "atoms:{side}"], 3,
+        "error: {side}: one probability per atom required\n"),
+    "ragged-matrix": ({**OU, "A": [["-1", "0"], ["1"]]}, None, ["tf", "{m}"], 3,
+                      "error: {m}: ragged matrix rows\n"),
+    "sigma-size": (OU, [[1.0, 0.0], [0.0, 1.0]],
+                   ["simulate", "{m}", "--driver", "brownian", "--sigma", "{side}",
+                    "--seed", "1", "--steps", "10", "--h", "0.1", "-o", "{out}"], 3,
+                   "error: {side}: driver covariance must be 1x1 to match the "
+                   "model input\n"),
     "jump-law-unknown": (OU, None, [*CP_RUN, "--jump", "poisson"], 2,
                          "jump distribution must be"),
     # the d x 1 moving-average blocks are refused before any d x m block
@@ -1459,5 +1470,5 @@ def test_refusals(tmp_path, capsys, model, side, argv, code, message):
     got = cli.main([arg.format(**files) for arg in argv])
     err = capsys.readouterr().err
     assert got == code
-    assert message in err and "Traceback" not in err
+    assert message.format(**files) in err and "Traceback" not in err
     assert not files["out"].exists()

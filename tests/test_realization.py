@@ -1241,6 +1241,19 @@ REFUSALS = {
                    "order p must be at least 1"),
     "no-outputs": (lambda: spec(d=0), DimensionMismatch,
                    "dimensions must be positive"),
+    # an order must be an integer and not a bool
+    "order-bool": (lambda: spec(p=True), ValueError,
+                   "^p must be an integer, got True$"),
+    "inputs-bool": (lambda: spec(m=True), ValueError,
+                    "^m must be an integer, got True$"),
+    "ma-order-bool": (lambda: spec(q=False), ValueError,
+                      "^q must be an integer, got False$"),
+    "order-float": (lambda: spec(p=1.0), ValueError,
+                    "^p must be an integer, got 1.0$"),
+    "outputs-float": (lambda: spec(d=1.0), ValueError,
+                      "^d must be an integer, got 1.0$"),
+    "ma-order-float": (lambda: spec(q=0.0), ValueError,
+                       "^q must be an integer, got 0.0$"),
     "ar-count": (lambda: spec(p=2), DimensionMismatch,
                  "expected 2 autoregressive coefficients"),
     "zero-ma-with-blocks": (lambda: spec(q=None), ValueError,

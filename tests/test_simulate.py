@@ -1115,6 +1115,78 @@ class TestRecordPath:
         assert steps == list(range(1, len(steps) + 1))
         assert 309 <= len(steps) < 309 + simulate.PATH_CHUNK
 
+    def test_one_output_product_per_model(self):
+        # three chunks of finite rows: each model's outputs C x are formed
+        # once, on the whole path, and no chunk's outputs are formed
+        products = []
+
+        class Counted(np.ndarray):
+            def __rmatmul__(self, other):
+                products.append(self.shape)
+                return np.matmul(other, self.view(np.ndarray))
+
+        def advance(lo, hi, states):
+            for rows in states:
+                rows[lo:hi] = rows[0] + np.arange(lo, hi)[:, None]
+
+        steps = 2 * simulate.PATH_CHUNK + 5
+        cfg = SimulationConfig(step_size=0.5, steps=steps, seed=0)
+        a = -np.eye(1)
+        c1 = np.array([[2.0]]).view(Counted)
+        c2 = np.array([[1.0], [-1.0], [3.0]]).view(Counted)
+        path1, path2 = simulate._record_path(
+            [np.zeros(1), np.ones(1)], cfg, advance,
+            [(a, a, c1), (a, a, c2)])
+        assert sorted(products) == [(1, 1), (1, 3)]
+        assert_array_equal(path1.outputs[:, 0], 2.0 * np.arange(steps))
+        assert_array_equal(path2.outputs,
+                           np.arange(1.0, steps + 1)[:, None] * [1.0, -1.0, 3.0])
+        assert_array_equal(path1.times, 0.5 * np.arange(steps))
+
+    def test_output_overflow_on_finite_states_runs_to_the_end(self):
+        # the states stay finite, so no chunk stops the run; SamplePath's
+        # check of the whole path then names the first non-finite output
+        steps = []
+
+        def advance(lo, hi, states):
+            rows, = states
+            steps.extend(range(lo, hi))
+            rows[lo:hi] = 10.0
+
+        cfg = SimulationConfig(step_size=1.0, steps=3 * simulate.PATH_CHUNK,
+                               seed=0)
+        with pytest.raises(OutOfRange, match="output at t=1$"):
+            simulate._record_path([np.ones(1)], cfg, advance,
+                                  [(-np.eye(1), np.eye(1), np.array([[1e308]]))])
+        assert steps == list(range(1, cfg.steps))
+
+    # Refusals of overflowing runs, in class and time.  A C of 10**308 lets
+    # the outputs overflow while the states stay finite; the second mode of
+    # HIDDEN diverges behind a zero column of C.
+    BIG_C = StateSpaceModel(a=[[-1]], b=[[1]], c=[[10**308]])
+    HIDDEN = StateSpaceModel(a=[[-1, 0], [0, 3]], b=[[1], [1]], c=[[1, 0]])
+    GRID = SimulationConfig(step_size=0.5, steps=5000, seed=4)
+
+    @pytest.mark.parametrize("run, error, time", [
+        (lambda t: simulate_brownian(t.BIG_C, [[1.0]], t.GRID), OutOfRange, "117"),
+        (lambda t: simulate_shared_brownian_pair(t.BIG_C, t.BIG_C, [[1.0]], t.GRID),
+         OutOfRange, "4.5"),
+        (lambda t: simulate_compound_poisson(t.BIG_C, [0.3, 7.0], [[1.0], [3.0]],
+                                             t.GRID), OutOfRange, "7"),
+        (lambda t: simulate_brownian(t.HIDDEN, [[1.0]], t.GRID), UnstableModel,
+         "237.5"),
+        (lambda t: simulate_compound_poisson(t.HIDDEN, [0.3], [[1.0]], t.GRID),
+         UnstableModel, "237"),
+        # model 1's later overflow wins over model 2's at t=4.5
+        (lambda t: simulate_shared_brownian_pair(t.HIDDEN, t.BIG_C, [[1.0]], t.GRID),
+         UnstableModel, "389"),
+    ], ids=["brownian-wide-c", "euler-pair-wide-c", "cp-wide-c", "brownian-hidden",
+            "cp-hidden", "euler-pair-hidden-first"])
+    def test_overflow_refusals(self, run, error, time):
+        with pytest.raises(error, match=f"^sample path overflows: first "
+                                        f"non-finite output at t={time}$"):
+            run(self)
+
     def test_simulators_report_first_overflow(self):
         # y(t) = e^{3 (t - 1/2)} after a unit jump at 1/2 first overflows at 238.
         ss = StateSpaceModel(a=[[3]], b=[[1]], c=[[1]])
