@@ -8,33 +8,8 @@ trailing newline, so re-parsing and re-serializing a report reproduces it
 byte for byte.  Rationals stay strings end to end; floats appear only in
 simulation CSVs and metadata sidecars.
 
-Exit codes are a stable interface:
-
-  0  success (check-equiv: models equivalent)
-  1  check-equiv: models distinct
-  2  parse or usage error (bad JSON, UTF-8 or nesting, bad rational, unknown
-     field, bad flags, a side-file entry that is not a JSON number, atoms
-     not a non-empty list of vectors, atom probabilities that are negative
-     or do not sum to 1, a --sigma that is not finite, symmetric and PSD);
-     an exact report integer too long to print; or an input out of range
-     (see errors.OutOfRange): a model entry beyond the double range,
-     refused before any draw; a transfer-function coefficient or noise
-     covariance B Sigma B^T beyond the double range; a --sigma whose
-     density overflows on a model with no pole there; a one-step covariance
-     or a simulated path that overflows on a stable drift; --init
-     stationary on a stable drift whose Lyapunov solve misses the residual
-     tolerance; a grid end or a drift norm times step size that overflows;
-     a run whose largest array (a model's steps x max(N, d) states or
-     outputs, the increments, the jump sizes) would hold over
-     simulate.MAX_PATH_VALUES floats, refused before any draw; or a
-     spectrum whose densities, 2 d^2 floats a frequency, would too,
-     refused before the first density
-  3  dimension error
-  4  degenerate transfer function (identically zero, or not strictly proper)
-  5  unstable drift: --init stationary on an unstable drift, or a one-step
-     covariance or a simulated path that overflows on an unstable drift
-  6  spectral density pole on the sampled axis, or a density that overflows
-     there even with --sigma scaled to largest entry 1
+Exit codes are a stable interface; README's "Exit codes" section lists
+every cause of a refusal.
 """
 
 import argparse
@@ -317,11 +292,12 @@ def _emit(obj, newline: str, parts: list) -> None:
 
 
 def _emit_report(report: dict, out_path) -> None:
+    # the file first, so a path that cannot be written prints nothing
     text = canonical_dumps(report)
-    sys.stdout.write(text)
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +415,10 @@ def cmd_check_equiv(args) -> int:
                                 "step_size": args.h}
         lines.append(f"sup_norm_gap {gap:.17g}")
         lines.append(f"relative_gap {report['relative_gap']:.17g}")
-    sys.stdout.write("\n".join(lines) + "\n")
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(canonical_dumps(report))
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK if equivalent else EXIT_DISTINCT
 
 
@@ -562,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     equiv.add_argument("model2", help="second model file")
     equiv.add_argument("--simulate", choices=["cp"],
                        help="also run a shared-jump pathwise comparison")
-    equiv.add_argument("--rate", type=_positive_float, default=1.0,
+    equiv.add_argument("--rate", type=_positive_float,
                        help="jump rate for --simulate cp (default 1.0)")
     equiv.add_argument("--seed", type=_nonnegative_int,
                        help="seed for --simulate cp")
@@ -576,12 +552,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="simulate a seeded sample path to CSV")
     sim.add_argument("model", help="model file (JSON)")
     sim.add_argument("--driver", choices=["brownian", "cp"], required=True)
-    sim.add_argument("--sigma", default="identity",
-                     help="Brownian covariance: \"identity\" or a JSON matrix file")
+    sim.add_argument("--sigma", help="Brownian covariance: \"identity\" "
+                     "(the default) or a JSON matrix file")
     sim.add_argument("--rate", type=_positive_float,
                      help="jump rate (required with --driver cp)")
-    sim.add_argument("--jump", default="gaussian",
-                     help="jump distribution: \"gaussian\" or \"atoms:<file>\"")
+    sim.add_argument("--jump", help="jump distribution: \"gaussian\" (the "
+                     "default) or \"atoms:<file>\"")
     sim.add_argument("--seed", type=_nonnegative_int, required=True)
     sim.add_argument("--steps", type=_positive_int, required=True)
     sim.add_argument("--h", type=_positive_float, required=True,
@@ -603,18 +579,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_unused(parser, args, names, branch: str) -> None:
+    for name in names:
+        if getattr(args, name) is not None:
+            parser.error(f"--{name} is only available with {branch}")
+
+
 def _validate_flag_combinations(parser, args) -> None:
-    if args.command == "check-equiv" and args.simulate == "cp":
+    """Refuse a run that lacks a flag it needs, or that is given one it would
+    not read; then fill in the defaults of the flags it reads."""
+    if args.command == "check-equiv" and args.simulate != "cp":
+        _refuse_unused(parser, args, ("rate", "seed", "steps", "h"), "--simulate cp")
+    elif args.command == "check-equiv":
         missing = [name for name in ("seed", "steps", "h")
                    if getattr(args, name) is None]
         if missing:
             parser.error("--simulate cp requires --" + ", --".join(missing))
-    if args.command == "simulate" and args.driver == "cp":
+        if args.rate is None:
+            args.rate = 1.0
+    elif args.command == "simulate" and args.driver == "brownian":
+        _refuse_unused(parser, args, ("rate", "jump"), "--driver cp")
+        if args.sigma is None:
+            args.sigma = "identity"
+    elif args.command == "simulate":
         if args.rate is None:
             parser.error("--driver cp requires --rate")
         if args.init == "stationary":
             parser.error("--init stationary is only available with "
                          "--driver brownian")
+        _refuse_unused(parser, args, ("sigma",), "--driver brownian")
+        if args.jump is None:
+            args.jump = "gaussian"
 
 
 # Checked in order, so a subclass must precede any base class listed after it.

@@ -15,20 +15,8 @@ class ModelFileError(CarmakitError, ValueError):
 
 
 class OutOfRange(CarmakitError, ValueError):
-    """A well-formed input or result out of range: a model entry,
-    transfer-function coefficient or noise covariance beyond the double
-    range (a model entry is refused before any random draw), a grid whose
-    last time overflows, a driver covariance whose spectral density
-    overflows on a model with no pole there, a one-step covariance or a
-    simulated path that overflows on a drift that
-    ``simulate.stability_check`` calls stable (the path only through its
-    step), a stable drift whose stationary covariance's Lyapunov solve
-    misses its residual tolerance, a non-finite output handed to
-    ``simulate.SamplePath``, an exact result with more digits than the
-    interpreter converts to a string, or a run whose largest array (a
-    model's steps x max(N, d) states or outputs, the increments, the jump
-    sizes), or a spectrum whose densities (2 d^2 floats a frequency), would
-    hold more than ``simulate.MAX_PATH_VALUES`` floats."""
+    """A well-formed input or result out of range; README's "Exit codes"
+    section lists the causes (exit 2)."""
 
 
 class DegenerateTransferFunction(CarmakitError):

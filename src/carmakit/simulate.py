@@ -238,8 +238,9 @@ class LevyDriverSpec:
 
     def __post_init__(self):
         self.rate = float(self.rate)
-        if not self.rate > 0:
-            raise ValueError("jump rate must be positive")
+        if not (math.isfinite(self.rate) and self.rate > 0):
+            raise ValueError(
+                f"jump rate must be finite and positive, got {self.rate!r}")
 
     @classmethod
     def compound_poisson(cls, rate, jumps: JumpDistribution) -> "LevyDriverSpec":

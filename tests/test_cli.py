@@ -12,6 +12,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -56,7 +57,11 @@ def mcarma_obj(p, q, d, m, a_coeffs, b_coeffs):
 
 
 def write_model(path, obj):
-    path.write_text(json.dumps(obj), encoding="utf-8")
+    """Write ``obj`` as JSON, or ``bytes`` as they are."""
+    if isinstance(obj, bytes):
+        path.write_bytes(obj)
+    else:
+        path.write_text(json.dumps(obj), encoding="utf-8")
     return str(path)
 
 
@@ -78,6 +83,12 @@ STABLE_3X3 = ss_obj([[-3, 0, "2/3"], [2, "-3/2", "-2/3"], ["-2/3", -1, -4]],
                     [["-1/2", 0], [0, -2], ["3/2", -1]],
                     [["-1/3", 0, "-3/2"], ["-3/2", "-1/3", "-1/2"]])
 TWO_INPUTS = ss_obj([[-1, 0], [0, -2]], [[1, 0], [0, 1]], [[1, 1]])
+# det(zI - A) = (z - N)^2 - 1, N of 3000 nines, has a coefficient of about
+# 6000 digits
+TOO_LONG = ss_obj([["9" * 3000, 1], [1, "9" * 3000]], [[1], [0]], [[1, 0]])
+# one state with 1,000 and with 300 outputs
+WIDE_1000, WIDE_300 = (ss_obj([[-1]], [[1]], [[k] for k in range(1, d + 1)])
+                       for d in (1000, 300))
 # Files the JSON reader cannot take: nesting past the recursion limit, bytes
 # that are not UTF-8, and an integer literal past the interpreter's limit of
 # digits for integer conversion.
@@ -136,36 +147,6 @@ class TestModelFiles:
         model = cli.load_model(str(path))
         assert model.a == ((Fraction(-3),),)
 
-    @pytest.mark.parametrize("mutate, expected", [
-        (lambda o: o.update(extra=1), 2),
-        (lambda o: o.pop("C"), 2),
-        (lambda o: o.update(kind="weird"), 2),
-        (lambda o: o.update(A=[["1/0"]]), 2),
-        (lambda o: o.update(A=[[0.5]]), 2),
-        (lambda o: o.update(A=[[True]]), 2),
-        (lambda o: o.update(B=[["1"], ["2"]]), 3),
-        # appended, so the earlier rows keep their ids
-        (lambda o: o.update(A=[["3/4\n"]]), 2),
-        (lambda o: o.update(A=[["\uff11"]]), 2),
-        (lambda o: o.update(C=[["\u0661/\u0662"]]), 2),
-    ])
-    def test_bad_statespace_exit_codes(self, tmp_path, capsys, mutate, expected):
-        obj = ss_obj([["-3"]], [["1"]], [["5"]])
-        mutate(obj)
-        path = write_model(tmp_path / "m.json", obj)
-        code, _ = run(capsys, "tf", path)
-        assert code == expected
-
-    def test_unreadable_file_exit_2(self, tmp_path, capsys):
-        code, _ = run(capsys, "tf", str(tmp_path / "absent.json"))
-        assert code == 2
-
-    def test_non_json_exit_2(self, tmp_path, capsys):
-        path = tmp_path / "m.json"
-        path.write_text("not json at all {")
-        code, _ = run(capsys, "tf", str(path))
-        assert code == 2
-
     @pytest.mark.parametrize("role", ["model", "sigma", "atoms"])
     @pytest.mark.parametrize("content", UNREADABLE_JSON.values(),
                              ids=UNREADABLE_JSON)
@@ -185,16 +166,6 @@ class TestModelFiles:
         assert code == 2
         assert err.startswith(f"error: {broken} is not valid JSON: ")
         assert len(err.splitlines()) == 1
-
-    def test_mcarma_order_violation_exit_2(self, tmp_path, capsys):
-        obj = mcarma_obj(1, 1, 1, 1, [[[3]]], [[[1]], [[2]]])
-        code, _ = run(capsys, "tf", write_model(tmp_path / "m.json", obj))
-        assert code == 2
-
-    def test_mcarma_shape_violation_exit_3(self, tmp_path, capsys):
-        obj = mcarma_obj(2, 0, 2, 1, [[[1, 0], [0, 1]], [[1]]], [[[1], [0]]])
-        code, _ = run(capsys, "tf", write_model(tmp_path / "m.json", obj))
-        assert code == 3
 
 
 class TestTfCommand:
@@ -267,10 +238,7 @@ class TestTfCommand:
                                          ["canonical", "--form", "controller"]],
                              ids=["tf", "observer", "controller"])
     def test_result_too_long_to_print_exit_2(self, tmp_path, capsys, command):
-        # det(zI - A) = (z - N)^2 - 1 has a coefficient of about 6000 digits
-        nines = "9" * 3000
-        path = write_model(tmp_path / "m.json", ss_obj(
-            [[nines, 1], [1, nines]], [[1], [0]], [[1, 0]]))
+        path = write_model(tmp_path / "m.json", TOO_LONG)
         limit = sys.get_int_max_str_digits()
         out_path = tmp_path / "report.json"
         code = cli.main([command[0], path, *command[1:], "-o", str(out_path)])
@@ -336,12 +304,6 @@ class TestCanonicalCommand:
         assert obs["statespace"]["A"] == ctrl["statespace"]["A"]
         assert obs["statespace"]["B"] == ctrl["statespace"]["C"]
         assert obs["statespace"]["C"] == ctrl["statespace"]["B"]
-
-    def test_zero_transfer_function_exit_4(self, tmp_path, capsys):
-        obj = mcarma_obj(1, 0, 1, 1, [[[1]]], [[[0]]])
-        path = write_model(tmp_path / "z.json", obj)
-        code, _ = run(capsys, "canonical", path, "--form", "observer")
-        assert code == 4
 
 
 @st.composite
@@ -448,21 +410,6 @@ class TestCheckEquiv:
         assert code == 1
         assert out.splitlines()[0] == "DISTINCT"
 
-    def test_dimension_mismatch_exit_3(self, tmp_path, capsys):
-        path1 = write_model(tmp_path / "m1.json", OU)
-        path2 = write_model(tmp_path / "m2.json",
-                            ss_obj([[-3]], [[1]], [[5], [1]]))
-        code, _ = run(capsys, "check-equiv", path1, path2)
-        assert code == 3
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_path_exit_5(self, tmp_path, capsys):
-        path = write_model(tmp_path / "unstable.json", UNSTABLE)
-        code = cli.main(["check-equiv", path, path, "--simulate", "cp",
-                         "--seed", "1", "--steps", "2000", "--h", "1"])
-        assert code == 5
-        assert capsys.readouterr().err == UNSTABLE_ERROR
-
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_out_of_range_model_2_exit_2_for_every_seed(self, tmp_path, capsys):
         # at rate 0.002 over 299 time units, a few seeds draw a jump early
@@ -478,12 +425,6 @@ class TestCheckEquiv:
             assert code == 2, seed
             assert err.startswith("error: model entry"), (seed, err)
             assert len(err.splitlines()) == 1, (seed, err)
-
-    def test_simulate_needs_grid_flags(self, tmp_path, capsys):
-        path = write_model(tmp_path / "ou.json", OU)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["check-equiv", path, path, "--simulate", "cp"])
-        assert exc.value.code == 2
 
 
 class TestSimulateCommand:
@@ -527,27 +468,6 @@ class TestSimulateCommand:
         y = np.loadtxt(out_path, delimiter=",", skiprows=1)[:, 1]
         assert abs(np.var(y) - 25 / 6) <= 0.10 * 25 / 6
 
-    def test_stationary_with_unstable_drift_exit_5(self, tmp_path, capsys):
-        path = write_model(tmp_path / "bad.json", ss_obj([[3]], [[1]], [[1]]))
-        code, _ = run(capsys, "simulate", path, "--driver", "brownian",
-                      "--seed", "1", "--steps", "10", "--h", "0.1",
-                      "--init", "stationary", "-o", str(tmp_path / "x.csv"))
-        assert code == 5
-
-    def test_ill_conditioned_stationary_exit_2(self, tmp_path, capsys):
-        # the drift is stable, so a start the float solve cannot give is
-        # out of range, not unstable
-        path = write_model(tmp_path / "ill.json", ILL_CONDITIONED)
-        out_path = tmp_path / "x.csv"
-        code = cli.main(["simulate", path, "--driver", "brownian",
-                         "--seed", "1", "--steps", "5", "--h", "0.1",
-                         "--init", "stationary", "-o", str(out_path)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error: Lyapunov solve residual")
-        assert len(err.splitlines()) == 1
-        assert not out_path.exists()
-
     def test_atoms_driver_and_sidecar(self, tmp_path, capsys):
         path = write_model(tmp_path / "ou.json", OU)
         atoms_path = tmp_path / "atoms.json"
@@ -576,21 +496,6 @@ class TestSimulateCommand:
         meta = json.loads((tmp_path / "cp.csv.meta.json").read_text())
         assert meta["driver"]["jump"] == {"kind": "gaussian", "mean": [0.0, 0.0],
                                           "cov": [[1.0, 0.0], [0.0, 1.0]]}
-
-    def test_bad_atom_probabilities_exit_2(self, tmp_path, capsys):
-        path = write_model(tmp_path / "ou.json", OU)
-        atoms_path = tmp_path / "atoms.json"
-        for atoms in ({"atoms": [[2.0], [1.0]], "probabilities": [0.5, 0.6]},
-                      {"atoms": [[10**400]], "probabilities": [1.0]},
-                      {"atoms": [[math.nan]], "probabilities": [1.0]},
-                      {"atoms": [[-math.inf]], "probabilities": [1.0]},
-                      {"atoms": [[1.0]], "probabilities": [math.nan]}):
-            atoms_path.write_text(json.dumps(atoms))
-            code, _ = run(capsys, "simulate", path, "--driver", "cp",
-                          "--rate", "1", "--jump", f"atoms:{atoms_path}",
-                          "--seed", "9", "--steps", "10", "--h", "0.25",
-                          "-o", str(tmp_path / "x.csv"))
-            assert code == 2
 
     @pytest.mark.parametrize("atoms", [
         {"atoms": [[[1]], [[2]]], "probabilities": [0.5, 0.5]},
@@ -635,16 +540,6 @@ class TestSimulateCommand:
                        f"numbers, got {entry!r}\n")
         assert not out_path.exists()
 
-    def test_bad_sigma_shape_exit_3(self, tmp_path, capsys):
-        path = write_model(tmp_path / "ou.json", OU)
-        sigma_path = tmp_path / "sigma.json"
-        sigma_path.write_text("[[1.0, 0.0]]")
-        code, _ = run(capsys, "simulate", path, "--driver", "brownian",
-                      "--sigma", str(sigma_path), "--seed", "1",
-                      "--steps", "10", "--h", "0.1",
-                      "-o", str(tmp_path / "x.csv"))
-        assert code == 3
-
     @pytest.mark.parametrize("command", ["simulate", "spectrum"])
     @pytest.mark.parametrize("sigma", ["[[1.0, 0.0], [0.0, -1.0]]",
                                        "[[1.0, 0.5], [0.0, 1.0]]",
@@ -684,50 +579,6 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == (
             f"error: {sigma_path}: driver covariance must be positive "
             "semidefinite\n")
-        assert not out_path.exists()
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_path_exit_5(self, tmp_path, capsys):
-        path = write_model(tmp_path / "unstable.json", UNSTABLE)
-        out_path = tmp_path / "x.csv"
-        code = cli.main(["simulate", path, "--driver", "brownian",
-                         "--seed", "1", "--steps", "2000", "--h", "1",
-                         "-o", str(out_path)])
-        assert code == 5
-        assert capsys.readouterr().err == UNSTABLE_ERROR
-        assert not out_path.exists()
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_cp_path_exit_5(self, tmp_path, capsys):
-        path = write_model(tmp_path / "unstable.json", UNSTABLE)
-        out_path = tmp_path / "x.csv"
-        code = cli.main(["simulate", path, "--driver", "cp", "--rate", "1",
-                         "--seed", "1", "--steps", "2000", "--h", "1",
-                         "-o", str(out_path)])
-        assert code == 5
-        assert capsys.readouterr().err == UNSTABLE_ERROR
-        assert not out_path.exists()
-
-    # Stable drifts whose compound-Poisson path turns non-finite only
-    # because e^{A gap} is NaN over a gap near the double range: exit 2,
-    # since exit 5 means an unstable drift.  STABLE_3X3 is the benchmark's
-    # CLI model (seed 21), e^{A gap} NaN from a gap of about 7.5e37.
-    @pytest.mark.parametrize("model, h, rate", [
-        (STABLE_3X3, "1e38", "1e-38"),
-        (ss_obj([[-1, "1/2"], [0, -2]], [[1], [1]], [[1, 0]]), "1e300", "1e-300"),
-    ], ids=["benchmark-model", "triangular"])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_stable_drift_nonfinite_cp_path_exit_2(self, tmp_path, capsys,
-                                                   model, h, rate):
-        path = write_model(tmp_path / "stable.json", model)
-        out_path = tmp_path / "x.csv"
-        code = cli.main(["simulate", path, "--driver", "cp", "--rate", rate,
-                         "--seed", "1", "--steps", "3", "--h", h,
-                         "-o", str(out_path)])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "error: sample path overflows: first non-finite output at "
-            f"t={float(h):.17g}\n")
         assert not out_path.exists()
 
     @pytest.mark.parametrize("driver", [["brownian"], ["cp", "--rate", "1"]])
@@ -777,128 +628,8 @@ class TestSimulateCommand:
         assert code == 3
         assert not out_path.exists()
 
-    def test_cp_requires_rate(self, tmp_path):
-        path = write_model(tmp_path / "ou.json", OU)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["simulate", path, "--driver", "cp", "--seed", "1",
-                      "--steps", "10", "--h", "0.1", "-o",
-                      str(tmp_path / "x.csv")])
-        assert exc.value.code == 2
-
-    def test_cp_stationary_init_rejected(self, tmp_path):
-        path = write_model(tmp_path / "ou.json", OU)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["simulate", path, "--driver", "cp", "--rate", "1",
-                      "--seed", "1", "--steps", "10", "--h", "0.1",
-                      "--init", "stationary", "-o", str(tmp_path / "x.csv")])
-        assert exc.value.code == 2
-
-
-class TestFlagValidation:
-
-    @pytest.mark.parametrize("flags", [
-        ["check-equiv", "{m}", "{m}", "--simulate", "cp", "--seed", "1",
-         "--steps", "0", "--h", "0.1"],
-        ["simulate", "{m}", "--driver", "brownian", "--seed", "-1",
-         "--steps", "10", "--h", "0.1", "-o", "{out}"],
-        ["simulate", "{m}", "--driver", "brownian", "--seed", "1",
-         "--steps", "10", "--h", "nan", "-o", "{out}"],
-        ["simulate", "{m}", "--driver", "brownian", "--seed", "1",
-         "--steps", "10", "--h", "-1", "-o", "{out}"],
-        ["simulate", "{m}", "--driver", "cp", "--rate", "0", "--seed", "1",
-         "--steps", "10", "--h", "0.1", "-o", "{out}"],
-        ["spectrum", "{m}", "--omegas", "nan", "-o", "{out}"],
-        ["spectrum", "{m}", "--omegas", "0,inf", "-o", "{out}"],
-        ["spectrum", "{m}", "--omegas", "1,-inf", "-o", "{out}"],
-        ["spectrum", "{m}", "--omegas", "1e400", "-o", "{out}"],
-        ["spectrum", "{m}", "--omegas", "1,x", "-o", "{out}"],
-        ["spectrum", "{m}", "--omegas", "", "-o", "{out}"],
-        ["spectrum", "{m}", "--omegas", ",", "-o", "{out}"],
-        ["spectrum", "{m}", "--omegas", "1,,2", "-o", "{out}"],
-        ["spectrum", "{m}", "--omegas", "1,", "-o", "{out}"],
-    ], ids=["steps-0", "seed-negative", "h-nan", "h-negative", "rate-0",
-            "omega-nan", "omega-inf", "omega-minus-inf", "omega-overflow",
-            "omega-not-a-number", "omega-empty", "omega-comma",
-            "omega-empty-inside", "omega-empty-last"])
-    def test_invalid_flag_exit_2(self, tmp_path, capsys, flags):
-        path = write_model(tmp_path / "ou.json", OU)
-        argv = [f.format(m=path, out=tmp_path / "x.csv") for f in flags]
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        err = capsys.readouterr().err
-        assert exc.value.code == 2
-        assert "error:" in err and "Traceback" not in err
-        assert not (tmp_path / "x.csv").exists()
-
-
-GRID_ERROR = "the grid of 10 steps of 1e+308 ends past the double range"
-# the jump sizes of 1e300 * 9 expected jumps of one input
-JUMP_ERROR = f"path needs {1e300 * 9:.0f} values in one array, more than"
-
 
 class TestOutOfRange:
-
-    @pytest.mark.parametrize("model, flags, message", [
-        (OU, ["simulate", "--driver", "cp", "--rate", "1e300", "--h", "1"],
-         JUMP_ERROR),
-        (OU, ["check-equiv", "{m}", "--simulate", "cp", "--rate", "1e300",
-              "--h", "1"], JUMP_ERROR),
-        (HUGE, ["simulate", "--driver", "brownian", "--h", "1"],
-         "model entry: integer division result too large"),
-        (HUGE, ["spectrum", "--omegas", "1"],
-         "transfer function: integer division result too large"),
-        (ss_obj([[-10**300]], [[1]], [[1]]),
-         ["simulate", "--driver", "brownian", "--h", "1e10"],
-         "drift norm times step size"),
-        (ss_obj([[-1]], [[10**300]], [[1]]),
-         ["simulate", "--driver", "brownian", "--init", "stationary",
-          "--h", "1"], "noise covariance"),
-        (OU, ["simulate", "--driver", "brownian", "--h", "1e308"], GRID_ERROR),
-        (OU, ["simulate", "--driver", "cp", "--rate", "1", "--h", "1e308"],
-         GRID_ERROR),
-        (OU, ["check-equiv", "{m}", "--simulate", "cp", "--h", "1e308"],
-         GRID_ERROR),
-    ], ids=["simulate-rate", "check-equiv-rate", "simulate-entry",
-            "spectrum-coefficient", "simulate-norm", "simulate-noise",
-            "brownian-grid", "cp-grid", "check-equiv-grid"])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_exit_2_before_any_draw(self, tmp_path, capsys, model, flags,
-                                    message):
-        path = write_model(tmp_path / "m.json", model)
-        out_path = tmp_path / "x.csv"
-        command, *flags = [f.format(m=path) for f in flags]
-        grid = {"simulate": ["--seed", "0", "--steps", "10", "-o", str(out_path)],
-                "check-equiv": ["--seed", "0", "--steps", "10"],
-                "spectrum": ["-o", str(out_path)]}[command]
-        code = cli.main([command, path, *flags, *grid])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith(f"error: {message}")
-        assert len(err.splitlines()) == 1
-        assert not out_path.exists()
-
-    @pytest.mark.parametrize("model, sigma, flags, message", [
-        (ss_obj([[-1]], [[5]], [[1]]), "[[1.7e308]]", ["spectrum", "--omegas", "0"],
-         "spectral density at i*0.0 beyond the double range"),
-        (ss_obj([[-1]], [[1]], [[1]]), "[[1.7e308]]",
-         ["simulate", "--driver", "brownian", "--h", "1"],
-         "one-step covariance overflows at step size 1"),
-    ], ids=["spectrum-density", "brownian-step"])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_covariance_beyond_double_range(self, tmp_path, capsys, model,
-                                            sigma, flags, message):
-        path = write_model(tmp_path / "m.json", model)
-        sigma_path = tmp_path / "sigma.json"
-        sigma_path.write_text(sigma)
-        out_path = tmp_path / "x.csv"
-        command, *flags = flags
-        grid = ["--seed", "0", "--steps", "10"] if command == "simulate" else []
-        code = cli.main([command, path, "--sigma", str(sigma_path), *flags,
-                         *grid, "-o", str(out_path)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err == f"error: {message}\n"
-        assert not out_path.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_covariance_small_step_runs(self, tmp_path, capsys):
@@ -917,11 +648,9 @@ class TestOutOfRange:
 class TestSpectrumCommand:
 
     def test_spectrum_cap_exit_2(self, tmp_path, capsys, monkeypatch):
-        # 300 outputs over 60 frequencies: 60 * 2 * 300^2 = 1.08e7 floats
-        # of densities, refused before the first
+        # 60 * 2 * 300^2 = 1.08e7 floats of densities, refused before the first
         monkeypatch.setattr(simulate, "spectral_density", None)  # never reached
-        path = write_model(tmp_path / "wide.json",
-                           ss_obj([[-1]], [[1]], [[k] for k in range(1, 301)]))
+        path = write_model(tmp_path / "wide.json", WIDE_300)
         out_path = tmp_path / "s.csv"
         code = cli.main(["spectrum", path, "--omegas",
                          ",".join(str(w) for w in range(60)),
@@ -1024,12 +753,6 @@ class TestSpectrumCommand:
         assert code == 6
         assert capsys.readouterr().err == (
             "error: spectral density overflows at i*1.0000000000000002\n")
-
-    def test_pole_exit_6(self, tmp_path, capsys):
-        path = write_model(tmp_path / "int.json", ss_obj([[0]], [[1]], [[1]]))
-        code, _ = run(capsys, "spectrum", path, "--omegas", "0,1",
-                      "-o", str(tmp_path / "x.csv"))
-        assert code == 6
 
 
 JSON_TEXT = st.text() | st.sampled_from(
@@ -1374,6 +1097,23 @@ def cli_runs(draw):
     return files, argv
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_exit_codes():
+    """The codes README's exit-code table documents, and the refusal causes
+    listed under it as (id, exit code) pairs, in README's order."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n### Exit codes\n")[1].split("\n## ")[0]
+    codes = {int(k) for k in re.findall(r"^\| (\d+) \|", section, re.M)}
+    causes = [(cause, int(k)) for cause, k
+              in re.findall(r"^- `([^`]+)` \(exit (\d+)\): ", section, re.M)]
+    return codes, causes
+
+
+DOCUMENTED_CODES, README_CAUSES = readme_exit_codes()
+
+
 class TestFuzz:
 
     # Side files the random draws reach only now and then: a string entry
@@ -1403,7 +1143,7 @@ class TestFuzz:
                     code = cli.main([a.format(dir=tmp) for a in argv])
                 except SystemExit as exc:  # argparse usage errors
                     code = exc.code
-        assert code in range(7), (argv, code, err.getvalue())
+        assert code in DOCUMENTED_CODES, (argv, code, err.getvalue())
         assert "Traceback" not in out.getvalue() + err.getvalue()
         if code == 0 and "{dir}/sigma.json" in argv:
             # a run that read a side file succeeds only on the documented shape
@@ -1421,54 +1161,246 @@ class TestFuzz:
 
 
 # ---------------------------------------------------------------------------
-# Refusals the tests above do not reach
+# The refusal catalogue: README's "Exit codes" section lists each cause of a
+# refusal once, and REFUSALS runs each of them
 # ---------------------------------------------------------------------------
 
 MCARMA = mcarma_obj(2, 1, 1, 1, [[[3]], [[2]]], [[[1]], [[3]]])
-CP_RUN = ["simulate", "{m}", "--driver", "cp", "--rate", "1", "--seed", "1",
-          "--steps", "10", "--h", "0.1", "-o", "{out}"]
-# model file, side file, argv, exit code, stderr fragment ({m} and {side}
-# stand for the files' paths: a refusal of a file's content names the file)
+GRID = "--seed 1 --steps 10 --h 0.1"
+BROWNIAN = "simulate {m} --driver brownian -o {out}"
+CP = "simulate {m} --driver cp -o {out}"
+CP_RUN = f"{CP} --rate 1 {GRID}"
+EQUIV_CP = "check-equiv {m} {m} --simulate cp --seed 0 --steps 10"
+SPECTRUM = "spectrum {m} -o {out}"
+GRID_ERROR = "error: the grid of 10 steps of 1e+308 ends past the double range"
+# the jump sizes of 1e300 * 9 expected jumps of one input
+JUMP_ERROR = f"error: path needs {1e300 * 9:.0f} values in one array, more than"
+FINITE_ATOMS = "atoms and their probabilities must be finite"
+NOT_RATIONAL = "expected a rational string like \"3/4\", got "
+# Each row is a model file, a side file, the argv split on spaces, the exit
+# code and a fragment of stderr.  "{m}", "{side}", "{out}" and "{dir}" stand
+# for the two files, the output path and their directory: a refusal of a
+# file's content names the file.  A row id is a README cause id, or one
+# followed by "/variant".
 REFUSALS = {
-    "p-not-an-integer": ({**MCARMA, "p": True}, None, ["tf", "{m}"], 2,
-                         "m.json.p must be an integer"),
-    "top-level-array": ([], None, ["tf", "{m}"], 2,
-                        "top level must be a JSON object"),
-    "empty-matrix": ({**OU, "A": []}, None, ["tf", "{m}"], 2,
+    "file-unreadable": (OU, None, "tf {dir}/absent.json", 2,
+                        "error: cannot read {dir}/absent.json: "),
+    "file-not-json": (b"not json at all {", None, "tf {m}", 2,
+                      "error: {m} is not valid JSON: "),
+    "top-level-array": ([], None, "tf {m}", 2, "top level must be a JSON object"),
+    "model-kind": (
+        {**OU, "kind": "weird"}, None, "tf {m}", 2,
+        "error: {m}: kind must be \"statespace\" or \"mcarma\", got 'weird'\n"),
+    "model-fields/unknown": ({**OU, "extra": 1}, None, "tf {m}", 2,
+                             "error: {m} has unknown fields: ['extra']\n"),
+    "model-fields/missing": ({k: v for k, v in OU.items() if k != "C"}, None,
+                             "tf {m}", 2, "error: {m} is missing fields: ['C']\n"),
+    "empty-matrix": ({**OU, "A": []}, None, "tf {m}", 2,
                      "m.json:A must be a non-empty nested array"),
-    "coeffs-not-an-array": ({**MCARMA, "A_coeffs": {"1": "3"}}, None,
-                            ["tf", "{m}"], 2, "m.json.A_coeffs must be an array"),
-    "atom-file-fields": (OU, {"atoms": [[1.0]]}, [*CP_RUN, "--jump", "atoms:{side}"],
-                         2, "{side}: atom file must hold exactly the fields atoms, "
-                            "probabilities"),
-    "atom-probability-count": (
-        OU, {"atoms": [[1.0], [2.0]], "probabilities": [1.0]},
-        [*CP_RUN, "--jump", "atoms:{side}"], 3,
-        "error: {side}: one probability per atom required\n"),
-    "ragged-matrix": ({**OU, "A": [["-1", "0"], ["1"]]}, None, ["tf", "{m}"], 3,
-                      "error: {m}: ragged matrix rows\n"),
-    "sigma-size": (OU, [[1.0, 0.0], [0.0, 1.0]],
-                   ["simulate", "{m}", "--driver", "brownian", "--sigma", "{side}",
-                    "--seed", "1", "--steps", "10", "--h", "0.1", "-o", "{out}"], 3,
-                   "error: {side}: driver covariance must be 1x1 to match the "
-                   "model input\n"),
-    "jump-law-unknown": (OU, None, [*CP_RUN, "--jump", "poisson"], 2,
+    **{f"rational-entry/{name}": ({**OU, field: [[entry]]}, None, "tf {m}", 2,
+                                  f"error: {{m}}:{field}[0][0]: {message}")
+       for name, field, entry, message in (
+           ("zero-denominator", "A", "1/0", "zero denominator"),
+           ("float", "A", 0.5, NOT_RATIONAL + "0.5"),
+           ("boolean", "A", True, NOT_RATIONAL + "True"),
+           ("padded", "A", "3/4\n", ""), ("fullwidth-digit", "A", "\uff11", ""),
+           ("arabic-indic-digits", "C", "\u0661/\u0662", ""))},
+    "p-not-an-integer": ({**MCARMA, "p": True}, None, "tf {m}", 2,
+                         "m.json.p must be an integer"),
+    "coeffs-not-an-array": ({**MCARMA, "A_coeffs": {"1": "3"}}, None, "tf {m}", 2,
+                            "m.json.A_coeffs must be an array"),
+    "mcarma-order/q-not-below-p": (
+        mcarma_obj(1, 1, 1, 1, [[[3]]], [[[1]], [[2]]]), None, "tf {m}", 2,
+        "error: {m}: moving-average order must satisfy 0 <= q < p\n"),
+    "mcarma-order/p-zero": (
+        {**MCARMA, "p": 0}, None, "tf {m}", 2,
+        "error: {m}: autoregressive order p must be at least 1\n"),
+    "side-not-numbers": (
+        OU, [["2"]], f"{BROWNIAN} --sigma {{side}} {GRID}", 2,
+        "error: {side}: covariance must hold JSON numbers, got '2'\n"),
+    "sigma-not-covariance": (
+        OU, [[-1.0]], f"{BROWNIAN} --sigma {{side}} {GRID}", 2,
+        "error: {side}: driver covariance must be positive semidefinite\n"),
+    "atom-file-fields": (
+        OU, {"atoms": [[1.0]]}, CP_RUN + " --jump atoms:{side}", 2,
+        "{side}: atom file must hold exactly the fields atoms, probabilities"),
+    **{f"atom-values/{name}": (OU, {"atoms": atoms, "probabilities": probabilities},
+                               CP_RUN + " --jump atoms:{side}", 2,
+                               "error: {side}: bad atom file: " + message)
+       for name, atoms, probabilities, message in (
+           ("sum", [[2.0], [1.0]], [0.5, 0.6], "atom probabilities must sum to 1"),
+           ("huge", [[10**400]], [1.0], "atoms must be a numeric array"),
+           ("nan", [[math.nan]], [1.0], FINITE_ATOMS),
+           ("minus-inf", [[-math.inf]], [1.0], FINITE_ATOMS),
+           ("probability-nan", [[1.0]], [math.nan], FINITE_ATOMS))},
+    "jump-law-unknown": (OU, None, CP_RUN + " --jump poisson", 2,
                          "jump distribution must be"),
+    **{f"flag-value/{name}": (OU, None, argv, 2, f"argument {message}")
+       for name, argv, message in (
+           ("steps-0", "check-equiv {m} {m} --simulate cp --seed 1 --steps 0 --h 0.1",
+            "--steps: expected an integer >= 1, got '0'"),
+           ("seed-negative", f"{BROWNIAN} --seed -1 --steps 10 --h 0.1",
+            "--seed: expected an integer >= 0, got '-1'"),
+           ("h-nan", f"{BROWNIAN} --seed 1 --steps 10 --h nan",
+            "--h: expected a finite number > 0, got 'nan'"),
+           ("h-negative", f"{BROWNIAN} --seed 1 --steps 10 --h -1",
+            "--h: expected a finite number > 0, got '-1'"),
+           ("rate-0", f"{CP} --rate 0 {GRID}",
+            "--rate: expected a finite number > 0, got '0'"),
+           ("form", "canonical {m} --form minimal",
+            "--form: invalid choice: 'minimal'"))},
+    **{f"flag-omegas/{name}": (OU, None, f"{SPECTRUM} --omegas={omegas}", 2,
+                               "argument --omegas: omegas must")
+       for name, omegas in (("nan", "nan"), ("inf", "0,inf"), ("minus-inf", "1,-inf"),
+                            ("overflow", "1e400"), ("not-a-number", "1,x"),
+                            ("empty", ""), ("comma", ","), ("empty-inside", "1,,2"),
+                            ("empty-last", "1,"))},
+    "flag-missing/simulate-cp": (
+        OU, None, "check-equiv {m} {m} --simulate cp", 2,
+        "error: --simulate cp requires --seed, --steps, --h\n"),
+    "flag-missing/rate": (OU, None, f"{CP} {GRID}", 2,
+                          "error: --driver cp requires --rate\n"),
+    **{f"flag-unused/{name}": (OU, None, argv, 2,
+                               f"error: {flag} is only available with {branch}\n")
+       for name, argv, flag, branch in (
+           ("stationary-cp", CP_RUN + " --init stationary", "--init stationary",
+            "--driver brownian"),
+           ("sigma-cp", CP_RUN + " --sigma identity", "--sigma", "--driver brownian"),
+           ("rate-brownian", f"{BROWNIAN} --rate 1 {GRID}", "--rate", "--driver cp"),
+           ("jump-brownian", f"{BROWNIAN} --jump gaussian {GRID}", "--jump",
+            "--driver cp"),
+           *((f"check-equiv-{flag}", f"check-equiv {{m}} {{m}} --{flag} 1", f"--{flag}",
+              "--simulate cp") for flag in ("rate", "seed", "steps", "h")))},
+    **{f"out-unwritable/{name}": (OU, None, argv + " -o {dir}/missing/x", 2,
+                                  "No such file or directory")
+       for name, argv in (("tf", "tf {m}"),
+                          ("canonical", "canonical {m} --form observer"),
+                          ("check-equiv", "check-equiv {m} {m}"),
+                          ("check-equiv-cp", EQUIV_CP + " --h 0.1"),
+                          ("simulate", f"simulate {{m}} --driver brownian {GRID}"))},
+    "result-too-long": (TOO_LONG, None, "tf {m} -o {out}", 2,
+                        "error: exact result has more than "),
+    "entry-range": (HUGE, None, f"{BROWNIAN} --seed 0 --steps 10 --h 1", 2,
+                    "error: model entry: integer division result too large"),
+    "coefficient-range": (
+        HUGE, None, f"{SPECTRUM} --omegas 1", 2,
+        "error: transfer function: integer division result too large"),
+    "noise-range": (ss_obj([[-1]], [[10**300]], [[1]]), None,
+                    f"{BROWNIAN} --init stationary --seed 0 --steps 10 --h 1", 2,
+                    "error: noise covariance"),
+    "density-range": (ss_obj([[-1]], [[5]], [[1]]), [[1.7e308]],
+                      f"{SPECTRUM} --sigma {{side}} --omegas 0", 2,
+                      "error: spectral density at i*0.0 beyond the double range\n"),
+    "step-covariance-range": (
+        ss_obj([[-1]], [[1]], [[1]]), [[1.7e308]],
+        f"{BROWNIAN} --sigma {{side}} --seed 0 --steps 10 --h 1", 2,
+        "error: one-step covariance overflows at step size 1\n"),
+    # Stable drifts whose compound-Poisson path turns non-finite only because
+    # e^{A gap} is NaN over a gap near the double range: exit 2, since exit 5
+    # means an unstable drift.  STABLE_3X3 is the benchmark's CLI model (seed
+    # 21), e^{A gap} NaN from a gap of about 7.5e37.
+    **{f"path-range/{name}": (
+        model, None, f"{CP} --rate {rate} --seed 1 --steps 3 --h {h}", 2,
+        f"error: sample path overflows: first non-finite output at t={float(h):.17g}\n")
+       for name, model, h, rate in (
+           ("benchmark-model", STABLE_3X3, "1e38", "1e-38"),
+           ("triangular", ss_obj([[-1, "1/2"], [0, -2]], [[1], [1]], [[1, 0]]),
+            "1e300", "1e-300"))},
+    # the drift is stable, so a start the float solve cannot give is out of
+    # range, not unstable
+    "lyapunov-residual": (ILL_CONDITIONED, None,
+                          f"{BROWNIAN} --init stationary {GRID}", 2,
+                          "error: Lyapunov solve residual"),
+    **{f"grid-range/{name}": (OU, None, argv + " --h 1e308", 2, GRID_ERROR)
+       for name, argv in (("brownian", f"{BROWNIAN} --seed 0 --steps 10"),
+                          ("cp", f"{CP} --rate 1 --seed 0 --steps 10"),
+                          ("check-equiv", EQUIV_CP))},
+    "drift-step-range": (ss_obj([[-10**300]], [[1]], [[1]]), None,
+                         f"{BROWNIAN} --seed 0 --steps 10 --h 1e10", 2,
+                         "error: drift norm times step size"),
+    **{f"path-cap/{name}": (OU, None, argv + " --rate 1e300 --h 1", 2, JUMP_ERROR)
+       for name, argv in (("simulate-rate", f"{CP} --seed 0 --steps 10"),
+                          ("check-equiv-rate", EQUIV_CP))},
+    # one state and 1,000 outputs: 20,000 steps hold 2e7 output floats
+    "path-cap/outputs": (
+        WIDE_1000, None, f"{CP} --rate 1 --seed 0 --steps 20000 --h 0.01", 2,
+        "error: path needs 20000000 values in one array"),
+    # 300 outputs over 60 frequencies: 60 * 2 * 300^2 = 1.08e7 density floats
+    "spectrum-cap": (
+        WIDE_300, None, f"{SPECTRUM} --omegas " + ",".join(map(str, range(60))), 2,
+        "error: path needs 10800000 values in one array"),
+    "model-shape": ({**OU, "B": [["1"], ["2"]]}, None, "tf {m}", 3,
+                    "error: {m}: B must have as many rows as A\n"),
+    "ragged-matrix": ({**OU, "A": [["-1", "0"], ["1"]]}, None, "tf {m}", 3,
+                      "error: {m}: ragged matrix rows\n"),
+    "ar-shape": (mcarma_obj(2, 0, 2, 1, [[[1, 0], [0, 1]], [[1]]], [[[1], [0]]]), None,
+                 "tf {m}", 3, "error: {m}: autoregressive coefficients must be dxd\n"),
     # the d x 1 moving-average blocks are refused before any d x m block
     # is built for an m this large
-    "ma-shape-before-blocks": ({**MCARMA, "m": 1000000000}, None, ["tf", "{m}"],
-                               3, "moving-average coefficients must be dxm"),
+    "ma-shape-before-blocks": ({**MCARMA, "m": 1000000000}, None, "tf {m}", 3,
+                               "moving-average coefficients must be dxm"),
+    "pair-shape": (
+        OU, ss_obj([[-3]], [[1]], [[5], [1]]), "check-equiv {m} {side}", 3,
+        "error: models must share input and output dimensions to be compared\n"),
+    **{f"sigma-size{name}": (
+        OU, sigma, f"{BROWNIAN} --sigma {{side}} {GRID}", 3,
+        "error: {side}: driver covariance must be 1x1 to match the model input\n")
+       for name, sigma in (("", [[1.0, 0.0], [0.0, 1.0]]), ("/row", [[1.0, 0.0]]))},
+    "atom-probability-count": (OU, {"atoms": [[1.0], [2.0]], "probabilities": [1.0]},
+                               CP_RUN + " --jump atoms:{side}", 3,
+                               "error: {side}: one probability per atom required\n"),
+    "atom-size": (TWO_INPUTS, {"atoms": [[1.0, 2.0, 3.0]], "probabilities": [1.0]},
+                  CP_RUN + " --jump atoms:{side}", 3,
+                  "error: every model must have the driver's input dimension m = 3\n"),
+    "tf-zero": (mcarma_obj(1, 0, 1, 1, [[[1]]], [[[0]]]), None,
+                "canonical {m} --form observer", 4,
+                "error: cannot realize an identically zero transfer function\n"),
+    "stationary-unstable": (UNSTABLE, None, f"{BROWNIAN} --init stationary {GRID}", 5,
+                            "error: stationary covariance requires a stable drift\n"),
+    "step-covariance-unstable": (
+        UNSTABLE, None, f"{BROWNIAN} --seed 1 --steps 10 --h 1000", 5,
+        "error: one-step covariance overflows at step size 1000\n"),
+    **{f"path-unstable/{name}": (
+        UNSTABLE, None, argv + " --seed 1 --steps 2000 --h 1", 5, UNSTABLE_ERROR)
+       for name, argv in (("brownian", BROWNIAN), ("cp", f"{CP} --rate 1"),
+                          ("check-equiv", "check-equiv {m} {m} --simulate cp"))},
+    "pole": (ss_obj([[0]], [[1]], [[1]]), None, f"{SPECTRUM} --omegas 0,1", 6,
+             "error: transfer function has a pole at i*0.0\n"),
+    # 10^300/(z^2 + 1) next to its pole at i overflows read either way
+    "pole-overflow": (ss_obj([[0, 1], [-1, 0]], [[0], [1]], [[10**300, 0]]), None,
+                      f"{SPECTRUM} --omegas {1 + 2.0 ** -52!r}", 6,
+                      "error: spectral density overflows at i*1.0000000000000002\n"),
 }
 
 
 @pytest.mark.parametrize("model, side, argv, code, message", REFUSALS.values(),
                          ids=list(REFUSALS))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_refusals(tmp_path, capsys, model, side, argv, code, message):
-    files = {"m": write_model(tmp_path / "m.json", model),
+    files = {"dir": tmp_path, "m": write_model(tmp_path / "m.json", model),
              "side": write_model(tmp_path / "side.json", side),
              "out": tmp_path / "x.csv"}
-    got = cli.main([arg.format(**files) for arg in argv])
-    err = capsys.readouterr().err
+    try:
+        got, usage = cli.main([arg.format(**files) for arg in argv.split()]), False
+    except SystemExit as exc:  # an argparse usage error
+        got, usage = exc.code, True
+    out, err = capsys.readouterr()
     assert got == code
     assert message.format(**files) in err and "Traceback" not in err
+    # one error line, last, after argparse's usage lines if any
+    lines = err.splitlines()
+    assert [line for line in lines if "error: " in line] == lines[-1:]
+    assert lines[0].startswith("usage: " if usage else "error: ")
+    assert out == ""
     assert not files["out"].exists()
+
+
+def test_readme_lists_every_refusal():
+    causes = dict(README_CAUSES)
+    assert len(causes) == len(README_CAUSES), "a README cause is listed twice"
+    rows = {row_id: row[3] for row_id, row in REFUSALS.items()}
+    unrun = set(causes) - {row_id.split("/")[0] for row_id in rows}
+    assert not unrun, f"README causes with no REFUSALS row: {sorted(unrun)}"
+    # a row whose id README does not list reads None here
+    assert {row_id: causes.get(row_id.split("/")[0]) for row_id in rows} == rows
+    assert set(causes.values()) <= DOCUMENTED_CODES

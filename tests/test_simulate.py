@@ -1371,9 +1371,10 @@ class TestPathSizeCap:
     def test_cap_counts_jump_sizes(self, small_cap):
         # 600 expected jumps of two inputs: a size array of 1200 values
         jumps = GaussianJumps(mean=np.zeros(2), cov=np.eye(2))
+        # and an expected count past the double range; a rate that is not
+        # finite is refused where the driver is built (see REFUSALS)
         for rate, horizon, shown in [(6.0, 100.0, "1200"),
-                                     (math.inf, 100.0, "inf"),
-                                     (math.inf, 0.0, "nan")]:
+                                     (1e300, 1e300, "inf")]:
             with pytest.raises(OutOfRange, match=f"needs {shown} values"):
                 draw_compound_poisson_jumps(LevyDriverSpec(rate, jumps),
                                             horizon, GRID)
@@ -1474,6 +1475,12 @@ REFUSALS = {
     "atom-probability-negative": (
         lambda: FixedAtomJumps(atoms=[[1.0], [2.0]], probabilities=[1.5, -0.5]),
         ValueError, "nonnegative"),
+    # refused where the driver is built, as the CLI's --rate refuses it, not
+    # by a run's size cap reading the expected jump count as nan
+    **{f"rate-{name}": (
+        lambda rate=rate: LevyDriverSpec(rate, GaussianJumps(mean=[0.0], cov=[[1.0]])),
+        ValueError, f"jump rate must be finite and positive, got {rate!r}")
+       for name, rate in (("infinite", math.inf), ("nan", math.nan))},
     "step-size-zero": (
         lambda: SimulationConfig(step_size=0.0, steps=10, seed=1),
         ValueError, "step size must be positive"),
